@@ -19,9 +19,19 @@ with three choices of nonlinearity ``N``:
 A ``linear`` tag disables the nonlinearity entirely (free flow); it exists
 for time-reversal and convergence diagnostics.
 
-All quadratic products are formed pointwise in physical space from
-two-thirds dealiased factors and the result is dealiased again, so the
-retained band is alias-free.
+All three are evaluated by one kernel, in conservative form.  The symbols
+obey ``i xi m1 + i mu m2 = i xi`` on the lattice, i.e. ``dx G1 u + dy G2 u =
+u_x``, so
+
+    N_zk  = (1/2) dx(u^2),
+    N_sem = (1/2) [dx(u G1u) + dy(u G2u)],
+
+and the soliton background ``Phi`` adds ``(1/2) [dx(Phi (u + G1u)) +
+dy(Phi G2u)]``.  The identities are exact for trigonometric polynomials, so
+they hold on the retained band; the mean mode of every ``N`` is zero by
+construction, which makes ``I1`` conservation structural.  The flux products
+are formed pointwise in physical space from two-thirds dealiased factors and
+the result is dealiased again, so the retained band is alias-free.
 """
 
 from __future__ import annotations
@@ -55,8 +65,6 @@ __all__ = [
     "soliton_profile_dx",
     "potential_profile",
     "propagator_apply",
-    "nonlinear_zk",
-    "nonlinear_sem",
     "background_terms",
     "nonlinear_rhs",
     "solve_potential",
@@ -221,79 +229,53 @@ def propagator_apply(F: SpectralField, t: float) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * np.exp(1j * t * tab.omega))
 
 
-def _phase(grid: Grid2D, t: float) -> np.ndarray:
-    return np.exp(1j * t * _tables(grid).omega)
+def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
+    if eq.kind == "sem_on_soliton":
+        _check_domain(grid, eq.soliton)
 
 
 def _quadratic_hat(uhat: np.ndarray, grid: Grid2D, eq: EquationKind, t: float) -> np.ndarray:
-    """Spectrum of N(u) (dealiased) from the dealiased spectrum of u."""
-    tab = _tables(grid)
-    ud = np.where(tab.mask, uhat, 0.0)
+    """Spectrum of N(u) (dealiased) from the spectrum of u, in conservative form."""
     if eq.kind == "linear":
         return np.zeros_like(uhat)
-
-    ux = _to_phys(ud * tab.ddx, tab.n)
+    tab = _tables(grid)
+    ud = np.where(tab.mask, uhat, 0.0)
     u = _to_phys(ud, tab.n)
     if eq.kind == "zk":
-        prod = u * ux
+        nhat = tab.ddx * np.fft.fft2(u * u)
     else:
-        uy = _to_phys(ud * tab.ddy, tab.n)
         g1 = _to_phys(ud * tab.m1, tab.n)
         g2 = _to_phys(ud * tab.m2, tab.n)
-        prod = 0.5 * (u * ux + ux * g1 + uy * g2)
+        flux_x = u * g1
+        flux_y = u * g2
         if eq.kind == "sem_on_soliton":
             p = eq.soliton
-            off = _wrapped_offset(grid, p, t)
-            phi = soliton_shape(p.omega, off)[:, None]
-            phix = soliton_shape_dx(p.omega, off)[:, None]
-            prod = prod + 0.5 * (phix * u + 2.0 * phi * ux + phix * g1)
-    phat = np.fft.fft2(prod) / tab.n
-    return np.where(tab.mask, phat, 0.0)
-
-
-def nonlinear_zk(u: RealField) -> RealField:
-    """Dealiased ``u u_x``."""
-    g = u.grid
-    uhat = np.fft.fft2(u.values) / _tables(g).n
-    return RealField(g, _to_phys(_quadratic_hat(uhat, g, ZK, 0.0), _tables(g).n))
-
-
-def nonlinear_sem(u: RealField) -> RealField:
-    """Dealiased ``(1/2)(u u_x + u_x G1 u + u_y G2 u)``.
-
-    For y-independent mean-zero fields ``G1 u = u`` exactly on the lattice,
-    so this reduces to ``u u_x`` (the one-dimensional KdV nonlinearity).
-    """
-    g = u.grid
-    uhat = np.fft.fft2(u.values) / _tables(g).n
-    return RealField(g, _to_phys(_quadratic_hat(uhat, g, SEM, 0.0), _tables(g).n))
+            phi = soliton_shape(p.omega, _wrapped_offset(grid, p, t))[:, None]
+            flux_x = flux_x + phi * (u + g1)
+            flux_y = flux_y + phi * g2
+        nhat = tab.ddx * np.fft.fft2(flux_x) + tab.ddy * np.fft.fft2(flux_y)
+    return np.where(tab.mask, (0.5 / tab.n) * nhat, 0.0)
 
 
 def background_terms(u: RealField, p: SolitonParams, t: float) -> RealField:
     """Linear-in-``u`` forcing from the soliton background at time ``t``.
 
-    Evaluates ``(1/2)(phi_x u + 2 phi u_x) + (1/2) phi_x G1 u`` with the
-    profile ``phi`` and its derivative taken in closed form at the
-    travelling-crest position for time ``t``.
+    The difference between the ``sem_on_soliton`` and ``sem``
+    nonlinearities, i.e. ``(1/2)(phi_x u + 2 phi u_x) + (1/2) phi_x G1 u``
+    with the profile ``phi`` at the travelling-crest position for time ``t``.
     """
-    _check_domain(u.grid, p)
-    g = u.grid
-    tab = _tables(g)
-    ud = np.where(tab.mask, np.fft.fft2(u.values) / tab.n, 0.0)
-    uph = _to_phys(ud, tab.n)
-    ux = _to_phys(ud * tab.ddx, tab.n)
-    g1 = _to_phys(ud * tab.m1, tab.n)
-    off = _wrapped_offset(g, p, t)
-    phi = soliton_shape(p.omega, off)[:, None]
-    phix = soliton_shape_dx(p.omega, off)[:, None]
-    prod = 0.5 * (phix * uph + 2.0 * phi * ux) + 0.5 * phix * g1
-    phat = np.where(tab.mask, np.fft.fft2(prod) / tab.n, 0.0)
-    return RealField(g, _to_phys(phat, tab.n))
+    return nonlinear_rhs(u, sem_on_soliton(p), t) - nonlinear_rhs(u, SEM, t)
 
 
 def nonlinear_rhs(u: RealField, eq: EquationKind, t: float = 0.0) -> RealField:
-    """Full nonlinearity ``N(u)`` for the given equation (zero for linear)."""
+    """Full nonlinearity ``N(u)`` for the given equation (zero for linear).
+
+    For ``sem`` and y-independent mean-zero fields ``G1 u = u`` exactly on
+    the lattice, so ``N`` reduces to ``u u_x`` (the one-dimensional KdV
+    nonlinearity).
+    """
     g = u.grid
+    _check_equation(g, eq)
     tab = _tables(g)
     uhat = np.fft.fft2(u.values) / tab.n
     return RealField(g, _to_phys(_quadratic_hat(uhat, g, eq, t), tab.n))

@@ -12,9 +12,11 @@ Two independent routes to the solution are provided on purpose:
   is applied exactly (unitarily), so only the nonlinearity is integrated
   approximately and the scheme is globally fourth order.
 
-Both treat the nonlinearity through the same dealiased product rules in
+Both evaluate the nonlinearity through the one conservative-form kernel in
 :mod:`semzk.dynamics`, so their agreement is a genuine cross-check of the
-time discretizations, not of shared stepping code.
+time discretizations, not of shared stepping code.  :func:`duhamel_term`
+exposes the Duhamel integral of a given trajectory through the same
+quadrature as :func:`picard_solve`.
 """
 
 from __future__ import annotations
@@ -26,23 +28,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from semzk.dynamics import (
-    EquationKind,
-    SolitonParams,
-    _check_domain,
-    _quadratic_hat,
-    _tables,
-    soliton_shape,
-    soliton_shape_dx,
-    _wrapped_offset,
-)
-from semzk.spectral import Grid2D, RealField
+from semzk.dynamics import EquationKind, _check_equation, _quadratic_hat, _tables
+from semzk.spectral import Grid2D, RealField, SpectralField
 
 __all__ = [
     "TrajectoryPath",
     "PicardReport",
     "duhamel_term",
-    "DUHAMEL_KINDS",
     "picard_solve",
     "ifrk4_step",
     "evolve",
@@ -120,69 +112,42 @@ class PicardReport:
 
 
 # ---------------------------------------------------------------------------
-# Duhamel pieces
-
-#: Integrand selectors for :func:`duhamel_term`:
-#: ``u_ux``      -> u u_x
-#: ``ux_g1u``    -> u_x * G1 u
-#: ``uy_g2u``    -> u_y * G2 u
-#: ``phi_u``     -> phi_x u + 2 phi u_x       (soliton background)
-#: ``phi_g1u``   -> phi_x * G1 u              (soliton background)
-DUHAMEL_KINDS = ("u_ux", "ux_g1u", "uy_g2u", "phi_u", "phi_g1u")
+# Duhamel integral
 
 
-def _integrand_hat(kind: str, uhat: np.ndarray, grid: Grid2D,
-                   p: SolitonParams | None, t: float) -> np.ndarray:
-    tab = _tables(grid)
-    ud = np.where(tab.mask, uhat, 0.0)
+def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
+                 grid: Grid2D, eq: EquationKind) -> np.ndarray:
+    """``integral_{t_0}^{t_j} U(-t') N(u(t')) dt'`` at every node ``t_j``.
 
-    def phys(c):
-        return np.real(np.fft.ifft2(c)) * tab.n
-
-    if kind == "u_ux":
-        prod = phys(ud) * phys(ud * tab.ddx)
-    elif kind == "ux_g1u":
-        prod = phys(ud * tab.ddx) * phys(ud * tab.m1)
-    elif kind == "uy_g2u":
-        prod = phys(ud * tab.ddy) * phys(ud * tab.m2)
-    elif kind in ("phi_u", "phi_g1u"):
-        if p is None:
-            raise ValueError(f"duhamel kind {kind!r} needs SolitonParams")
-        off = _wrapped_offset(grid, p, t)
-        phi = soliton_shape(p.omega, off)[:, None]
-        phix = soliton_shape_dx(p.omega, off)[:, None]
-        if kind == "phi_u":
-            prod = phix * phys(ud) + 2.0 * phi * phys(ud * tab.ddx)
-        else:
-            prod = phix * phys(ud * tab.m1)
-    else:
-        raise ValueError(f"unknown duhamel kind {kind!r}; expected one of {DUHAMEL_KINDS}")
-    return np.where(tab.mask, np.fft.fft2(prod) / tab.n, 0.0)
+    ``uhats`` holds the spectra of ``u`` on the node lattice ``times`` and
+    ``phases`` the matching ``exp(i t omega)``; the integral is the
+    cumulative composite trapezoid rule.  Multiplying node ``j`` by
+    ``phases[j]`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
+    """
+    nhat = np.empty_like(uhats)
+    for j in range(times.size):
+        nhat[j] = _quadratic_hat(uhats[j], grid, eq, float(times[j]))
+    return cumulative_trapezoid(np.conj(phases) * nhat, x=times, axis=0, initial=0.0)
 
 
-def duhamel_term(kind: str, path: TrajectoryPath, t: float,
-                 p: SolitonParams | None = None) -> RealField:
-    """Trapezoid approximation of one Duhamel integral at time ``t``.
+def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
+    """Trapezoid approximation of the Duhamel integral of ``eq`` at time ``t``.
 
-    Computes ``integral_0^t U(t - t') f(u(t'), t') dt'`` where ``f`` is the
-    integrand selected by ``kind`` (see :data:`DUHAMEL_KINDS`) and ``u`` is
-    read off the trajectory nodes; ``t`` must lie on the node lattice.  The
-    quadrature error is ``O(dt^2)`` for smooth trajectories.
+    Computes ``integral_{t_0}^t U(t - t') N(u(t'), t') dt'`` where ``N`` is
+    the full nonlinearity of ``eq`` and ``u`` is read off the trajectory
+    nodes from the first node ``t_0`` on; ``t`` must lie on the node
+    lattice.  The quadrature is the one :func:`picard_solve` uses, with error
+    ``O(dt^2)`` for smooth trajectories.
     """
     grid = path.grid
+    _check_equation(grid, eq)
     tab = _tables(grid)
     i = path.node_index(t)
-    if i == 0:
-        return RealField(grid, np.zeros((grid.nx, grid.ny)))
-    dt = path.dt
-    acc = np.zeros((grid.nx, grid.ny), dtype=complex)
-    for j in range(i + 1):
-        tj = float(path.times[j])
-        uhat = np.fft.fft2(path.fields[j].values) / tab.n
-        fhat = _integrand_hat(kind, uhat, grid, p, tj)
-        w = dt * (0.5 if j in (0, i) else 1.0)
-        acc += w * np.exp(1j * (t - tj) * tab.omega) * fhat
-    return RealField(grid, np.real(np.fft.ifft2(acc)) * tab.n)
+    times = path.times[:i + 1]
+    uhats = np.stack([np.fft.fft2(f.values) / tab.n for f in path.fields[:i + 1]])
+    phases = np.exp(1j * times[:, None, None] * tab.omega[None, :, :])
+    integ = _duhamel_hat(uhats, times, phases, grid, eq)
+    return RealField(grid, np.real(np.fft.ifft2(phases[-1] * integ[-1])) * tab.n)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +177,7 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     if nodes < 2:
         raise ValueError("picard_solve needs at least two time nodes")
     grid = u0.grid
-    if eq.kind == "sem_on_soliton":
-        _check_domain(grid, eq.soliton)
+    _check_equation(grid, eq)
     tab = _tables(grid)
     times = np.linspace(0.0, T, nodes)
     u0hat = np.fft.fft2(u0.values) / tab.n
@@ -225,13 +189,12 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     report = PicardReport(iterations=0, tol=tol, sobolev_index=s)
     for _ in range(max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
-            nhat = np.empty_like(current)
-            for j in range(nodes):
-                nhat[j] = _quadratic_hat(current[j], grid, eq, float(times[j]))
-            integ = cumulative_trapezoid(np.conj(phases) * nhat, x=times, axis=0, initial=0.0)
+            integ = _duhamel_hat(current, times, phases, grid, eq)
             new = phases * (u0hat[None, :, :] - integ)
             if not np.all(np.isfinite(new.view(np.float64))):
-                raise RuntimeError("picard iteration diverged")
+                last = f"{report.distances[-1]:.3e}" if report.distances else "none"
+                raise RuntimeError(f"picard iteration diverged at sweep {report.iterations + 1}; "
+                                   f"last distance {last}")
             dist = float(np.max(np.sqrt(
                 area * np.sum(w2s[None, :, :] * np.abs(new - current) ** 2, axis=(1, 2)))))
         report.iterations += 1
@@ -277,13 +240,15 @@ def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField
     if not (math.isfinite(dt) and dt != 0.0):
         raise ValueError("step size must be finite and nonzero")
     grid = u.grid
+    _check_equation(grid, eq)
     tab = _tables(grid)
     E = np.exp(1j * (0.5 * dt) * tab.omega)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _ifrk4_hat(np.fft.fft2(u.values) / tab.n, grid, eq, t, dt, E, E * E)
         vals = np.real(np.fft.ifft2(out)) * tab.n
     if not np.all(np.isfinite(vals)):
-        raise RuntimeError("step diverged; reduce dt")
+        raise RuntimeError(f"step diverged at t = {t:.6g}; last finite L2 norm "
+                           f"{u.l2():.3e}; reduce dt")
     return RealField(grid, vals)
 
 
@@ -318,8 +283,7 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     grid = u0.grid
-    if eq.kind == "sem_on_soliton":
-        _check_domain(grid, eq.soliton)
+    _check_equation(grid, eq)
     if T == 0.0:
         path = TrajectoryPath(grid, np.array([0.0]), [u0.copy()])
         for cb in callbacks:
@@ -340,9 +304,12 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
     for i in range(n_steps):
         t = i * dt_eff
         with np.errstate(over="ignore", invalid="ignore"):
-            uhat = _ifrk4_hat(uhat, grid, eq, t, dt_eff, E, E2)
-        if not np.all(np.isfinite(uhat.view(np.float64))):
-            raise RuntimeError("step diverged; reduce dt")
+            new = _ifrk4_hat(uhat, grid, eq, t, dt_eff, E, E2)
+        if not np.all(np.isfinite(new.view(np.float64))):
+            raise RuntimeError(
+                f"step diverged at step {i + 1} of {n_steps} (t = {t:.6g}); last finite "
+                f"L2 norm {SpectralField(grid, uhat).l2():.3e}; reduce dt")
+        uhat = new
         step = i + 1
         want_field = (step % stride == 0) or (step == n_steps)
         want_cb = callbacks and ((step % callback_stride == 0) or (step == n_steps))

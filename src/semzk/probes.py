@@ -242,29 +242,35 @@ def xsb_norm(f: SpaceTimeField, s: float, b: float) -> float:
 # quadratic nonlinearity in coefficient space
 
 
+def _derivative_box(box: CoefficientBox, axis: int, length: float) -> CoefficientBox:
+    """Differentiate along spatial ``axis`` on the unwrapped lattice."""
+    j = box.start[axis] + np.arange(box.values.shape[axis])
+    shape = [1, 1, 1]
+    shape[axis] = j.size
+    factor = (2j * np.pi / length) * j.reshape(shape)
+    return CoefficientBox(box.values * factor.astype(box.values.dtype), box.start)
+
+
 def nonlinear_box(f: SpaceTimeField, *, dtype=np.complex128) -> CoefficientBox:
     """Coefficients of (u u_x + u_x G1 u + u_y G2 u) / 2 on the unwrapped lattice.
 
     G1 and G2 are the gradient components of the inverse-Laplacian x-derivative,
-    with symbols xi^2/(xi^2 + mu^2) and xi mu/(xi^2 + mu^2).
+    with symbols xi^2/(xi^2 + mu^2) and xi mu/(xi^2 + mu^2).  Since
+    ``dx G1 u + dy G2 u = u_x``, the sum is evaluated in conservative form,
+    ``(dx(u G1u) + dy(u G2u)) / 2``: two convolutions, then the derivative
+    symbols of the output lattice.
     """
     g = f.grid
-    ddx = make_multiplier(g, "ddx").values[:, :, None]
-    ddy = make_multiplier(g, "ddy").values[:, :, None]
     m1 = make_multiplier(g, "m1").values[:, :, None]
     m2 = make_multiplier(g, "m2").values[:, :, None]
     c = f.coeffs
     base = _centered_box(SpaceTimeField(g, f.t_box, c))
-    cx = _centered_box(SpaceTimeField(g, f.t_box, c * ddx))
-    cy = _centered_box(SpaceTimeField(g, f.t_box, c * ddy))
     c1 = _centered_box(SpaceTimeField(g, f.t_box, c * m1))
     c2 = _centered_box(SpaceTimeField(g, f.t_box, c * m2))
-    terms = [
-        _convolve_boxes(base, cx, dtype),
-        _convolve_boxes(cx, c1, dtype),
-        _convolve_boxes(cy, c2, dtype),
-    ]
-    out = _add_boxes(terms)
+    out = _add_boxes([
+        _derivative_box(_convolve_boxes(base, c1, dtype), 0, g.lx),
+        _derivative_box(_convolve_boxes(base, c2, dtype), 1, g.ly),
+    ])
     out.values *= 0.5
     return out
 

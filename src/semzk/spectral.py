@@ -141,9 +141,14 @@ class Grid2D:
         return _readonly(mask)
 
     def dealias_mask(self, fraction: float = DEALIAS_FRACTION) -> np.ndarray:
-        """Boolean mask keeping modes with ``|j| <= fraction*n/2`` per axis."""
-        keep_x = np.abs(self.jx) <= fraction * self.nx / 2.0
-        keep_y = np.abs(self.jy) <= fraction * self.ny / 2.0
+        """Boolean mask keeping modes with ``|j| < fraction*n/2`` per axis.
+
+        The inequality is strict: with the two-thirds fraction this keeps
+        ``3|j| < n`` (Orszag's rule), so the product of two retained modes
+        never aliases onto the retained band, also when 3 divides ``n``.
+        """
+        keep_x = np.abs(self.jx) < fraction * self.nx / 2.0
+        keep_y = np.abs(self.jy) < fraction * self.ny / 2.0
         return keep_x[:, None] & keep_y[None, :]
 
     @cached_property
@@ -368,7 +373,7 @@ def apply_multiplier(F: SpectralField, table: MultiplierTable) -> SpectralField:
 
 
 def dealias(F: SpectralField, fraction: float = DEALIAS_FRACTION) -> SpectralField:
-    """Zero all modes with ``|j| > fraction*nx/2`` or ``|k| > fraction*ny/2``.
+    """Zero all modes with ``|j| >= fraction*nx/2`` or ``|k| >= fraction*ny/2``.
 
     With the default two-thirds fraction, pointwise products of two dealiased
     fields are alias-free on the retained band.  Idempotent.

@@ -9,10 +9,10 @@ from semzk.dynamics import (
     ZK,
     EquationKind,
     SolitonParams,
+    _quadratic_hat,
+    _tables,
     background_terms,
     nonlinear_rhs,
-    nonlinear_sem,
-    nonlinear_zk,
     poisson_residual,
     potential_profile,
     potential_shape,
@@ -24,6 +24,7 @@ from semzk.dynamics import (
     soliton_shape_dx,
     solve_potential,
 )
+from semzk.integrators import ifrk4_step
 from semzk.norms import conserved_I1, conserved_I2
 from semzk.spectral import (
     Grid2D,
@@ -105,6 +106,13 @@ def test_domain_too_small_rejected():
     g = Grid2D(128, 8, 40.0, 2 * np.pi)
     with pytest.raises(ValueError, match="domain too small"):
         soliton_profile(g, SolitonParams(omega=1.0))
+    short = Grid2D(64, 8, 10.0, 2.0)
+    eq = sem_on_soliton(SolitonParams(omega=1.0, x0=5.0))
+    u = RealField(short, np.zeros((short.nx, short.ny)))
+    with pytest.raises(ValueError, match="domain too small"):
+        nonlinear_rhs(u, eq)
+    with pytest.raises(ValueError, match="domain too small"):
+        ifrk4_step(u, eq, 0.0, 0.01)
 
 
 def test_param_validation():
@@ -163,7 +171,7 @@ def test_propagator_preserves_reality():
 def test_zk_nonlinearity_closed_form():
     g = Grid2D(64, 8, 7.0, 2.0)
     u = RealField(g, np.cos(2 * np.pi * g.x[:, None] / g.lx) * np.ones((1, g.ny)))
-    out = nonlinear_zk(u)
+    out = nonlinear_rhs(u, ZK)
     expect = -(np.pi / g.lx) * np.sin(4 * np.pi * g.x[:, None] / g.lx) * np.ones((1, g.ny))
     assert np.max(np.abs(out.values - expect)) <= 1e-12
 
@@ -181,8 +189,8 @@ def test_zk_nonlinearity_resolution_invariance():
         for k in range(-16, 16):
             c2[j, k] = c1[j, k]
     u2 = RealField(g2, np.real(np.fft.ifft2(c2)) * 64 * 64)
-    n1 = forward_transform(nonlinear_zk(u1)).coeffs
-    n2 = forward_transform(nonlinear_zk(u2)).coeffs
+    n1 = forward_transform(nonlinear_rhs(u1, ZK)).coeffs
+    n2 = forward_transform(nonlinear_rhs(u2, ZK)).coeffs
     err = max(abs(n1[j, k] - n2[j, k]) for j in range(-8, 8) for k in range(-8, 8))
     assert err <= 1e-13
 
@@ -193,8 +201,8 @@ def test_sem_reduces_to_zk_for_y_independent_mean_zero():
     col = rng.standard_normal(g.nx)
     col -= col.mean()
     u = RealField(g, np.repeat(col[:, None], g.ny, axis=1))
-    a = nonlinear_sem(u)
-    b = nonlinear_zk(u)
+    a = nonlinear_rhs(u, SEM)
+    b = nonlinear_rhs(u, ZK)
     assert np.max(np.abs(a.values - b.values)) <= 1e-12 * max(1.0, np.abs(b.values).max())
 
 
@@ -213,7 +221,7 @@ def test_sem_nonlocal_terms_single_product_field():
 
 def test_sem_matches_potential_route():
     # (1/2)(u u_x + u_x phi_x + u_y phi_y) with phi from the Poisson solve
-    # must equal nonlinear_sem computed through the m1/m2 symbols
+    # must equal the sem nonlinearity computed through the m1/m2 symbols
     g = Grid2D(48, 48, 2 * np.pi, 2 * np.pi)
     u = band_limited_field(g, 11, [(1, 0), (2, 1), (0, 3), (4, 2), (1, 1)])
     phi = solve_potential(u)
@@ -230,8 +238,34 @@ def test_sem_matches_potential_route():
     uu = phys(F)
     raw = 0.5 * (uu * ux + ux * px + uy * py)
     expect = inverse_transform(dealias(forward_transform(RealField(g, raw))))
-    got = nonlinear_sem(u)
+    got = nonlinear_rhs(u, SEM)
     assert np.max(np.abs(got.values - expect.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [48, 96, 192, 64, 256])
+@pytest.mark.parametrize("eq", [ZK, SEM], ids=["zk", "sem"])
+def test_highest_kept_mode_does_not_alias(n, eq):
+    # N of the highest retained mode K lives at +-2K (and 0), which folds to
+    # 2K - n; the two-thirds rule must keep that outside the retained band,
+    # also when 3 divides n.
+    g = Grid2D(n, n, 2 * np.pi, 2 * np.pi)
+    keep = g.dealias_mask()
+    K = int(g.jx[keep[:, 0]].max())
+    X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+    u = RealField(g, np.cos(K * X + K * Y))
+    out = forward_transform(nonlinear_rhs(u, eq)).coeffs
+    assert np.max(np.abs(out[keep])) <= 1e-12 * K
+
+
+def test_mean_mode_of_nonlinearity_is_zero():
+    # conservative form: every N is a divergence, so its (0,0) coefficient
+    # is exactly zero before the inverse transform
+    g = Grid2D(256, 16, 80.0, 2 * np.pi)
+    u = band_limited_field(g, 14, [(3, 1), (5, 2), (8, 0), (0, 3)], amplitude=0.1)
+    uhat = np.fft.fft2(u.values) / _tables(g).n
+    p = SolitonParams(omega=1.0, x0=40.0)
+    for eq in (ZK, SEM, sem_on_soliton(p)):
+        assert _quadratic_hat(uhat, g, eq, 0.3)[0, 0] == 0.0
 
 
 def test_linear_kind_has_zero_rhs():
@@ -246,7 +280,7 @@ def test_rhs_dispatch_soliton_background_additive():
     u = band_limited_field(g, 6, [(3, 1), (5, 2), (8, 0)], amplitude=0.1)
     t = 0.3
     total = nonlinear_rhs(u, sem_on_soliton(p), t)
-    parts = nonlinear_sem(u) + background_terms(u, p, t)
+    parts = nonlinear_rhs(u, SEM) + background_terms(u, p, t)
     assert np.max(np.abs(total.values - parts.values)) <= 1e-13
 
 

@@ -70,14 +70,11 @@ def test_trajectory_validation():
 def test_duhamel_zero_cases():
     u = smooth_field(SMALL, 1, 0.5)
     path = free_path(SMALL, u, 0.5, 9)
-    at0 = duhamel_term("u_ux", path, 0.0)
+    at0 = duhamel_term(ZK, path, 0.0)
     assert np.all(at0.values == 0.0)
     zpath = free_path(SMALL, RealField(SMALL, np.zeros((32, 32))), 0.5, 9)
-    assert np.all(duhamel_term("u_ux", zpath, 0.5).values == 0.0)
-    with pytest.raises(ValueError, match="unknown duhamel kind"):
-        duhamel_term("bogus", path, 0.5)
-    with pytest.raises(ValueError, match="needs SolitonParams"):
-        duhamel_term("phi_u", path, 0.5)
+    assert np.all(duhamel_term(ZK, zpath, 0.5).values == 0.0)
+    assert np.all(duhamel_term(LINEAR, path, 0.5).values == 0.0)
 
 
 def test_duhamel_single_mode_closed_form():
@@ -94,7 +91,7 @@ def test_duhamel_single_mode_closed_form():
     errs = []
     for M in (33, 65, 129):
         path = free_path(g, u0, T, M)
-        c = forward_transform(duhamel_term("u_ux", path, T)).coeffs[2, 0]
+        c = forward_transform(duhamel_term(ZK, path, T)).coeffs[2, 0]
         errs.append(abs(c - expect))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
@@ -106,8 +103,8 @@ def test_duhamel_background_kinds_run():
     p = SolitonParams(omega=1.0, x0=40.0)
     u = smooth_field(g, 2, 0.1, modes=((3, 1), (7, 0), (5, 2)))
     path = free_path(g, u, 0.2, 9)
-    for kind in ("ux_g1u", "uy_g2u", "phi_u", "phi_g1u"):
-        out = duhamel_term(kind, path, 0.2, p)
+    for eq in (SEM, sem_on_soliton(p)):
+        out = duhamel_term(eq, path, 0.2)
         assert np.all(np.isfinite(out.values))
         assert out.l2() > 0
 
@@ -249,6 +246,13 @@ def test_evolve_soliton_background_zero_perturbation():
     z = RealField(g, np.zeros((g.nx, g.ny)))
     path = evolve(z, eq, 0.5, 0.01)
     assert np.all(path.fields[-1].values == 0.0)
+
+
+def test_evolve_divergence_reports_where():
+    big = smooth_field(SMALL, 9, 1e6)
+    with pytest.raises(RuntimeError, match=r"diverged at step \d+ of 50 \(t = .*\); "
+                       r"last finite L2 norm .*; reduce dt"):
+        evolve(big, ZK, 25.0, 0.5)
 
 
 def test_evolve_validates_args():
