@@ -29,6 +29,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from semzk.dynamics import EquationKind, _check_equation, _quadratic_hat, _tables
+from semzk.norms import _sobolev_weight
 from semzk.spectral import Grid2D, RealField, SpectralField
 
 __all__ = [
@@ -154,11 +155,6 @@ def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
 # Picard iteration
 
 
-def _sobolev_weight(grid: Grid2D, s: float) -> np.ndarray:
-    r = np.hypot(grid.xi2d, grid.mu2d)
-    return (1.0 + r) ** (2.0 * s)
-
-
 def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
                  nodes: int = 33, tol: float = 1e-8, max_iter: int = 25,
                  s: float = 1.0) -> tuple[TrajectoryPath, PicardReport]:
@@ -252,31 +248,19 @@ def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField
     return RealField(grid, vals)
 
 
-def _pick_sample_stride(n_steps: int, requested: int | None) -> int:
-    if requested is not None:
-        if requested < 1:
-            raise ValueError("sample stride must be >= 1")
-        stride = min(requested, n_steps)
-    else:
-        stride = max(1, n_steps // 200)
-    while n_steps % stride != 0:
-        stride -= 1
-    return stride
-
-
 def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
            callbacks: Sequence[Callable[[int, float, RealField], None]] = (),
-           callback_stride: int = 1,
-           sample_stride: int | None = None) -> TrajectoryPath:
+           callback_stride: int = 1) -> TrajectoryPath:
     """March from ``u0`` over ``[0, T]`` with IFRK4 steps of size about ``dt``.
 
     The step count is ``round(T/dt)`` (at least one) and the step is adjusted
-    to divide ``T`` exactly.  ``T`` may be negative (backwards flow) and
-    ``T == 0`` returns a single-snapshot trajectory.  Callbacks receive
+    to divide ``T`` exactly.  ``T`` may be negative (backwards flow).  The
+    returned trajectory holds the endpoints only: ``u0`` at time 0 and the
+    final state at ``T``, in increasing-time order (a single node when
+    ``T == 0``), so memory stays at a few fields however long the run.
+    Intermediate states go to the callbacks, which receive
     ``(step_index, time, field)`` at every ``callback_stride``-th step plus
-    the endpoints, and must not mutate the field.  The returned trajectory is
-    subsampled every ``sample_stride`` steps (chosen automatically to keep at
-    most about 200 snapshots; always a divisor of the step count).
+    both endpoints and must not mutate the field.
     """
     if not math.isfinite(T):
         raise ValueError("horizon T must be finite")
@@ -284,21 +268,19 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
         raise ValueError("dt must be positive and finite")
     grid = u0.grid
     _check_equation(grid, eq)
+    first = u0.copy()
     if T == 0.0:
-        path = TrajectoryPath(grid, np.array([0.0]), [u0.copy()])
         for cb in callbacks:
-            cb(0, 0.0, path.fields[0])
-        return path
+            cb(0, 0.0, first)
+        return TrajectoryPath(grid, np.array([0.0]), [first])
 
     n_steps = max(1, int(round(abs(T) / dt)))
     dt_eff = T / n_steps
-    stride = _pick_sample_stride(n_steps, sample_stride)
     tab = _tables(grid)
     E = np.exp(1j * (0.5 * dt_eff) * tab.omega)
     E2 = E * E
 
     uhat = np.fft.fft2(u0.values) / tab.n
-    sampled = [(0.0, u0.copy())]
     for cb in callbacks:
         cb(0, 0.0, u0)
     for i in range(n_steps):
@@ -311,19 +293,12 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
                 f"L2 norm {SpectralField(grid, uhat).l2():.3e}; reduce dt")
         uhat = new
         step = i + 1
-        want_field = (step % stride == 0) or (step == n_steps)
-        want_cb = callbacks and ((step % callback_stride == 0) or (step == n_steps))
-        if want_field or want_cb:
-            f = RealField(grid, np.real(np.fft.ifft2(uhat)) * tab.n)
-            if step % stride == 0:
-                sampled.append((step * dt_eff, f))
-            if want_cb:
-                for cb in callbacks:
-                    cb(step, step * dt_eff, f)
+        if step == n_steps or (callbacks and step % callback_stride == 0):
+            last = RealField(grid, np.real(np.fft.ifft2(uhat)) * tab.n)
+            for cb in callbacks:
+                cb(step, step * dt_eff, last)
 
-    times = np.array([t for t, _ in sampled])
-    fields = [f for _, f in sampled]
+    t_last = n_steps * dt_eff
     if T < 0:  # store in increasing-time order
-        times = times[::-1].copy()
-        fields = fields[::-1]
-    return TrajectoryPath(grid, times, fields)
+        return TrajectoryPath(grid, np.array([t_last, 0.0]), [last, first])
+    return TrajectoryPath(grid, np.array([0.0, t_last]), [first, last])

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from semzk.spectral import RealField, SpectralField, forward_transform
+from semzk.spectral import Grid2D, RealField, SpectralField, forward_transform
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from semzk.integrators import TrajectoryPath
@@ -46,6 +46,11 @@ def conserved_I2(u: RealField) -> float:
     return float(np.sum(u.values**2) * u.grid.dx * u.grid.dy)
 
 
+def _sobolev_weight(grid: Grid2D, s: float) -> np.ndarray:
+    """The squared H^s weight ``(1 + |(xi, mu)|)^(2s)`` on every mode."""
+    return (1.0 + np.hypot(grid.xi2d, grid.mu2d)) ** (2.0 * s)
+
+
 def sobolev_norm(u: RealField | SpectralField, s: float = 1.0) -> float:
     """H^s norm with weight ``(1 + |(xi, mu)|)^s`` on each mode.
 
@@ -53,8 +58,7 @@ def sobolev_norm(u: RealField | SpectralField, s: float = 1.0) -> float:
     """
     F = forward_transform(u) if isinstance(u, RealField) else u
     g = F.grid
-    r = np.hypot(g.xi2d, g.mu2d)
-    w = (1.0 + r) ** (2.0 * s)
+    w = _sobolev_weight(g, s)
     return float(np.sqrt(g.lx * g.ly * np.sum(w * np.abs(F.coeffs) ** 2)))
 
 

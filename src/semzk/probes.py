@@ -124,9 +124,8 @@ def _trim_box(box: CoefficientBox) -> CoefficientBox:
     return CoefficientBox(np.ascontiguousarray(box.values[slices]), start)
 
 
-def _convolve_boxes(a: CoefficientBox, b: CoefficientBox,
-                    dtype) -> CoefficientBox:
-    vals = fftconvolve(a.values.astype(dtype), b.values.astype(dtype))
+def _convolve_boxes(a: CoefficientBox, b: CoefficientBox) -> CoefficientBox:
+    vals = fftconvolve(a.values, b.values)
     start = tuple(x + y for x, y in zip(a.start, b.start))
     return CoefficientBox(vals, start)
 
@@ -150,17 +149,14 @@ def _check_compatible(f1: SpaceTimeField, f2: SpaceTimeField) -> None:
         raise ValueError("fields live on different space-time lattices")
 
 
-def product_l2(f1: SpaceTimeField, f2: SpaceTimeField, *,
-               dtype=np.complex128) -> float:
+def product_l2(f1: SpaceTimeField, f2: SpaceTimeField) -> float:
     """Exact space-time L^2 norm of the pointwise product f1 * f2.
 
     The coefficient convolution is carried out linearly on the bounding
-    boxes, so high output modes are kept rather than wrapped.  Pass
-    ``dtype=numpy.complex64`` to trade ~7 significant digits for speed in
-    large sweeps.
+    boxes, so high output modes are kept rather than wrapped.
     """
     _check_compatible(f1, f2)
-    box = _convolve_boxes(_centered_box(f1), _centered_box(f2), dtype)
+    box = _convolve_boxes(_centered_box(f1), _centered_box(f2))
     total = float(np.sum(np.abs(box.values) ** 2, dtype=np.float64))
     return math.sqrt(f1.grid.lx * f1.grid.ly * f1.t_box * total)
 
@@ -169,8 +165,7 @@ def product_l2(f1: SpaceTimeField, f2: SpaceTimeField, *,
 _PAIR_CHUNK = 25_000_000
 
 
-def sparse_product_l2(b1: SparseBlock, b2: SparseBlock, *,
-                      dtype=np.complex128) -> float:
+def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     """Exact space-time L^2 norm of the product of two sparse fields.
 
     Equivalent to densifying both blocks and calling :func:`product_l2`, but
@@ -184,8 +179,7 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock, *,
     m1, m2 = b1.modes, b2.modes
     if m1.shape[0] == 0 or m2.shape[0] == 0:
         return 0.0
-    v1 = b1.values.astype(dtype)
-    v2 = b2.values.astype(dtype)
+    v1, v2 = b1.values, b2.values
     # Linearize the output triple (jx1+jx2, jy1+jy2, jt1+jt2) so the key of a
     # pair splits into a per-factor sum; the strides keep the map injective.
     span = m1.max(axis=0) + m2.max(axis=0) - m1.min(axis=0) - m2.min(axis=0) + 1
@@ -248,10 +242,10 @@ def _derivative_box(box: CoefficientBox, axis: int, length: float) -> Coefficien
     shape = [1, 1, 1]
     shape[axis] = j.size
     factor = (2j * np.pi / length) * j.reshape(shape)
-    return CoefficientBox(box.values * factor.astype(box.values.dtype), box.start)
+    return CoefficientBox(box.values * factor, box.start)
 
 
-def nonlinear_box(f: SpaceTimeField, *, dtype=np.complex128) -> CoefficientBox:
+def nonlinear_box(f: SpaceTimeField) -> CoefficientBox:
     """Coefficients of (u u_x + u_x G1 u + u_y G2 u) / 2 on the unwrapped lattice.
 
     G1 and G2 are the gradient components of the inverse-Laplacian x-derivative,
@@ -268,8 +262,8 @@ def nonlinear_box(f: SpaceTimeField, *, dtype=np.complex128) -> CoefficientBox:
     c1 = _centered_box(SpaceTimeField(g, f.t_box, c * m1))
     c2 = _centered_box(SpaceTimeField(g, f.t_box, c * m2))
     out = _add_boxes([
-        _derivative_box(_convolve_boxes(base, c1, dtype), 0, g.lx),
-        _derivative_box(_convolve_boxes(base, c2, dtype), 1, g.ly),
+        _derivative_box(_convolve_boxes(base, c1), 0, g.lx),
+        _derivative_box(_convolve_boxes(base, c2), 1, g.ly),
     ])
     out.values *= 0.5
     return out
@@ -353,8 +347,8 @@ def fit_separated_exponent(trials):
 
 def probe_block_bilinear(grid: Grid2D, t_box: float, nt: int, *,
                          n_pairs=DEFAULT_N_PAIRS, l_pairs=DEFAULT_L_PAIRS,
-                         seeds=DEFAULT_SEEDS, share_shift: bool = True,
-                         dtype=np.complex128) -> BilinearReport:
+                         seeds=DEFAULT_SEEDS,
+                         share_shift: bool = True) -> BilinearReport:
     """Measure product norms of random dyadic blocks against predicted bounds.
 
     With ``share_shift`` both blocks of a trial are translated by the same
@@ -378,7 +372,7 @@ def probe_block_bilinear(grid: Grid2D, t_box: float, nt: int, *,
                                         seed=(seed, n1, l1, 1), shift=shift)
                 u2 = random_block_sparse(grid, t_box, nt, n2, l2,
                                         seed=(seed, n2, l2, 2), shift=shift)
-                norm = sparse_product_l2(u1, u2, dtype=dtype)
+                norm = sparse_product_l2(u1, u2)
                 trials.append(BlockTrial(n1, l1, n2, l2, seed, norm, bound,
                                          separated))
     exponent = fit_separated_exponent(trials)
@@ -500,14 +494,13 @@ def probe_linear_estimates(grid: Grid2D, *, horizon: float = 1.0,
     return LinearProbeReport(constants, norms, references, params)
 
 
-def probe_l4_estimate(f: SpaceTimeField, *, delta: float = DELTA,
-                      dtype=np.complex128) -> float:
+def probe_l4_estimate(f: SpaceTimeField, *, delta: float = DELTA) -> float:
     """Fourth-power norm against the (0, 5/6+delta) weighted norm.
 
     Uses the identity that the squared space-time L^4 norm of a real field
     equals the L^2 norm of its square.
     """
-    l4 = math.sqrt(product_l2(f, f, dtype=dtype))
+    l4 = math.sqrt(product_l2(f, f))
     return l4 / xsb_norm(f, 0.0, 5.0 / 6.0 + delta)
 
 
@@ -525,15 +518,14 @@ class NonlinearProbeReport:
 
 
 def probe_nonlinear_estimate(f: SpaceTimeField, *, s: float = 1.0,
-                             delta: float = DELTA,
-                             dtype=np.complex128) -> NonlinearProbeReport:
+                             delta: float = DELTA) -> NonlinearProbeReport:
     """Weighted norm of the quadratic nonlinearity over the squared input norm.
 
     The output is weighted with exponent ``-1/2 + 2 delta`` in the modulation
     bracket, the input with ``1/2 + delta``; both carry ``s`` powers of the
     frequency bracket.
     """
-    box = nonlinear_box(f, dtype=dtype)
+    box = nonlinear_box(f)
     out_norm = xsb_norm_box(box, f.grid, f.t_box, s, -0.5 + 2 * delta)
     in_norm = xsb_norm(f, s, 0.5 + delta)
     if in_norm == 0.0:

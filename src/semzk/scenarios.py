@@ -176,6 +176,42 @@ class _SnapshotWriter:
                            equation=self.equation)
 
 
+def _write_endpoints(out: Path, equation: str, initial: RealField,
+                     t_initial: float, final: RealField,
+                     t_final: float) -> None:
+    write_snapshot(out / "snapshots" / "initial.snap", initial,
+                   time=t_initial, equation=equation)
+    write_snapshot(out / "snapshots" / "final.snap", final, time=t_final,
+                   equation=equation)
+
+
+def _march(cfg: RunConfig, u0: RealField, equation: EquationKind, *,
+           t_start: float = 0.0, callbacks=()):
+    """Evolve ``u0`` over the configured schedule into a fresh run directory.
+
+    The diagnostics collector and the interior-snapshot writer run as
+    callbacks every ``diagnostic_stride`` steps, after the extra
+    ``callbacks``; the initial and final snapshots, ``diagnostics.csv`` and
+    the heatmaps follow.  Every recorded time is offset by the global start
+    time ``t_start``.  Returns the run directory, the endpoint trajectory,
+    the diagnostics records and the final global time.
+    """
+    out = _prepare_run_dir(cfg)
+    collector = DiagnosticsCollector(cfg.grid(), cfg.norms,
+                                     time_offset=t_start)
+    snapper = _SnapshotWriter(out / "snapshots", cfg.snapshot_stride,
+                              equation.kind, time_offset=t_start)
+    path = evolve(u0, equation, cfg.T, cfg.dt,
+                  callbacks=[*callbacks, collector, snapper],
+                  callback_stride=cfg.diagnostic_stride)
+    final = path.fields[-1]
+    t_final = t_start + float(path.times[-1])
+    _write_endpoints(out, equation.kind, u0, t_start, final, t_final)
+    collector.write(out / "diagnostics.csv")
+    _maybe_heatmaps(cfg, out, u0, final)
+    return out, path, collector.records, t_final
+
+
 # ---------------------------------------------------------------------------
 # initial data
 
@@ -263,34 +299,18 @@ class SimulationReport:
 
 def run_simulation(cfg: RunConfig) -> SimulationReport:
     """Evolve the configured equation and write the standard artifacts."""
-    grid = cfg.grid()
     u0, t_start = initial_state(cfg)
-    eq = cfg.equation
-    if eq == "sem_on_soliton" and t_start != 0.0:
+    if cfg.equation == "sem_on_soliton" and t_start != 0.0:
         # The background crest has traveled; restart in the shifted frame.
         shifted = cfg.replace(x0=cfg.x0 + cfg.omega * t_start)
         equation = sem_on_soliton(_soliton_params(shifted))
     else:
         equation = _equation_for(cfg)
-    out = _prepare_run_dir(cfg)
-    collector = DiagnosticsCollector(grid, cfg.norms, time_offset=t_start)
-    snapper = _SnapshotWriter(out / "snapshots", cfg.snapshot_stride, eq,
-                              time_offset=t_start)
-    path = evolve(u0, equation, cfg.T, cfg.dt,
-                  callbacks=[collector, snapper],
-                  callback_stride=cfg.diagnostic_stride)
-    final = path.fields[-1]
-    t_final = t_start + float(path.times[-1])
-    write_snapshot(out / "snapshots" / "initial.snap", u0, time=t_start,
-                   equation=eq)
-    write_snapshot(out / "snapshots" / "final.snap", final, time=t_final,
-                   equation=eq)
-    collector.write(out / "diagnostics.csv")
-    _maybe_heatmaps(cfg, out, u0, final)
-    first, last = collector.records[0], collector.records[-1]
+    out, path, records, t_final = _march(cfg, u0, equation, t_start=t_start)
+    first, last = records[0], records[-1]
     summary = {
         "config": cfg.to_mapping(),
-        "equation": eq,
+        "equation": cfg.equation,
         "t_start": t_start,
         "t_final": t_final,
         "n_steps": max(1, int(round(cfg.T / cfg.dt))) if cfg.T else 0,
@@ -301,7 +321,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         "h1_final": last.norms["H1"],
     }
     write_summary(out / "summary.json", summary)
-    return SimulationReport(out, path, summary, collector.records)
+    return SimulationReport(out, path, summary, records)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +378,8 @@ def run_soliton_benchmark(cfg: RunConfig) -> SolitonBenchmarkReport:
         background = conserved_I1(phi) / (grid.lx * grid.ly)
     u0 = RealField(grid, phi.values - background)
     speed = cfg.omega - background
-    out = _prepare_run_dir(cfg)
-    collector = DiagnosticsCollector(grid, cfg.norms)
-    snapper = _SnapshotWriter(out / "snapshots", cfg.snapshot_stride,
-                              cfg.equation)
-    path = evolve(u0, EquationKind(cfg.equation), cfg.T, cfg.dt,
-                  callbacks=[collector, snapper],
-                  callback_stride=cfg.diagnostic_stride)
+    out, path, records, t_final = _march(cfg, u0, EquationKind(cfg.equation))
     final = path.fields[-1]
-    t_final = float(path.times[-1])
     expected_shift = soliton_profile(
         grid, SolitonParams(cfg.omega, cfg.x0 + speed * t_final))
     expected = RealField(grid, expected_shift.values - background)
@@ -375,14 +388,8 @@ def run_soliton_benchmark(cfg: RunConfig) -> SolitonBenchmarkReport:
     crest = _crest_position(final.values[:, 0], grid.dx)
     target = (cfg.x0 + speed * t_final) % grid.lx
     crest_cells = _circular_distance(crest, target, grid.lx) / grid.dx
-    first, last = collector.records[0], collector.records[-1]
+    first, last = records[0], records[-1]
     i2_drift = abs(last.i2 - first.i2) / abs(first.i2)
-    write_snapshot(out / "snapshots" / "initial.snap", u0, time=0.0,
-                   equation=cfg.equation)
-    write_snapshot(out / "snapshots" / "final.snap", final, time=t_final,
-                   equation=cfg.equation)
-    collector.write(out / "diagnostics.csv")
-    _maybe_heatmaps(cfg, out, u0, final)
     summary = {
         "config": cfg.to_mapping(),
         "speed": speed,
@@ -435,20 +442,13 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
     v0 = perturbation_field(grid, cfg)
     phi_norm = math.sqrt(conserved_I2(soliton_profile(grid, params)))
     v0_norm = math.sqrt(conserved_I2(v0))
-    out = _prepare_run_dir(cfg)
-    collector = DiagnosticsCollector(grid, cfg.norms)
-    snapper = _SnapshotWriter(out / "snapshots", cfg.snapshot_stride,
-                              "sem_on_soliton")
     times, norms = [], []
 
     def track(step: int, time: float, u: RealField) -> None:
         times.append(time)
         norms.append(math.sqrt(conserved_I2(u)))
 
-    path = evolve(v0, equation, cfg.T, cfg.dt,
-                  callbacks=[track, collector, snapper],
-                  callback_stride=cfg.diagnostic_stride)
-    final = path.fields[-1]
+    out = _march(cfg, v0, equation, callbacks=[track])[0]
     t_arr = np.array(times)
     n_arr = np.array(norms)
     flags: list[str] = []
@@ -475,14 +475,8 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
                 flags.append("growth window not reached; extend T")
             else:
                 flags.append("too few samples inside the fit window")
-    write_snapshot(out / "snapshots" / "initial.snap", v0, time=0.0,
-                   equation="sem_on_soliton")
-    write_snapshot(out / "snapshots" / "final.snap", final,
-                   time=float(path.times[-1]), equation="sem_on_soliton")
-    collector.write(out / "diagnostics.csv")
     _write_csv(out / "growth.csv", ["time", "norm"],
                list(zip(t_arr.tolist(), n_arr.tolist())))
-    _maybe_heatmaps(cfg, out, v0, final)
     k_y = 2.0 * np.pi * cfg.perturbation_wavenumber / grid.ly
     summary = {
         "config": cfg.to_mapping(),
@@ -556,11 +550,8 @@ def run_picard_demo(cfg: RunConfig, *,
             if not rep.converged or any(r >= 1.0 for r in rep.ratios):
                 break
             window = horizon
-    final = path.fields[-1]
-    write_snapshot(out / "snapshots" / "initial.snap", u0, time=0.0,
-                   equation=cfg.equation)
-    write_snapshot(out / "snapshots" / "final.snap", final,
-                   time=float(path.times[-1]), equation=cfg.equation)
+    _write_endpoints(out, cfg.equation, u0, 0.0, path.fields[-1],
+                     float(path.times[-1]))
     collector = DiagnosticsCollector(grid, cfg.norms)
     for k, (t, u) in enumerate(zip(path.times, path.fields)):
         collector(k, float(t), u)

@@ -1,5 +1,7 @@
 """Duhamel quadrature, Picard iteration, and the IFRK4 marcher."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,10 +209,28 @@ def test_evolve_sampling_and_callbacks():
     u0 = smooth_field(SMALL, 11, 0.1)
     seen = []
     path = evolve(u0, ZK, 0.1, 0.001, callbacks=[lambda i, t, f: seen.append((i, t))],
-                  callback_stride=25, sample_stride=50)
+                  callback_stride=25)
     assert [i for i, _ in seen] == [0, 25, 50, 75, 100]
-    assert path.n_nodes == 3  # steps 0, 50, 100
+    assert path.n_nodes == 2  # the endpoints only
+    assert np.array_equal(path.fields[0].values, u0.values)
     assert path.times[-1] == pytest.approx(0.1)
+
+
+def test_evolve_memory_does_not_grow_with_steps():
+    # Only the endpoints are kept, so the peak is set by one step's
+    # temporaries and not by the number of steps.
+    g = Grid2D(64, 64, 2 * np.pi, 2 * np.pi)
+    u0 = smooth_field(g, 15, 0.1)
+    evolve(u0, SEM, 1e-3, 1e-3)  # build the cached spectral tables first
+    peaks = {}
+    for n_steps in (50, 200):
+        tracemalloc.start()
+        try:
+            evolve(u0, SEM, n_steps * 1e-3, 1e-3)
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] <= 1.1 * peaks[50]
 
 
 def test_evolve_time_reversal_linear():

@@ -49,13 +49,6 @@ class TestProductNorm:
         quad = math.sqrt(cell * float(np.sum(prod**2)))
         assert product_l2(f1, f2) == pytest.approx(quad, rel=1e-12)
 
-    def test_single_precision_close(self):
-        f1 = cosine_field([(1, 2, 3, 1.0), (2, -1, 1, 0.3)])
-        f2 = cosine_field([(0, 1, 2, 0.7)])
-        exact = product_l2(f1, f2)
-        fast = product_l2(f1, f2, dtype=np.complex64)
-        assert fast == pytest.approx(exact, rel=1e-5)
-
     def test_sparse_agrees_with_dense(self):
         b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
         b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2),
