@@ -161,8 +161,17 @@ def product_l2(f1: SpaceTimeField, f2: SpaceTimeField) -> float:
     return math.sqrt(f1.grid.lx * f1.grid.ly * f1.t_box * total)
 
 
-#: cap on the number of mode pairs accumulated per chunk
-_PAIR_CHUNK = 25_000_000
+def _x_groups(block: SparseBlock):
+    """Modes and values ordered by jx, with the row range of every jx.
+
+    Rows with ``jx = lo + g`` are ``edges[g]:edges[g + 1]`` for each ``g``
+    from ``lo`` to the largest jx; absent jx values give empty ranges.
+    """
+    order = np.argsort(block.modes[:, 0], kind="stable")
+    modes = np.asarray(block.modes, dtype=np.intp)[order]
+    jx = modes[:, 0]
+    edges = np.searchsorted(jx, np.arange(jx[0], jx[-1] + 2))
+    return modes, np.asarray(block.values)[order], edges
 
 
 def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
@@ -171,31 +180,49 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     Equivalent to densifying both blocks and calling :func:`product_l2`, but
     scales with the number of occupied modes instead of the lattice size.
     Every pair of input modes contributes to one output mode of the linear
-    convolution; contributions are accumulated by summing duplicates of the
-    linearized output indices.
+    convolution.  The output is built one x-plane ``X = jx1 + jx2`` at a
+    time: the rows with ``jx1 = a`` are paired with the rows with
+    ``jx2 = X - a`` for every ``a``, the contributions are summed per
+    in-plane mode ``(jy1 + jy2, jt1 + jt2)``, and the plane's squared modulus
+    is added to the total before the next plane.  Besides the sorted copies
+    of the inputs, memory is bounded by the mode pairs of the largest plane
+    and one ``span_y * span_t`` accumulator, not by the whole output lattice.
     """
     if b1.grid != b2.grid or b1.t_box != b2.t_box or b1.nt != b2.nt:
         raise ValueError("blocks live on different space-time lattices")
-    m1, m2 = b1.modes, b2.modes
-    if m1.shape[0] == 0 or m2.shape[0] == 0:
+    if b1.modes.shape[0] == 0 or b2.modes.shape[0] == 0:
         return 0.0
-    v1, v2 = b1.values, b2.values
-    # Linearize the output triple (jx1+jx2, jy1+jy2, jt1+jt2) so the key of a
-    # pair splits into a per-factor sum; the strides keep the map injective.
-    span = m1.max(axis=0) + m2.max(axis=0) - m1.min(axis=0) - m2.min(axis=0) + 1
-    k1 = (m1[:, 0] * span[1] + m1[:, 1]) * span[2] + m1[:, 2]
-    k2 = (m2[:, 0] * span[1] + m2[:, 1]) * span[2] + m2[:, 2]
-    k1 -= k1.min() + k2.min()
-    bins = int(k1.max() + k2.max() + 1)
-    re = np.zeros(bins)
-    im = np.zeros(bins)
-    chunk = max(1, _PAIR_CHUNK // m2.shape[0])
-    for start in range(0, m1.shape[0], chunk):
-        keys = (k1[start:start + chunk, None] + k2[None, :]).ravel()
-        vals = (v1[start:start + chunk, None] * v2[None, :]).ravel()
-        re += np.bincount(keys, weights=vals.real, minlength=bins)
-        im += np.bincount(keys, weights=vals.imag, minlength=bins)
-    total = float(np.sum(re * re + im * im, dtype=np.float64))
+    m1, v1, edges1 = _x_groups(b1)
+    m2, v2, edges2 = _x_groups(b2)
+    # Linearize the in-plane output pair (jy1+jy2, jt1+jt2) so the key of a
+    # pair splits into a per-factor sum; the stride span[2] keeps it injective.
+    lo1, lo2 = m1.min(axis=0), m2.min(axis=0)
+    span = m1.max(axis=0) + m2.max(axis=0) - lo1 - lo2 + 1
+    k1 = (m1[:, 1] - lo1[1]) * span[2] + (m1[:, 2] - lo1[2])
+    k2 = (m2[:, 1] - lo2[1]) * span[2] + (m2[:, 2] - lo2[2])
+    bins = int(span[1] * span[2])
+    count1, count2 = np.diff(edges1), np.diff(edges2)
+    plane_pairs = np.convolve(count1, count2)
+    keys = np.empty(plane_pairs.max(), dtype=np.intp)
+    vals = np.empty(plane_pairs.max(), dtype=complex)
+    total = 0.0
+    for plane in range(plane_pairs.size):
+        end = 0
+        for a in range(max(0, plane - count2.size + 1),
+                       min(count1.size, plane + 1)):
+            b = plane - a
+            rows1 = slice(edges1[a], edges1[a + 1])
+            rows2 = slice(edges2[b], edges2[b + 1])
+            shape = (count1[a], count2[b])
+            dest = slice(end, end + shape[0] * shape[1])
+            np.add(k1[rows1, None], k2[None, rows2],
+                   out=keys[dest].reshape(shape))
+            np.multiply(v1[rows1, None], v2[None, rows2],
+                        out=vals[dest].reshape(shape))
+            end = dest.stop
+        re = np.bincount(keys[:end], weights=vals[:end].real, minlength=bins)
+        im = np.bincount(keys[:end], weights=vals[:end].imag, minlength=bins)
+        total += float(np.sum(re * re + im * im, dtype=np.float64))
     return math.sqrt(b1.volume * total)
 
 

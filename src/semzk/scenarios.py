@@ -434,8 +434,11 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
     squares slope of the log of the perturbation norm over the window where
     that norm lies between ``window_low`` times its initial value and
     ``window_high`` times the norm of the background profile — after the
-    transient, before saturation.
+    transient, before saturation.  The run always marches
+    ``sem_on_soliton``, and the resolved config and summary say so, so a
+    snapshot of the run resumes under its own ``resolved-config.toml``.
     """
+    cfg = cfg.replace(equation="sem_on_soliton")
     grid = cfg.grid()
     params = _soliton_params(cfg)
     equation = sem_on_soliton(params)

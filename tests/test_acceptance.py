@@ -130,7 +130,7 @@ def _kdv_oracle(v0: np.ndarray, lx: float, T: float) -> np.ndarray:
     n = v0.size
     xi = 2.0 * np.pi * np.fft.fftfreq(n, lx / n)
     j = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    mask = (np.abs(j) <= (2 * (n // 2)) // 3) & (np.abs(j) != n // 2)
+    mask = 3 * np.abs(j) < n
 
     def rhs(t, yhat):
         yhat = np.where(mask, yhat, 0.0)

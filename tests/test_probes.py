@@ -1,11 +1,17 @@
 """Product norms, weighted norms, and the three probe families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semzk.dyadic import SpaceTimeField, block_modes, random_block_sparse
+from semzk.dyadic import (
+    SparseBlock,
+    SpaceTimeField,
+    block_modes,
+    random_block_sparse,
+)
 from semzk.probes import (
     BlockTrial,
     bilinear_bound,
@@ -53,9 +59,45 @@ class TestProductNorm:
         b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
         b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2),
                                  shift=(1.0, 2.0, 3.0))
-        sparse = sparse_product_l2(b1, b2)
-        dense = product_l2(b1.to_field(), b2.to_field())
-        assert sparse == pytest.approx(dense, rel=1e-12)
+        rng = np.random.default_rng(7)
+
+        def complex_values(b):
+            # random complex coefficients: the field is no longer real
+            n = b.modes.shape[0]
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            return SparseBlock(b.grid, b.t_box, b.nt, b.modes, v)
+
+        def shuffled(b):
+            order = rng.permutation(b.modes.shape[0])
+            return SparseBlock(b.grid, b.t_box, b.nt, b.modes[order],
+                               b.values[order])
+
+        empty = SparseBlock(G, TBOX, 512, np.zeros((0, 3), dtype=int),
+                            np.zeros(0, dtype=complex))
+        cases = [(b1, b2),
+                 (complex_values(b1), complex_values(b2)),
+                 (shuffled(complex_values(b1)), shuffled(b2)),
+                 (b1, empty)]
+        for f1, f2 in cases:
+            sparse = sparse_product_l2(f1, f2)
+            dense = product_l2(f1.to_field(), f2.to_field())
+            assert sparse == pytest.approx(dense, rel=1e-12)
+        assert sparse_product_l2(empty, b2) == 0.0
+
+    def test_sparse_memory_bounded_by_plane(self):
+        # The fine criterion-10 pair n=(1, 4), l=(8, 8): 17M mode pairs.
+        # Accumulating one output x-plane at a time keeps the peak near the
+        # largest plane's pairs; a global lattice of pairs needs ~600 MB.
+        fine = Grid2D(160, 160, 12 * np.pi, 12 * np.pi)
+        b1 = random_block_sparse(fine, TBOX, 512, 1, 8, seed=(0, 1, 8, 1))
+        b2 = random_block_sparse(fine, TBOX, 512, 4, 8, seed=(0, 4, 8, 2))
+        tracemalloc.start()
+        try:
+            sparse_product_l2(b1, b2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_sparse_rejects_mismatched_lattices(self):
         b1 = random_block_sparse(G, TBOX, 64, 1, 1, seed=1)

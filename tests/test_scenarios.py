@@ -189,6 +189,24 @@ class TestInstability:
         rep = run_instability(cfg)
         assert any("left linear regime" in f for f in rep.flags)
 
+    def test_resumes_from_own_resolved_config(self, tmp_path):
+        # The config leaves the equation at its default ("zk"); the run
+        # marches sem_on_soliton and must record that in its resolved config.
+        kw = dict(perturbation_amplitude=1e-2, dt=0.01, diagnostic_stride=10)
+        run_instability(sim_config(tmp_path / "first", T=1.0, **kw))
+        run_instability(sim_config(tmp_path / "full", T=2.0, **kw))
+        first = tmp_path / "first"
+        cfg = RunConfig.from_file(first / "resolved-config.toml").replace(
+            T=1.0, initial="snapshot", out_dir=str(tmp_path / "second"),
+            initial_path=str(first / "snapshots" / "final.snap"))
+        second = run_simulation(cfg)
+        assert second.summary["equation"] == "sem_on_soliton"
+        assert second.summary["t_final"] == pytest.approx(2.0)
+        resumed = second.final.values
+        continuous = read_snapshot(
+            tmp_path / "full" / "snapshots" / "final.snap").field().values
+        assert np.max(np.abs(resumed - continuous)) < 1e-12
+
     def test_summary_records_wavenumber(self, tmp_path):
         cfg = sim_config(tmp_path / "run", equation="sem_on_soliton",
                          perturbation_amplitude=1e-4, T=0.02, dt=0.01,
