@@ -13,6 +13,7 @@ format; re-running it reproduces the run bit for bit.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields, replace
 
@@ -198,6 +199,9 @@ class RunConfig:
     picard_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"config field {f.name} must be finite")
         if self.equation not in EQUATION_KINDS:
             raise ValueError(f"unknown equation kind {self.equation!r}")
         if self.initial not in INITIAL_KINDS:

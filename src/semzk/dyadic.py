@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Grid2D
+from .spectral import Grid2D, _conjugate_flip
 
 __all__ = [
     "BUMP_PLATEAU",
@@ -167,11 +167,6 @@ def modulation_weight(grid: Grid2D, t_box: float, nt: int, l: int) -> np.ndarray
     return _modulation_weight_cached(grid, float(t_box), int(nt), _check_level(l))
 
 
-def _flip3(c: np.ndarray) -> np.ndarray:
-    """c evaluated at the negated lattice indices along all three axes."""
-    return np.roll(c[::-1, ::-1, ::-1], (1, 1, 1), axis=(0, 1, 2))
-
-
 @dataclass
 class SpaceTimeField:
     """Fourier-series coefficients of a field on a periodic space-time box.
@@ -215,7 +210,7 @@ class SpaceTimeField:
 
     def physical(self, tol: float = 1e-10) -> np.ndarray:
         """Real samples on the lattice; raises if the spectrum is not Hermitian."""
-        defect = np.max(np.abs(self.coeffs - np.conj(_flip3(self.coeffs))))
+        defect = np.max(np.abs(self.coeffs - _conjugate_flip(self.coeffs)))
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
         if defect > tol * scale:
             raise ValueError(f"non-Hermitian spectrum (defect {defect:.3e})")

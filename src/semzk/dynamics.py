@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,7 +45,9 @@ from semzk.spectral import (
     Grid2D,
     RealField,
     SpectralField,
-    make_multiplier,
+    _symbols,
+    _to_coeffs,
+    _to_values,
 )
 
 __all__ = [
@@ -194,26 +194,14 @@ def potential_profile(grid: Grid2D, p: SolitonParams, t: float = 0.0) -> RealFie
 
 
 # ---------------------------------------------------------------------------
-# cached per-grid spectral machinery
+# the free propagator
 
 
-@lru_cache(maxsize=32)
-def _tables(grid: Grid2D) -> SimpleNamespace:
-    return SimpleNamespace(
-        ddx=make_multiplier(grid, "ddx").values,
-        ddy=make_multiplier(grid, "ddy").values,
-        m1=make_multiplier(grid, "m1").values,
-        m2=make_multiplier(grid, "m2").values,
-        lap=make_multiplier(grid, "laplacian").values,
-        inv_lap_dx=make_multiplier(grid, "inv_laplacian_dx").values,
-        omega=np.real(make_multiplier(grid, "symbol_omega").values),
-        mask=grid._default_dealias_mask,
-        n=grid.nx * grid.ny,
-    )
-
-
-def _to_phys(chat: np.ndarray, n: int) -> np.ndarray:
-    return np.real(np.fft.ifft2(chat)) * n
+def _phase(grid: Grid2D, t) -> np.ndarray:
+    """``exp(i t omega)`` for a scalar time, or stacked along a leading axis
+    for an array of times."""
+    t = np.asarray(t, dtype=float)
+    return np.exp(1j * t[..., None, None] * _symbols(grid)["omega"])
 
 
 def propagator_apply(F: SpectralField, t: float) -> SpectralField:
@@ -225,8 +213,7 @@ def propagator_apply(F: SpectralField, t: float) -> SpectralField:
     """
     if not math.isfinite(t):
         raise ValueError("propagator time must be finite")
-    tab = _tables(F.grid)
-    return SpectralField(F.grid, F.coeffs * np.exp(1j * t * tab.omega))
+    return SpectralField(F.grid, F.coeffs * _phase(F.grid, t))
 
 
 def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
@@ -238,14 +225,14 @@ def _quadratic_hat(uhat: np.ndarray, grid: Grid2D, eq: EquationKind, t: float) -
     """Spectrum of N(u) (dealiased) from the spectrum of u, in conservative form."""
     if eq.kind == "linear":
         return np.zeros_like(uhat)
-    tab = _tables(grid)
-    ud = np.where(tab.mask, uhat, 0.0)
-    u = _to_phys(ud, tab.n)
+    tab = _symbols(grid)
+    ud = np.where(tab["mask"], uhat, 0.0)
+    u = _to_values(ud)
     if eq.kind == "zk":
-        nhat = tab.ddx * np.fft.fft2(u * u)
+        nhat = tab["ddx"] * _to_coeffs(u * u)
     else:
-        g1 = _to_phys(ud * tab.m1, tab.n)
-        g2 = _to_phys(ud * tab.m2, tab.n)
+        g1 = _to_values(ud * tab["m1"])
+        g2 = _to_values(ud * tab["m2"])
         flux_x = u * g1
         flux_y = u * g2
         if eq.kind == "sem_on_soliton":
@@ -253,8 +240,8 @@ def _quadratic_hat(uhat: np.ndarray, grid: Grid2D, eq: EquationKind, t: float) -
             phi = soliton_shape(p.omega, _wrapped_offset(grid, p, t))[:, None]
             flux_x = flux_x + phi * (u + g1)
             flux_y = flux_y + phi * g2
-        nhat = tab.ddx * np.fft.fft2(flux_x) + tab.ddy * np.fft.fft2(flux_y)
-    return np.where(tab.mask, (0.5 / tab.n) * nhat, 0.0)
+        nhat = tab["ddx"] * _to_coeffs(flux_x) + tab["ddy"] * _to_coeffs(flux_y)
+    return np.where(tab["mask"], 0.5 * nhat, 0.0)
 
 
 def background_terms(u: RealField, p: SolitonParams, t: float) -> RealField:
@@ -276,17 +263,13 @@ def nonlinear_rhs(u: RealField, eq: EquationKind, t: float = 0.0) -> RealField:
     """
     g = u.grid
     _check_equation(g, eq)
-    tab = _tables(g)
-    uhat = np.fft.fft2(u.values) / tab.n
-    return RealField(g, _to_phys(_quadratic_hat(uhat, g, eq, t), tab.n))
+    return RealField(g, _to_values(_quadratic_hat(_to_coeffs(u.values), g, eq, t)))
 
 
 def solve_potential(u: RealField) -> RealField:
     """Reconstruct the potential: solve ``Laplacian(phi) = u_x`` with zero mean."""
-    g = u.grid
-    tab = _tables(g)
-    uhat = np.fft.fft2(u.values) / tab.n
-    return RealField(g, _to_phys(uhat * tab.inv_lap_dx, tab.n))
+    inv_lap_dx = _symbols(u.grid)["inv_laplacian_dx"]
+    return RealField(u.grid, _to_values(_to_coeffs(u.values) * inv_lap_dx))
 
 
 def poisson_residual(u: RealField, phi: RealField) -> float:
@@ -294,8 +277,6 @@ def poisson_residual(u: RealField, phi: RealField) -> float:
     if u.grid != phi.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
-    tab = _tables(g)
-    uhat = np.fft.fft2(u.values) / tab.n
-    phat = np.fft.fft2(phi.values) / tab.n
-    res = phat * tab.lap - uhat * tab.ddx
+    tab = _symbols(g)
+    res = _to_coeffs(phi.values) * tab["laplacian"] - _to_coeffs(u.values) * tab["ddx"]
     return float(np.sqrt(g.lx * g.ly * np.sum(np.abs(res) ** 2)))

@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from semzk.dynamics import EquationKind, _check_equation, _quadratic_hat, _tables
+from semzk.dynamics import EquationKind, _check_equation, _phase, _quadratic_hat
 from semzk.norms import _sobolev_weight
-from semzk.spectral import Grid2D, RealField, SpectralField
+from semzk.spectral import Grid2D, RealField, SpectralField, _to_coeffs, _to_values
 
 __all__ = [
     "TrajectoryPath",
@@ -142,13 +142,12 @@ def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
     """
     grid = path.grid
     _check_equation(grid, eq)
-    tab = _tables(grid)
     i = path.node_index(t)
     times = path.times[:i + 1]
-    uhats = np.stack([np.fft.fft2(f.values) / tab.n for f in path.fields[:i + 1]])
-    phases = np.exp(1j * times[:, None, None] * tab.omega[None, :, :])
+    uhats = _to_coeffs(np.stack([f.values for f in path.fields[:i + 1]]))
+    phases = _phase(grid, times)
     integ = _duhamel_hat(uhats, times, phases, grid, eq)
-    return RealField(grid, np.real(np.fft.ifft2(phases[-1] * integ[-1])) * tab.n)
+    return RealField(grid, _to_values(phases[-1] * integ[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +173,9 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
         raise ValueError("picard_solve needs at least two time nodes")
     grid = u0.grid
     _check_equation(grid, eq)
-    tab = _tables(grid)
     times = np.linspace(0.0, T, nodes)
-    u0hat = np.fft.fft2(u0.values) / tab.n
-    phases = np.exp(1j * times[:, None, None] * tab.omega[None, :, :])
+    u0hat = _to_coeffs(u0.values)
+    phases = _phase(grid, times)
     w2s = _sobolev_weight(grid, s)
     area = grid.lx * grid.ly
 
@@ -201,8 +199,7 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
         if dist <= tol:
             report.converged = True
             break
-    fields = [RealField(grid, np.real(np.fft.ifft2(current[j])) * tab.n)
-              for j in range(nodes)]
+    fields = [RealField(grid, values) for values in _to_values(current)]
     return TrajectoryPath(grid, times, fields), report
 
 
@@ -237,11 +234,9 @@ def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField
         raise ValueError("step size must be finite and nonzero")
     grid = u.grid
     _check_equation(grid, eq)
-    tab = _tables(grid)
-    E = np.exp(1j * (0.5 * dt) * tab.omega)
+    E = _phase(grid, 0.5 * dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _ifrk4_hat(np.fft.fft2(u.values) / tab.n, grid, eq, t, dt, E, E * E)
-        vals = np.real(np.fft.ifft2(out)) * tab.n
+        vals = _to_values(_ifrk4_hat(_to_coeffs(u.values), grid, eq, t, dt, E, E * E))
     if not np.all(np.isfinite(vals)):
         raise RuntimeError(f"step diverged at t = {t:.6g}; last finite L2 norm "
                            f"{u.l2():.3e}; reduce dt")
@@ -276,11 +271,10 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
 
     n_steps = max(1, int(round(abs(T) / dt)))
     dt_eff = T / n_steps
-    tab = _tables(grid)
-    E = np.exp(1j * (0.5 * dt_eff) * tab.omega)
+    E = _phase(grid, 0.5 * dt_eff)
     E2 = E * E
 
-    uhat = np.fft.fft2(u0.values) / tab.n
+    uhat = _to_coeffs(u0.values)
     for cb in callbacks:
         cb(0, 0.0, u0)
     for i in range(n_steps):
@@ -294,7 +288,7 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
         uhat = new
         step = i + 1
         if step == n_steps or (callbacks and step % callback_stride == 0):
-            last = RealField(grid, np.real(np.fft.ifft2(uhat)) * tab.n)
+            last = RealField(grid, _to_values(uhat))
             for cb in callbacks:
                 cb(step, step * dt_eff, last)
 

@@ -23,6 +23,7 @@ from .config import RunConfig
 from .dynamics import (
     EquationKind,
     SolitonParams,
+    _wrapped_offset,
     sem_on_soliton,
     soliton_profile,
     soliton_shape,
@@ -74,9 +75,9 @@ __all__ = [
 # run-directory plumbing
 
 
-def _prepare_run_dir(cfg: RunConfig) -> Path:
+def _prepare_run_dir(cfg: RunConfig, *, snapshots: bool = True) -> Path:
     out = Path(cfg.out_dir)
-    (out / "snapshots").mkdir(parents=True, exist_ok=True)
+    (out / "snapshots" if snapshots else out).mkdir(parents=True, exist_ok=True)
     (out / "resolved-config.toml").write_text(cfg.resolved_text(),
                                               encoding="utf-8")
     return out
@@ -236,16 +237,15 @@ def perturbation_field(grid: Grid2D, cfg: RunConfig) -> RealField:
     """
     eps = cfg.perturbation_amplitude
     root = math.sqrt(cfg.omega)
-    x = grid.x[:, None]
+    offset = _wrapped_offset(grid, _soliton_params(cfg), 0.0)
     y = grid.y[None, :]
-    # wrapped distance from the crest
-    dx = (x - cfg.x0 + grid.lx / 2.0) % grid.lx - grid.lx / 2.0
     if cfg.perturbation_shape == "sinusoidal-in-y":
-        envelope = soliton_shape(cfg.omega, dx[:, 0])[:, None] / (3.0 * cfg.omega)
+        envelope = soliton_shape(cfg.omega, offset)[:, None] / (3.0 * cfg.omega)
         k_y = 2.0 * np.pi * cfg.perturbation_wavenumber / grid.ly
         values = eps * envelope * np.cos(k_y * y)
     else:
         sigma = 1.0 / root
+        dx = offset[:, None]
         dy = y - grid.ly / 2.0
         values = eps * np.exp(-(dx**2 + dy**2) / (2.0 * sigma**2))
     return RealField(grid, np.broadcast_to(values, (grid.nx, grid.ny)).copy())
@@ -575,14 +575,6 @@ def run_picard_demo(cfg: RunConfig, *,
 # probe drivers
 
 
-def _probe_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved-config.toml").write_text(cfg.resolved_text(),
-                                              encoding="utf-8")
-    return out
-
-
 def run_probe_linear(cfg: RunConfig) -> dict:
     """Free-flow mixed-norm constants at the configured and a doubled lattice.
 
@@ -599,7 +591,7 @@ def run_probe_linear(cfg: RunConfig) -> dict:
                                   seed=cfg.seed)
     stability = {name: abs(fine.constants[name] - value) / value
                  for name, value in coarse.constants.items()}
-    out = _probe_dir(cfg)
+    out = _prepare_run_dir(cfg, snapshots=False)
     rows = []
     for label, report in (("coarse", coarse), ("fine", fine)):
         for name, value in sorted(report.constants.items()):
@@ -625,7 +617,7 @@ def run_probe_bilinear(cfg: RunConfig) -> BilinearReport:
     grid = cfg.grid()
     seeds = tuple(range(cfg.probe_seeds))
     report = probe_block_bilinear(grid, cfg.t_box, cfg.nt, seeds=seeds)
-    out = _probe_dir(cfg)
+    out = _prepare_run_dir(cfg, snapshots=False)
     rows = [[t.n1, t.l1, t.n2, t.l2, t.seed, t.product_norm, t.bound,
              t.ratio, int(t.separated)] for t in report.trials]
     _write_csv(out / "trials.csv",
@@ -658,7 +650,7 @@ def run_probe_nonlinear(cfg: RunConfig) -> dict:
         l4_ratios.append(l4)
         rows.append([trial, rep.constant, rep.output_norm, rep.input_norm,
                      l4])
-    out = _probe_dir(cfg)
+    out = _prepare_run_dir(cfg, snapshots=False)
     _write_csv(out / "trials.csv",
                ["trial", "constant", "output_norm", "input_norm", "l4_ratio"],
                rows)

@@ -9,7 +9,9 @@ Conventions used throughout the package:
   divided by ``nx * ny``.  A single cosine ``cos(2*pi*x/lx)`` therefore has
   two coefficients of magnitude 1/2.  With this normalization Parseval's
   identity reads ``||f||_{L^2}^2 = lx * ly * sum |fhat|^2``, with no further
-  factors; all norm code relies on it.
+  factors; all norm code relies on it.  Every 2-D transform in the package
+  goes through the pair ``_to_coeffs``/``_to_values`` below, and every
+  symbol table comes from the per-grid cache ``_symbols``.
 * Wavenumbers are ``xi_j = 2*pi*j/lx`` and ``mu_k = 2*pi*k/ly`` with integer
   indices ``j in [-nx/2, nx/2)`` stored in FFT order.
 * The unpaired Nyquist rows (``j == -nx/2`` or ``k == -ny/2``) carry no
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -39,7 +42,7 @@ __all__ = [
     "dealias",
 ]
 
-#: Default dealiasing cutoff (the classical two-thirds rule).  Quadratic
+#: Dealiasing cutoff (the classical two-thirds rule).  Quadratic
 #: products of fields truncated at this fraction are alias-free.
 DEALIAS_FRACTION = 2.0 / 3.0
 
@@ -140,20 +143,16 @@ class Grid2D:
         mask[:, self.jy == -self.ny // 2] = True
         return _readonly(mask)
 
-    def dealias_mask(self, fraction: float = DEALIAS_FRACTION) -> np.ndarray:
-        """Boolean mask keeping modes with ``|j| < fraction*n/2`` per axis.
+    def dealias_mask(self) -> np.ndarray:
+        """Boolean mask keeping modes with ``|j| < DEALIAS_FRACTION*n/2`` per axis.
 
-        The inequality is strict: with the two-thirds fraction this keeps
-        ``3|j| < n`` (Orszag's rule), so the product of two retained modes
-        never aliases onto the retained band, also when 3 divides ``n``.
+        The inequality is strict: this keeps ``3|j| < n`` (Orszag's rule), so
+        the product of two retained modes never aliases onto the retained
+        band, also when 3 divides ``n``.
         """
-        keep_x = np.abs(self.jx) < fraction * self.nx / 2.0
-        keep_y = np.abs(self.jy) < fraction * self.ny / 2.0
+        keep_x = np.abs(self.jx) < DEALIAS_FRACTION * self.nx / 2.0
+        keep_y = np.abs(self.jy) < DEALIAS_FRACTION * self.ny / 2.0
         return keep_x[:, None] & keep_y[None, :]
-
-    @cached_property
-    def _default_dealias_mask(self) -> np.ndarray:
-        return _readonly(self.dealias_mask(DEALIAS_FRACTION))
 
 
 def _validate_values(values: np.ndarray, grid: Grid2D, dtype, what: str) -> np.ndarray:
@@ -267,11 +266,9 @@ def _require_same_grid(a: Grid2D, b: Grid2D) -> None:
 
 
 def _conjugate_flip(coeffs: np.ndarray) -> np.ndarray:
-    """conj(c) sampled at the negated lattice point of every mode."""
-    nx, ny = coeffs.shape
-    ix = (-np.arange(nx)) % nx
-    iy = (-np.arange(ny)) % ny
-    return np.conj(coeffs[np.ix_(ix, iy)])
+    """conj(c) sampled at the negated lattice index of every mode, on every axis."""
+    axes = tuple(range(coeffs.ndim))
+    return np.conj(np.roll(np.flip(coeffs), 1, axis=axes))
 
 
 def _hermitian_defect(coeffs: np.ndarray) -> float:
@@ -281,10 +278,25 @@ def _hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs - _conjugate_flip(coeffs)) / norm)
 
 
+def _to_coeffs(values: np.ndarray) -> np.ndarray:
+    """Series coefficients over the last two axes: the FFT over ``nx*ny``."""
+    nx, ny = values.shape[-2:]
+    coeffs = np.fft.fft2(values)
+    # numpy's complex division also multiplies by the reciprocal, so this
+    # gives the bits of ``/ (nx * ny)`` without its extra array pass
+    coeffs *= 1.0 / (nx * ny)
+    return coeffs
+
+
+def _to_values(coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of series coefficients over the last two axes."""
+    nx, ny = coeffs.shape[-2:]
+    return np.real(np.fft.ifft2(coeffs)) * (nx * ny)
+
+
 def forward_transform(f: RealField) -> SpectralField:
     """Fourier-series coefficients of ``f`` (FFT scaled by ``1/(nx*ny)``)."""
-    g = f.grid
-    return SpectralField(g, np.fft.fft2(f.values) / (g.nx * g.ny))
+    return SpectralField(f.grid, _to_coeffs(f.values))
 
 
 def inverse_transform(F: SpectralField, hermitian_tol: float = 1e-10) -> RealField:
@@ -294,53 +306,45 @@ def inverse_transform(F: SpectralField, hermitian_tol: float = 1e-10) -> RealFie
     ``hermitian_tol`` (relative), since only Hermitian spectra describe real
     fields.
     """
-    g = F.grid
     if _hermitian_defect(F.coeffs) > hermitian_tol:
         raise ValueError("non-Hermitian spectrum")
-    return RealField(g, np.real(np.fft.ifft2(F.coeffs)) * (g.nx * g.ny))
+    return RealField(F.grid, _to_values(F.coeffs))
 
 
-def _multiplier_values(grid: Grid2D, kind: str,
-                       fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
+    """The grid's read-only symbol tables, cached by grid value.
+
+    One complex table per entry of ``MULTIPLIER_KINDS``, zeroed on the
+    Nyquist rows/columns, plus the real dispersion symbol ``omega`` and the
+    two-thirds dealiasing ``mask``.
+    """
     xi, mu = grid.xi2d, grid.mu2d
-    if kind == "ddx":
-        vals = 1j * xi * np.ones_like(mu)
-    elif kind == "ddy":
-        vals = 1j * mu * np.ones_like(xi)
-    elif kind in ("m1", "m2"):
-        denom = xi**2 + mu**2
-        safe = denom.copy()
-        safe[safe == 0.0] = 1.0  # the (0,0) mode is zeroed below
-        vals = (xi**2 / safe) if kind == "m1" else (xi * mu / safe)
-        vals = vals.astype(np.complex128)
-        vals[0, 0] = 0.0
-    elif kind == "laplacian":
-        vals = -(xi**2 + mu**2) + 0j
-    elif kind == "inv_laplacian_dx":
-        denom = -(xi**2 + mu**2)
-        safe = denom.copy()
-        safe[0, 0] = 1.0
-        vals = (1j * xi) / safe
-        vals[0, 0] = 0.0
-    elif kind == "symbol_omega":
-        vals = xi * (xi**2 + mu**2) + 0j
-    elif kind == "custom":
-        if fn is None:
-            raise ValueError("custom multiplier requires fn(xi, mu)")
-        vals = np.broadcast_to(np.asarray(fn(xi, mu), dtype=np.complex128),
-                               (grid.nx, grid.ny)).copy()
-    else:
-        raise ValueError(f"unknown multiplier kind {kind!r}; expected one of "
-                         f"{MULTIPLIER_KINDS + ('custom',)}")
-    vals = np.broadcast_to(vals, (grid.nx, grid.ny)).astype(np.complex128)
-    vals = vals.copy()
-    vals[grid.nyquist_mask] = 0.0
-    return vals
+    r2 = xi**2 + mu**2
+    safe = r2.copy()
+    safe[0, 0] = 1.0  # the undefined (0,0) entries are zeroed below
+    tables = {
+        "ddx": 1j * xi * np.ones_like(mu),
+        "ddy": 1j * mu * np.ones_like(xi),
+        "m1": xi**2 / safe,
+        "m2": xi * mu / safe,
+        "laplacian": -r2 + 0j,
+        "inv_laplacian_dx": (1j * xi) / -safe,
+        "symbol_omega": xi * r2 + 0j,
+    }
+    for kind, vals in tables.items():
+        vals = np.broadcast_to(vals, (grid.nx, grid.ny)).astype(np.complex128)
+        if kind in ("m1", "m2", "inv_laplacian_dx"):
+            vals[0, 0] = 0.0
+        vals[grid.nyquist_mask] = 0.0
+        tables[kind] = _readonly(vals)
+    tables["omega"] = tables["symbol_omega"].real
+    tables["mask"] = _readonly(grid.dealias_mask())
+    return MappingProxyType(tables)
 
 
-def make_multiplier(grid: Grid2D, kind: str,
-                    fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None) -> MultiplierTable:
-    """Build a :class:`MultiplierTable` for one of the named symbols.
+def make_multiplier(grid: Grid2D, kind: str) -> MultiplierTable:
+    """The :class:`MultiplierTable` of one of the named symbols.
 
     Kinds
     -----
@@ -357,13 +361,14 @@ def make_multiplier(grid: Grid2D, kind: str,
     ``symbol_omega``
         The dispersion symbol ``xi^3 + xi*mu^2`` (real-valued) of the
         linearized flow.
-    ``custom``
-        ``fn(xi, mu)`` evaluated on broadcast wavenumber arrays.
 
     Every table is zeroed on the Nyquist rows/columns so that its application
-    preserves conjugate symmetry.
+    preserves conjugate symmetry.  Tables are shared, read-only, between all
+    equal grids.
     """
-    return MultiplierTable(grid, kind, _multiplier_values(grid, kind, fn))
+    if kind not in MULTIPLIER_KINDS:
+        raise ValueError(f"unknown multiplier kind {kind!r}; expected one of {MULTIPLIER_KINDS}")
+    return MultiplierTable(grid, kind, _symbols(grid)[kind])
 
 
 def apply_multiplier(F: SpectralField, table: MultiplierTable) -> SpectralField:
@@ -372,16 +377,10 @@ def apply_multiplier(F: SpectralField, table: MultiplierTable) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * table.values)
 
 
-def dealias(F: SpectralField, fraction: float = DEALIAS_FRACTION) -> SpectralField:
-    """Zero all modes with ``|j| >= fraction*nx/2`` or ``|k| >= fraction*ny/2``.
+def dealias(F: SpectralField) -> SpectralField:
+    """Zero all modes outside the two-thirds band :meth:`Grid2D.dealias_mask`.
 
-    With the default two-thirds fraction, pointwise products of two dealiased
-    fields are alias-free on the retained band.  Idempotent.
+    Pointwise products of two dealiased fields are alias-free on the retained
+    band.  Idempotent.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"dealias fraction must lie in (0, 1], got {fraction}")
-    if fraction == DEALIAS_FRACTION:
-        mask = F.grid._default_dealias_mask
-    else:
-        mask = F.grid.dealias_mask(fraction)
-    return SpectralField(F.grid, np.where(mask, F.coeffs, 0.0))
+    return SpectralField(F.grid, np.where(_symbols(F.grid)["mask"], F.coeffs, 0.0))

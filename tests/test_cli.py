@@ -37,8 +37,11 @@ class TestInfoAndUsage:
         assert main(["simulate", "bogus_key=1"]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
-    def test_invalid_value_exits_two(self, capsys):
-        assert main(["simulate", "nx=63"]) == 2
+    def test_invalid_value_exits_two(self, tmp_path, capsys):
+        for value in ("nx=63", "T=nan", "dt=inf"):
+            out = tmp_path / value
+            assert main(["simulate", "--out", str(out), value]) == 2, value
+            assert not out.exists(), value
 
 
 class TestRuntimeFailures:

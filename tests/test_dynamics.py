@@ -10,7 +10,6 @@ from semzk.dynamics import (
     EquationKind,
     SolitonParams,
     _quadratic_hat,
-    _tables,
     background_terms,
     nonlinear_rhs,
     poisson_residual,
@@ -29,6 +28,7 @@ from semzk.norms import conserved_I1, conserved_I2
 from semzk.spectral import (
     Grid2D,
     RealField,
+    _to_coeffs,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -262,7 +262,7 @@ def test_mean_mode_of_nonlinearity_is_zero():
     # is exactly zero before the inverse transform
     g = Grid2D(256, 16, 80.0, 2 * np.pi)
     u = band_limited_field(g, 14, [(3, 1), (5, 2), (8, 0), (0, 3)], amplitude=0.1)
-    uhat = np.fft.fft2(u.values) / _tables(g).n
+    uhat = _to_coeffs(u.values)
     p = SolitonParams(omega=1.0, x0=40.0)
     for eq in (ZK, SEM, sem_on_soliton(p)):
         assert _quadratic_hat(uhat, g, eq, 0.3)[0, 0] == 0.0

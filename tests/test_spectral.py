@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from semzk.spectral import (
-    DEALIAS_FRACTION,
     Grid2D,
     RealField,
     SpectralField,
@@ -158,6 +157,17 @@ def test_custom_multiplier_matches_poisson_identity():
     assert num <= 1e-12 * np.linalg.norm(rhs.coeffs) + 1e-15
 
 
+def test_multiplier_tables_shared_read_only():
+    # equal but distinct grids share one cached table per kind
+    a = make_multiplier(Grid2D(16, 8, 2 * np.pi, 3.0), "m1").values
+    b = make_multiplier(Grid2D(16, 8, 2 * np.pi, 3.0), "m1").values
+    assert a is b
+    with pytest.raises(ValueError, match="read-only"):
+        a[1, 1] = 0.0
+    with pytest.raises(ValueError, match="unknown multiplier kind"):
+        make_multiplier(GRIDS[0], "custom")
+
+
 def test_multiplier_preserves_reality():
     g = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     u = random_field(g, 7)
@@ -195,6 +205,6 @@ def test_dealias_preserves_low_modes_exactly():
     u = random_field(g, 11)
     F = forward_transform(u)
     D = dealias(F)
-    keep = g.dealias_mask(DEALIAS_FRACTION)
+    keep = g.dealias_mask()
     assert np.array_equal(D.coeffs[keep], F.coeffs[keep])
     assert np.all(D.coeffs[~keep] == 0.0)
