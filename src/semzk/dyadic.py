@@ -26,7 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Grid2D, _conjugate_flip
+from .spectral import (
+    Grid2D,
+    _HERMITIAN_TOL,
+    _conjugate_flip,
+    _to_coeffs,
+    _to_values,
+)
 
 __all__ = [
     "BUMP_PLATEAU",
@@ -197,43 +203,21 @@ class SpaceTimeField:
     def nt(self) -> int:
         return self.coeffs.shape[2]
 
-    @property
-    def tau(self) -> np.ndarray:
-        return tau_values(self.t_box, self.nt)
-
     def l2(self) -> float:
         total = np.sum(np.abs(self.coeffs) ** 2)
         return float(np.sqrt(self.grid.lx * self.grid.ly * self.t_box * total))
 
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.t_box, self.coeffs.copy())
+    def physical(self) -> np.ndarray:
+        """Real samples on the lattice; raises if the spectrum is not Hermitian.
 
-    def physical(self, tol: float = 1e-10) -> np.ndarray:
-        """Real samples on the lattice; raises if the spectrum is not Hermitian."""
+        The defect is the largest deviation from conjugate symmetry, relative
+        to the largest coefficient modulus (or to 1, if that is smaller).
+        """
         defect = np.max(np.abs(self.coeffs - _conjugate_flip(self.coeffs)))
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        if defect > tol * scale:
+        if defect > _HERMITIAN_TOL * scale:
             raise ValueError(f"non-Hermitian spectrum (defect {defect:.3e})")
-        n_total = self.grid.nx * self.grid.ny * self.nt
-        return np.real(np.fft.ifftn(self.coeffs) * n_total)
-
-    def embed(self, grid: Grid2D, nt: int) -> "SpaceTimeField":
-        """The same field on a finer lattice over the same physical box.
-
-        Copies every occupied coefficient to its centered position on the
-        larger lattice; norms and products are unchanged because series
-        coefficients are resolution independent.
-        """
-        if (grid.lx, grid.ly) != (self.grid.lx, self.grid.ly):
-            raise ValueError("embedding must preserve the domain size")
-        if grid.nx < self.grid.nx or grid.ny < self.grid.ny or nt < self.nt:
-            raise ValueError("embedding target must not lose modes")
-        c = np.zeros((grid.nx, grid.ny, nt), dtype=complex)
-        jx = np.fft.fftfreq(self.grid.nx, 1.0 / self.grid.nx).astype(int)
-        jy = np.fft.fftfreq(self.grid.ny, 1.0 / self.grid.ny).astype(int)
-        jt = np.fft.fftfreq(self.nt, 1.0 / self.nt).astype(int)
-        c[np.ix_(jx % grid.nx, jy % grid.ny, jt % nt)] = self.coeffs
-        return SpaceTimeField(grid, self.t_box, c)
+        return _to_values(self.coeffs, axes=(0, 1, 2))
 
 
 def spacetime_from_snapshots(grid: Grid2D, t_box: float,
@@ -242,8 +226,7 @@ def spacetime_from_snapshots(grid: Grid2D, t_box: float,
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 3 or frames.shape[:2] != (grid.nx, grid.ny):
         raise ValueError("frames must have shape (nx, ny, nt)")
-    coeffs = np.fft.fftn(frames) / frames.size
-    return SpaceTimeField(grid, float(t_box), coeffs)
+    return SpaceTimeField(grid, float(t_box), _to_coeffs(frames, axes=(0, 1, 2)))
 
 
 def project_frequency(field: SpaceTimeField, n: int) -> SpaceTimeField:

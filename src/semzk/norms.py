@@ -136,18 +136,13 @@ def mixed_norm(path: "TrajectoryPath", descriptor: MixedNormDescriptor) -> float
     data = np.abs(np.stack([f.values for f in path.fields]))  # (M, nx, ny)
     grid = path.grid
     if "T" in axes:
-        has_finite_T = any(a == "T" and not math.isinf(p) for a, p in descriptor.entries)
-        if has_finite_T and len(path.times) < 2:
-            raise ValueError("time quadrature needs at least two snapshots")
         position = {"T": 0, "x": 1, "y": 2}
-        tweights = _trapezoid_weights(np.asarray(path.times, dtype=float))
     else:
         if data.shape[0] != 1:
             raise ValueError("descriptor omits the time axis but the trajectory "
                              "has several snapshots")
         data = data[0]
         position = {"x": 0, "y": 1}
-        tweights = None
 
     weights = {"x": grid.dx, "y": grid.dy}
     for axis, p in reversed(descriptor.entries):
@@ -155,6 +150,9 @@ def mixed_norm(path: "TrajectoryPath", descriptor: MixedNormDescriptor) -> float
         if math.isinf(p):
             data = data.max(axis=ax)
         elif axis == "T":
+            if len(path.times) < 2:
+                raise ValueError("time quadrature needs at least two snapshots")
+            tweights = _trapezoid_weights(np.asarray(path.times, dtype=float))
             shape = [1] * data.ndim
             shape[ax] = len(tweights)
             data = (np.sum(data**p * tweights.reshape(shape), axis=ax)) ** (1.0 / p)

@@ -34,21 +34,15 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.stats import linregress
 
-from .dyadic import (
-    SpaceTimeField,
-    SparseBlock,
-    frequency_radius,
-    modulation_values,
-    random_block_sparse,
-)
-from .dynamics import propagator_apply
+from .dyadic import SpaceTimeField, SparseBlock, random_block_sparse
+from .dynamics import _phase
 from .integrators import TrajectoryPath
 from .norms import MixedNormDescriptor, mixed_norm, sobolev_norm
 from .spectral import (
     Grid2D,
     RealField,
     SpectralField,
-    apply_multiplier,
+    _to_values,
     forward_transform,
     inverse_transform,
     make_multiplier,
@@ -108,11 +102,10 @@ class CoefficientBox:
     start: tuple
 
 
-def _centered_box(f: SpaceTimeField) -> CoefficientBox:
+def _centered_box(coeffs: np.ndarray) -> CoefficientBox:
     """Re-center FFT-ordered coefficients and trim to the nonzero extent."""
-    c = np.fft.fftshift(f.coeffs)
-    start = (-(f.grid.nx // 2), -(f.grid.ny // 2), -(f.nt // 2))
-    return _trim_box(CoefficientBox(c, start))
+    start = tuple(-(n // 2) for n in coeffs.shape)
+    return _trim_box(CoefficientBox(np.fft.fftshift(coeffs), start))
 
 
 def _trim_box(box: CoefficientBox) -> CoefficientBox:
@@ -156,7 +149,7 @@ def product_l2(f1: SpaceTimeField, f2: SpaceTimeField) -> float:
     boxes, so high output modes are kept rather than wrapped.
     """
     _check_compatible(f1, f2)
-    box = _convolve_boxes(_centered_box(f1), _centered_box(f2))
+    box = _convolve_boxes(_centered_box(f1.coeffs), _centered_box(f2.coeffs))
     total = float(np.sum(np.abs(box.values) ** 2, dtype=np.float64))
     return math.sqrt(f1.grid.lx * f1.grid.ly * f1.t_box * total)
 
@@ -252,11 +245,7 @@ def xsb_norm_box(box: CoefficientBox, grid: Grid2D, t_box: float, s: float,
 
 def xsb_norm(f: SpaceTimeField, s: float, b: float) -> float:
     """Weighted space-time norm (1+|m|)^b in modulation, (1+r)^s in frequency."""
-    m = modulation_values(f.grid, f.t_box, f.nt)
-    r = frequency_radius(f.grid)
-    w = (1.0 + np.abs(m)) ** (2 * b) * ((1.0 + r) ** (2 * s))[:, :, None]
-    total = float(np.sum(w * np.abs(f.coeffs) ** 2, dtype=np.float64))
-    return math.sqrt(f.grid.lx * f.grid.ly * f.t_box * total)
+    return xsb_norm_box(_centered_box(f.coeffs), f.grid, f.t_box, s, b)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +274,9 @@ def nonlinear_box(f: SpaceTimeField) -> CoefficientBox:
     m1 = make_multiplier(g, "m1").values[:, :, None]
     m2 = make_multiplier(g, "m2").values[:, :, None]
     c = f.coeffs
-    base = _centered_box(SpaceTimeField(g, f.t_box, c))
-    c1 = _centered_box(SpaceTimeField(g, f.t_box, c * m1))
-    c2 = _centered_box(SpaceTimeField(g, f.t_box, c * m2))
+    base = _centered_box(c)
+    c1 = _centered_box(c * m1)
+    c2 = _centered_box(c * m2)
     out = _add_boxes([
         _derivative_box(_convolve_boxes(base, c1), 0, g.lx),
         _derivative_box(_convolve_boxes(base, c2), 1, g.ly),
@@ -470,10 +459,20 @@ _KATO = MixedNormDescriptor.from_string("x:inf,y:2,T:2")
 _MAXIMAL = MixedNormDescriptor.from_string("x:2,y:inf,T:inf")
 
 
-def _free_path(grid: Grid2D, spec: SpectralField, times) -> TrajectoryPath:
-    fields = [inverse_transform(propagator_apply(spec, float(t)))
-              for t in times]
-    return TrajectoryPath(grid, times, fields)
+def _free_flow(spec: SpectralField, times) -> tuple:
+    """Paths of u, u_x and u_y under the free flow from the spectrum ``spec``.
+
+    ``spec`` comes from a real field, so the flow stays Hermitian and the
+    stack of the three spectra is inverted without a check, once per node.
+    """
+    grid, c = spec.grid, spec.coeffs
+    stack = np.stack([c, c * make_multiplier(grid, "ddx").values,
+                      c * make_multiplier(grid, "ddy").values])
+    frames = ([], [], [])
+    for t in times:
+        for frame, values in zip(frames, _to_values(stack * _phase(grid, t))):
+            frame.append(RealField(grid, values))
+    return tuple(TrajectoryPath(grid, times, f) for f in frames)
 
 
 def probe_linear_estimates(grid: Grid2D, *, horizon: float = 1.0,
@@ -492,13 +491,8 @@ def probe_linear_estimates(grid: Grid2D, *, horizon: float = 1.0,
     if n_nodes < 2:
         raise ValueError("need at least two time nodes")
     u0 = random_low_mode_field(grid, seed, max_mode=max_mode)
-    spec = forward_transform(u0)
-    ddx = make_multiplier(grid, "ddx")
-    ddy = make_multiplier(grid, "ddy")
     times = np.linspace(0.0, horizon, n_nodes)
-    path_u = _free_path(grid, spec, times)
-    path_ux = _free_path(grid, apply_multiplier(spec, ddx), times)
-    path_uy = _free_path(grid, apply_multiplier(spec, ddy), times)
+    path_u, path_ux, path_uy = _free_flow(forward_transform(u0), times)
     norm_strichartz = mixed_norm(path_u, _STRICHARTZ)
     norm_kato = mixed_norm(path_ux, _KATO) + mixed_norm(path_uy, _KATO)
     norm_maximal = mixed_norm(path_u, _MAXIMAL)

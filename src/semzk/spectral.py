@@ -9,9 +9,9 @@ Conventions used throughout the package:
   divided by ``nx * ny``.  A single cosine ``cos(2*pi*x/lx)`` therefore has
   two coefficients of magnitude 1/2.  With this normalization Parseval's
   identity reads ``||f||_{L^2}^2 = lx * ly * sum |fhat|^2``, with no further
-  factors; all norm code relies on it.  Every 2-D transform in the package
-  goes through the pair ``_to_coeffs``/``_to_values`` below, and every
-  symbol table comes from the per-grid cache ``_symbols``.
+  factors; all norm code relies on it.  Every transform in the package, 2-D
+  and space-time, goes through the pair ``_to_coeffs``/``_to_values`` below,
+  and every symbol table comes from the per-grid cache ``_symbols``.
 * Wavenumbers are ``xi_j = 2*pi*j/lx`` and ``mu_k = 2*pi*k/ly`` with integer
   indices ``j in [-nx/2, nx/2)`` stored in FFT order.
 * The unpaired Nyquist rows (``j == -nx/2`` or ``k == -ny/2``) carry no
@@ -47,6 +47,10 @@ __all__ = [
 DEALIAS_FRACTION = 2.0 / 3.0
 
 MULTIPLIER_KINDS = ("ddx", "ddy", "m1", "m2", "laplacian", "inv_laplacian_dx", "symbol_omega")
+
+#: Largest conjugate-symmetry defect a spectrum may carry and still be
+#: inverted to real samples (each check states its own metric).
+_HERMITIAN_TOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -223,10 +227,6 @@ class SpectralField:
         g = self.grid
         return float(np.sqrt(g.lx * g.ly * np.sum(np.abs(self.coeffs) ** 2)))
 
-    def hermitian_defect(self) -> float:
-        """Relative distance to conjugate symmetry (0 for real fields)."""
-        return _hermitian_defect(self.coeffs)
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _require_same_grid(self.grid, other.grid)
         return SpectralField(self.grid, self.coeffs + other.coeffs)
@@ -278,20 +278,19 @@ def _hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs - _conjugate_flip(coeffs)) / norm)
 
 
-def _to_coeffs(values: np.ndarray) -> np.ndarray:
-    """Series coefficients over the last two axes: the FFT over ``nx*ny``."""
-    nx, ny = values.shape[-2:]
-    coeffs = np.fft.fft2(values)
+def _to_coeffs(values: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """Series coefficients over ``axes``: the FFT over the number of samples."""
+    coeffs = np.fft.fftn(values, axes=axes)
     # numpy's complex division also multiplies by the reciprocal, so this
-    # gives the bits of ``/ (nx * ny)`` without its extra array pass
-    coeffs *= 1.0 / (nx * ny)
+    # gives the bits of ``/ size`` without its extra array pass
+    coeffs *= 1.0 / math.prod(values.shape[a] for a in axes)
     return coeffs
 
 
-def _to_values(coeffs: np.ndarray) -> np.ndarray:
-    """Real samples of series coefficients over the last two axes."""
-    nx, ny = coeffs.shape[-2:]
-    return np.real(np.fft.ifft2(coeffs)) * (nx * ny)
+def _to_values(coeffs: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """Real samples of series coefficients over ``axes``."""
+    size = math.prod(coeffs.shape[a] for a in axes)
+    return np.real(np.fft.ifftn(coeffs, axes=axes)) * size
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -299,14 +298,14 @@ def forward_transform(f: RealField) -> SpectralField:
     return SpectralField(f.grid, _to_coeffs(f.values))
 
 
-def inverse_transform(F: SpectralField, hermitian_tol: float = 1e-10) -> RealField:
+def inverse_transform(F: SpectralField) -> RealField:
     """Invert :func:`forward_transform`, returning a real field.
 
-    Raises ``ValueError`` if the spectrum's conjugate-symmetry defect exceeds
-    ``hermitian_tol`` (relative), since only Hermitian spectra describe real
-    fields.
+    Raises ``ValueError`` if the spectrum's relative conjugate-symmetry
+    defect exceeds ``_HERMITIAN_TOL``, since only Hermitian spectra describe
+    real fields.
     """
-    if _hermitian_defect(F.coeffs) > hermitian_tol:
+    if _hermitian_defect(F.coeffs) > _HERMITIAN_TOL:
         raise ValueError("non-Hermitian spectrum")
     return RealField(F.grid, _to_values(F.coeffs))
 

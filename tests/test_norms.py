@@ -152,9 +152,11 @@ def test_mixed_norm_single_snapshot_space_only():
     rng = np.random.default_rng(3)
     v = rng.standard_normal((G.nx, G.ny))
     path = snapshot_path([v], 0.0)
-    d = MixedNormDescriptor.from_string("x:2,y:2")
     u = RealField(G, v)
-    assert mixed_norm(path, d) == pytest.approx(u.l2(), rel=1e-12)
+    # a sup over the single time node is that snapshot's space norm
+    for text in ("x:2,y:2", "T:inf,x:2,y:2"):
+        d = MixedNormDescriptor.from_string(text)
+        assert mixed_norm(path, d) == pytest.approx(u.l2(), rel=1e-12)
 
 
 def test_mixed_norm_error_cases():

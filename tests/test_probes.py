@@ -27,7 +27,16 @@ from semzk.probes import (
     xsb_norm,
     xsb_norm_box,
 )
-from semzk.spectral import Grid2D
+from semzk.dynamics import propagator_apply
+from semzk.integrators import TrajectoryPath
+from semzk.norms import MixedNormDescriptor, mixed_norm, sobolev_norm
+from semzk.spectral import (
+    Grid2D,
+    apply_multiplier,
+    forward_transform,
+    inverse_transform,
+    make_multiplier,
+)
 
 G = Grid2D(32, 32, 2 * np.pi, 2 * np.pi)
 TBOX = 2 * np.pi
@@ -242,6 +251,35 @@ class TestLinearProbes:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             probe_linear_estimates(G, horizon=-1.0)
+
+    def test_constants_match_public_free_flow(self):
+        # Reference: the free flow node by node through the public,
+        # Hermitian-checked inverse transform.
+        times = np.linspace(0.0, 1.0, 17)
+        u0 = random_low_mode_field(G, seed=3)
+        spec = forward_transform(u0)
+
+        def path(kind=None):
+            F = spec if kind is None else apply_multiplier(
+                spec, make_multiplier(G, kind))
+            return TrajectoryPath(G, times, [
+                inverse_transform(propagator_apply(F, t)) for t in times])
+
+        def norm(p, text):
+            return mixed_norm(p, MixedNormDescriptor.from_string(text))
+
+        u = path()
+        kato = (norm(path("ddx"), "x:inf,y:2,T:2")
+                + norm(path("ddy"), "x:inf,y:2,T:2"))
+        expect = {
+            "strichartz": norm(u, "T:3,x:inf,y:inf") / u0.l2(),
+            "kato_smoothing": kato / u0.l2(),
+            "maximal": norm(u, "x:2,y:inf,T:inf") / sobolev_norm(u0, 1.0),
+        }
+        rep = probe_linear_estimates(G, n_nodes=17, seed=3)
+        assert set(rep.constants) == set(expect)
+        for name, value in expect.items():
+            assert rep.constants[name] == pytest.approx(value, rel=1e-13)
 
 
 class TestFourthPowerProbe:
