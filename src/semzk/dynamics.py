@@ -45,9 +45,10 @@ from semzk.spectral import (
     Grid2D,
     RealField,
     SpectralField,
+    _from_half,
+    _half_symbols,
     _symbols,
-    _to_coeffs,
-    _to_values,
+    _to_half,
 )
 
 __all__ = [
@@ -197,11 +198,12 @@ def potential_profile(grid: Grid2D, p: SolitonParams, t: float = 0.0) -> RealFie
 # the free propagator
 
 
-def _phase(grid: Grid2D, t) -> np.ndarray:
-    """``exp(i t omega)`` for a scalar time, or stacked along a leading axis
-    for an array of times."""
+def _phase(omega: np.ndarray, t) -> np.ndarray:
+    """``exp(i t omega)`` on the lattice of the dispersion table ``omega``
+    (full or half spectrum) for a scalar time, or stacked along a leading
+    axis for an array of times."""
     t = np.asarray(t, dtype=float)
-    return np.exp(1j * t[..., None, None] * _symbols(grid)["omega"])
+    return np.exp(1j * t[..., None, None] * omega)
 
 
 def propagator_apply(F: SpectralField, t: float) -> SpectralField:
@@ -213,7 +215,7 @@ def propagator_apply(F: SpectralField, t: float) -> SpectralField:
     """
     if not math.isfinite(t):
         raise ValueError("propagator time must be finite")
-    return SpectralField(F.grid, F.coeffs * _phase(F.grid, t))
+    return SpectralField(F.grid, F.coeffs * _phase(_symbols(F.grid)["omega"], t))
 
 
 def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
@@ -222,17 +224,18 @@ def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
 
 
 def _quadratic_hat(uhat: np.ndarray, grid: Grid2D, eq: EquationKind, t: float) -> np.ndarray:
-    """Spectrum of N(u) (dealiased) from the spectrum of u, in conservative form."""
+    """Half spectrum of N(u) (dealiased) from the half spectrum of u, in
+    conservative form; the 1/2 of every flux rides on its transform's scale."""
     if eq.kind == "linear":
         return np.zeros_like(uhat)
-    tab = _symbols(grid)
+    tab = _half_symbols(grid)
     ud = np.where(tab["mask"], uhat, 0.0)
-    u = _to_values(ud)
+    u = _from_half(ud)
     if eq.kind == "zk":
-        nhat = tab["ddx"] * _to_coeffs(u * u)
+        nhat = tab["ddx"] * _to_half(u * u, 0.5)
     else:
-        g1 = _to_values(ud * tab["m1"])
-        g2 = _to_values(ud * tab["m2"])
+        g1 = _from_half(ud * tab["m1"])
+        g2 = _from_half(ud * tab["m2"])
         flux_x = u * g1
         flux_y = u * g2
         if eq.kind == "sem_on_soliton":
@@ -240,8 +243,8 @@ def _quadratic_hat(uhat: np.ndarray, grid: Grid2D, eq: EquationKind, t: float) -
             phi = soliton_shape(p.omega, _wrapped_offset(grid, p, t))[:, None]
             flux_x = flux_x + phi * (u + g1)
             flux_y = flux_y + phi * g2
-        nhat = tab["ddx"] * _to_coeffs(flux_x) + tab["ddy"] * _to_coeffs(flux_y)
-    return np.where(tab["mask"], 0.5 * nhat, 0.0)
+        nhat = tab["ddx"] * _to_half(flux_x, 0.5) + tab["ddy"] * _to_half(flux_y, 0.5)
+    return np.where(tab["mask"], nhat, 0.0)
 
 
 def background_terms(u: RealField, p: SolitonParams, t: float) -> RealField:
@@ -263,13 +266,13 @@ def nonlinear_rhs(u: RealField, eq: EquationKind, t: float = 0.0) -> RealField:
     """
     g = u.grid
     _check_equation(g, eq)
-    return RealField(g, _to_values(_quadratic_hat(_to_coeffs(u.values), g, eq, t)))
+    return RealField(g, _from_half(_quadratic_hat(_to_half(u.values), g, eq, t)))
 
 
 def solve_potential(u: RealField) -> RealField:
     """Reconstruct the potential: solve ``Laplacian(phi) = u_x`` with zero mean."""
-    inv_lap_dx = _symbols(u.grid)["inv_laplacian_dx"]
-    return RealField(u.grid, _to_values(_to_coeffs(u.values) * inv_lap_dx))
+    inv_lap_dx = _half_symbols(u.grid)["inv_laplacian_dx"]
+    return RealField(u.grid, _from_half(_to_half(u.values) * inv_lap_dx))
 
 
 def poisson_residual(u: RealField, phi: RealField) -> float:
@@ -277,6 +280,6 @@ def poisson_residual(u: RealField, phi: RealField) -> float:
     if u.grid != phi.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
-    tab = _symbols(g)
-    res = _to_coeffs(phi.values) * tab["laplacian"] - _to_coeffs(u.values) * tab["ddx"]
-    return float(np.sqrt(g.lx * g.ly * np.sum(np.abs(res) ** 2)))
+    tab = _half_symbols(g)
+    res = _to_half(phi.values) * tab["laplacian"] - _to_half(u.values) * tab["ddx"]
+    return float(np.sqrt(g.lx * g.ly * np.sum(tab["columns"] * np.abs(res) ** 2)))

@@ -13,7 +13,8 @@ Two independent routes to the solution are provided on purpose:
   approximately and the scheme is globally fourth order.
 
 Both evaluate the nonlinearity through the one conservative-form kernel in
-:mod:`semzk.dynamics`, so their agreement is a genuine cross-check of the
+:mod:`semzk.dynamics` and carry the state as a real half spectrum (see
+:mod:`semzk.spectral`), so their agreement is a genuine cross-check of the
 time discretizations, not of shared stepping code.  :func:`duhamel_term`
 exposes the Duhamel integral of a given trajectory through the same
 quadrature as :func:`picard_solve`.
@@ -29,8 +30,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from semzk.dynamics import EquationKind, _check_equation, _phase, _quadratic_hat
-from semzk.norms import _sobolev_weight
-from semzk.spectral import Grid2D, RealField, SpectralField, _to_coeffs, _to_values
+from semzk.norms import _half_sobolev_weight
+from semzk.spectral import Grid2D, RealField, _from_half, _half_symbols, _to_half
 
 __all__ = [
     "TrajectoryPath",
@@ -120,7 +121,7 @@ def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
                  grid: Grid2D, eq: EquationKind) -> np.ndarray:
     """``integral_{t_0}^{t_j} U(-t') N(u(t')) dt'`` at every node ``t_j``.
 
-    ``uhats`` holds the spectra of ``u`` on the node lattice ``times`` and
+    ``uhats`` holds the half spectra of ``u`` on the node lattice ``times`` and
     ``phases`` the matching ``exp(i t omega)``; the integral is the
     cumulative composite trapezoid rule.  Multiplying node ``j`` by
     ``phases[j]`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
@@ -144,10 +145,10 @@ def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
     _check_equation(grid, eq)
     i = path.node_index(t)
     times = path.times[:i + 1]
-    uhats = _to_coeffs(np.stack([f.values for f in path.fields[:i + 1]]))
-    phases = _phase(grid, times)
+    uhats = _to_half(np.stack([f.values for f in path.fields[:i + 1]]))
+    phases = _phase(_half_symbols(grid)["omega"], times)
     integ = _duhamel_hat(uhats, times, phases, grid, eq)
-    return RealField(grid, _to_values(phases[-1] * integ[-1]))
+    return RealField(grid, _from_half(phases[-1] * integ[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +175,9 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     grid = u0.grid
     _check_equation(grid, eq)
     times = np.linspace(0.0, T, nodes)
-    u0hat = _to_coeffs(u0.values)
-    phases = _phase(grid, times)
-    w2s = _sobolev_weight(grid, s)
+    u0hat = _to_half(u0.values)
+    phases = _phase(_half_symbols(grid)["omega"], times)
+    w2s = _half_sobolev_weight(grid, s)
     area = grid.lx * grid.ly
 
     current = phases * u0hat[None, :, :]
@@ -199,7 +200,7 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
         if dist <= tol:
             report.converged = True
             break
-    fields = [RealField(grid, values) for values in _to_values(current)]
+    fields = [RealField(grid, values) for values in _from_half(current)]
     return TrajectoryPath(grid, times, fields), report
 
 
@@ -209,7 +210,7 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
 
 def _ifrk4_hat(uhat: np.ndarray, grid: Grid2D, eq: EquationKind, t: float, dt: float,
                half_phase: np.ndarray, full_phase: np.ndarray) -> np.ndarray:
-    """One IFRK4 step in coefficient space (phases precomputed for ``dt``)."""
+    """One IFRK4 step on the half spectrum (phases precomputed for ``dt``)."""
     E, E2 = half_phase, full_phase
     cE, cE2 = np.conj(E), np.conj(E2)
 
@@ -234,9 +235,9 @@ def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField
         raise ValueError("step size must be finite and nonzero")
     grid = u.grid
     _check_equation(grid, eq)
-    E = _phase(grid, 0.5 * dt)
+    E = _phase(_half_symbols(grid)["omega"], 0.5 * dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _to_values(_ifrk4_hat(_to_coeffs(u.values), grid, eq, t, dt, E, E * E))
+        vals = _from_half(_ifrk4_hat(_to_half(u.values), grid, eq, t, dt, E, E * E))
     if not np.all(np.isfinite(vals)):
         raise RuntimeError(f"step diverged at t = {t:.6g}; last finite L2 norm "
                            f"{u.l2():.3e}; reduce dt")
@@ -254,13 +255,16 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
     final state at ``T``, in increasing-time order (a single node when
     ``T == 0``), so memory stays at a few fields however long the run.
     Intermediate states go to the callbacks, which receive
-    ``(step_index, time, field)`` at every ``callback_stride``-th step plus
+    ``(step_index, time, field)`` at every ``callback_stride``-th step (a
+    stride below 1 raises ``ValueError`` before the first step) plus
     both endpoints and must not mutate the field.
     """
     if not math.isfinite(T):
         raise ValueError("horizon T must be finite")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
+    if callback_stride < 1:
+        raise ValueError(f"callback_stride must be at least 1, got {callback_stride!r}")
     grid = u0.grid
     _check_equation(grid, eq)
     first = u0.copy()
@@ -271,10 +275,11 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
 
     n_steps = max(1, int(round(abs(T) / dt)))
     dt_eff = T / n_steps
-    E = _phase(grid, 0.5 * dt_eff)
+    tab = _half_symbols(grid)
+    E = _phase(tab["omega"], 0.5 * dt_eff)
     E2 = E * E
 
-    uhat = _to_coeffs(u0.values)
+    uhat = _to_half(u0.values)
     for cb in callbacks:
         cb(0, 0.0, u0)
     for i in range(n_steps):
@@ -282,13 +287,14 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
         with np.errstate(over="ignore", invalid="ignore"):
             new = _ifrk4_hat(uhat, grid, eq, t, dt_eff, E, E2)
         if not np.all(np.isfinite(new.view(np.float64))):
+            l2 = math.sqrt(grid.lx * grid.ly * np.sum(tab["columns"] * np.abs(uhat) ** 2))
             raise RuntimeError(
                 f"step diverged at step {i + 1} of {n_steps} (t = {t:.6g}); last finite "
-                f"L2 norm {SpectralField(grid, uhat).l2():.3e}; reduce dt")
+                f"L2 norm {l2:.3e}; reduce dt")
         uhat = new
         step = i + 1
         if step == n_steps or (callbacks and step % callback_stride == 0):
-            last = RealField(grid, _to_values(uhat))
+            last = RealField(grid, _from_half(uhat))
             for cb in callbacks:
                 cb(step, step * dt_eff, last)
 

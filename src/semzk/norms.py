@@ -14,11 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from semzk.spectral import Grid2D, RealField, SpectralField, forward_transform
+from semzk.spectral import (
+    Grid2D,
+    RealField,
+    SpectralField,
+    _half_symbols,
+    _half_width,
+    _readonly,
+    _to_half,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from semzk.integrators import TrajectoryPath
@@ -46,9 +55,19 @@ def conserved_I2(u: RealField) -> float:
     return float(np.sum(u.values**2) * u.grid.dx * u.grid.dy)
 
 
+@lru_cache(maxsize=32)
 def _sobolev_weight(grid: Grid2D, s: float) -> np.ndarray:
-    """The squared H^s weight ``(1 + |(xi, mu)|)^(2s)`` on every mode."""
-    return (1.0 + np.hypot(grid.xi2d, grid.mu2d)) ** (2.0 * s)
+    """The squared H^s weight ``(1 + |(xi, mu)|)^(2s)`` on every mode
+    (read-only, cached per grid and ``s``)."""
+    return _readonly((1.0 + np.hypot(grid.xi2d, grid.mu2d)) ** (2.0 * s))
+
+
+@lru_cache(maxsize=32)
+def _half_sobolev_weight(grid: Grid2D, s: float) -> np.ndarray:
+    """:func:`_sobolev_weight` on the half spectrum times the column
+    multiplicities, so a weighted sum over a half spectrum equals the sum
+    over the full one (read-only, cached per grid and ``s``)."""
+    return _readonly(_half_width(_sobolev_weight(grid, s)) * _half_symbols(grid)["columns"])
 
 
 def sobolev_norm(u: RealField | SpectralField, s: float = 1.0) -> float:
@@ -56,10 +75,12 @@ def sobolev_norm(u: RealField | SpectralField, s: float = 1.0) -> float:
 
     ``s = 0`` reproduces the L2 norm exactly.
     """
-    F = forward_transform(u) if isinstance(u, RealField) else u
-    g = F.grid
-    w = _sobolev_weight(g, s)
-    return float(np.sqrt(g.lx * g.ly * np.sum(w * np.abs(F.coeffs) ** 2)))
+    g = u.grid
+    if isinstance(u, RealField):
+        w, coeffs = _half_sobolev_weight(g, s), _to_half(u.values)
+    else:
+        w, coeffs = _sobolev_weight(g, s), u.coeffs
+    return float(np.sqrt(g.lx * g.ly * np.sum(w * np.abs(coeffs) ** 2)))
 
 
 def _parse_exponent(tok: str) -> float:
@@ -133,7 +154,9 @@ def mixed_norm(path: "TrajectoryPath", descriptor: MixedNormDescriptor) -> float
     single-snapshot trajectory.
     """
     axes = [a for a, _ in descriptor.entries]
-    data = np.abs(np.stack([f.values for f in path.fields]))  # (M, nx, ny)
+    # one path-sized buffer: abs, power and weights are applied in place
+    data = np.stack([f.values for f in path.fields])  # (M, nx, ny)
+    np.abs(data, out=data)
     grid = path.grid
     if "T" in axes:
         position = {"T": 0, "x": 1, "y": 2}
@@ -155,9 +178,12 @@ def mixed_norm(path: "TrajectoryPath", descriptor: MixedNormDescriptor) -> float
             tweights = _trapezoid_weights(np.asarray(path.times, dtype=float))
             shape = [1] * data.ndim
             shape[ax] = len(tweights)
-            data = (np.sum(data**p * tweights.reshape(shape), axis=ax)) ** (1.0 / p)
+            data **= p
+            data *= tweights.reshape(shape)
+            data = np.sum(data, axis=ax) ** (1.0 / p)
         else:
-            data = (np.sum(data**p, axis=ax) * weights[axis]) ** (1.0 / p)
+            data **= p
+            data = (np.sum(data, axis=ax) * weights[axis]) ** (1.0 / p)
         position = {a: (v - 1 if v > ax else v) for a, v in position.items()}
     return float(data)
 

@@ -42,8 +42,9 @@ from .spectral import (
     Grid2D,
     RealField,
     SpectralField,
-    _to_values,
-    forward_transform,
+    _from_half,
+    _half_symbols,
+    _to_half,
     inverse_transform,
     make_multiplier,
 )
@@ -459,18 +460,17 @@ _KATO = MixedNormDescriptor.from_string("x:inf,y:2,T:2")
 _MAXIMAL = MixedNormDescriptor.from_string("x:2,y:inf,T:inf")
 
 
-def _free_flow(spec: SpectralField, times) -> tuple:
-    """Paths of u, u_x and u_y under the free flow from the spectrum ``spec``.
+def _free_flow(u0: RealField, times) -> tuple:
+    """Paths of u, u_x and u_y under the free flow from ``u0``.
 
-    ``spec`` comes from a real field, so the flow stays Hermitian and the
-    stack of the three spectra is inverted without a check, once per node.
+    The three half spectra are stacked and inverted together, once per node.
     """
-    grid, c = spec.grid, spec.coeffs
-    stack = np.stack([c, c * make_multiplier(grid, "ddx").values,
-                      c * make_multiplier(grid, "ddy").values])
+    grid, c = u0.grid, _to_half(u0.values)
+    tab = _half_symbols(grid)
+    stack = np.stack([c, c * tab["ddx"], c * tab["ddy"]])
     frames = ([], [], [])
     for t in times:
-        for frame, values in zip(frames, _to_values(stack * _phase(grid, t))):
+        for frame, values in zip(frames, _from_half(stack * _phase(tab["omega"], t))):
             frame.append(RealField(grid, values))
     return tuple(TrajectoryPath(grid, times, f) for f in frames)
 
@@ -492,7 +492,7 @@ def probe_linear_estimates(grid: Grid2D, *, horizon: float = 1.0,
         raise ValueError("need at least two time nodes")
     u0 = random_low_mode_field(grid, seed, max_mode=max_mode)
     times = np.linspace(0.0, horizon, n_nodes)
-    path_u, path_ux, path_uy = _free_flow(forward_transform(u0), times)
+    path_u, path_ux, path_uy = _free_flow(u0, times)
     norm_strichartz = mixed_norm(path_u, _STRICHARTZ)
     norm_kato = mixed_norm(path_ux, _KATO) + mixed_norm(path_uy, _KATO)
     norm_maximal = mixed_norm(path_u, _MAXIMAL)

@@ -9,9 +9,19 @@ Conventions used throughout the package:
   divided by ``nx * ny``.  A single cosine ``cos(2*pi*x/lx)`` therefore has
   two coefficients of magnitude 1/2.  With this normalization Parseval's
   identity reads ``||f||_{L^2}^2 = lx * ly * sum |fhat|^2``, with no further
-  factors; all norm code relies on it.  Every transform in the package, 2-D
-  and space-time, goes through the pair ``_to_coeffs``/``_to_values`` below,
-  and every symbol table comes from the per-grid cache ``_symbols``.
+  factors; all norm code relies on it.  Every transform in the package goes
+  through one of two private pairs below: ``_to_coeffs``/``_to_values`` for
+  full complex spectra (the public API and the space-time fields), and
+  ``_to_half``/``_from_half`` for the real half spectra of shape
+  ``(..., nx, ny//2 + 1)`` that the solvers evolve.  Every symbol table
+  comes from the per-grid cache ``_symbols``, or its half-width copy
+  ``_half_symbols``.
+* A half spectrum stores the columns ``k = 0 .. ny/2`` of a real field's
+  spectrum; the columns ``k = -ny/2+1 .. -1`` are the conjugates of the
+  stored ones.  A sum over the full spectrum of a quantity even under
+  ``(j, k) -> (-j, -k)`` is therefore a sum over the half spectrum with the
+  column multiplicities ``_half_symbols(grid)["columns"]``: 1 for ``k = 0``
+  and the Nyquist column, 2 for every other column.
 * Wavenumbers are ``xi_j = 2*pi*j/lx`` and ``mu_k = 2*pi*k/ly`` with integer
   indices ``j in [-nx/2, nx/2)`` stored in FFT order.
 * The unpaired Nyquist rows (``j == -nx/2`` or ``k == -ny/2``) carry no
@@ -293,6 +303,28 @@ def _to_values(coeffs: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     return np.real(np.fft.ifftn(coeffs, axes=axes)) * size
 
 
+def _to_half(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Half-spectrum series coefficients of real samples over the last two
+    axes, times ``scale`` (folded into the one normalizing pass)."""
+    coeffs = np.fft.rfftn(values, axes=(-2, -1))
+    coeffs *= scale / (values.shape[-2] * values.shape[-1])
+    return coeffs
+
+
+def _from_half(coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of half-spectrum series coefficients over the last two
+    axes.  A grid's ``ny`` is even, so the transform's default output length
+    ``2 * (ny//2)`` recovers it; ``norm="forward"`` leaves the inverse
+    unscaled, which is the series convention."""
+    return np.fft.irfftn(coeffs, axes=(-2, -1), norm="forward")
+
+
+def _half_width(table: np.ndarray) -> np.ndarray:
+    """Contiguous copy of the half-spectrum columns ``k = 0 .. ny/2`` of a
+    full ``(..., nx, ny)`` table."""
+    return np.ascontiguousarray(table[..., :table.shape[-1] // 2 + 1])
+
+
 def forward_transform(f: RealField) -> SpectralField:
     """Fourier-series coefficients of ``f`` (FFT scaled by ``1/(nx*ny)``)."""
     return SpectralField(f.grid, _to_coeffs(f.values))
@@ -339,6 +371,22 @@ def _symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
         tables[kind] = _readonly(vals)
     tables["omega"] = tables["symbol_omega"].real
     tables["mask"] = _readonly(grid.dealias_mask())
+    return MappingProxyType(tables)
+
+
+@lru_cache(maxsize=32)
+def _half_symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
+    """The tables of :func:`_symbols` on the half spectrum, cached by grid.
+
+    Each entry is a read-only contiguous copy of the columns ``k = 0 ..
+    ny/2`` of the full table; the Nyquist column ``k = ny/2`` is zero in
+    every symbol and in the mask.  ``columns`` holds the multiplicity of
+    each column in the full spectrum (see the module docstring).
+    """
+    tables = {kind: _readonly(_half_width(vals)) for kind, vals in _symbols(grid).items()}
+    columns = np.full(grid.ny // 2 + 1, 2.0)
+    columns[[0, -1]] = 1.0
+    tables["columns"] = _readonly(columns)
     return MappingProxyType(tables)
 
 

@@ -1,0 +1,137 @@
+"""The solvers' real half spectra against full-spectrum references.
+
+Every reference here is built only from the public full-spectrum API
+(``forward_transform``, ``make_multiplier``, ``dealias``, ``inverse_transform``
+and ``propagator_apply``), so it shares no code with the half-spectrum
+kernel, its column multiplicities or its tables.  The grids cover ``3 | n``
+(96x48, 48x48) and a small ``ny`` whose Nyquist column is a large share of
+the half spectrum (256x16, 64x8).
+"""
+
+import numpy as np
+import pytest
+
+from semzk.dynamics import (
+    SEM,
+    ZK,
+    SolitonParams,
+    nonlinear_rhs,
+    propagator_apply,
+    sem_on_soliton,
+    soliton_profile,
+)
+from semzk.integrators import evolve, ifrk4_step, picard_solve
+from semzk.norms import sobolev_norm
+from semzk.spectral import (
+    Grid2D,
+    RealField,
+    SpectralField,
+    dealias,
+    forward_transform,
+    inverse_transform,
+    make_multiplier,
+)
+
+# lx = 80 leaves the omega = 1 soliton below the seam tolerance
+GRIDS = [Grid2D(256, 16, 80.0, 2 * np.pi), Grid2D(96, 48, 80.0, 2 * np.pi),
+         Grid2D(48, 48, 80.0, 36.0), Grid2D(64, 8, 80.0, 2 * np.pi)]
+SOLITON = SolitonParams(omega=1.0, x0=30.0)
+EQUATIONS = [ZK, SEM, sem_on_soliton(SOLITON)]
+IDS = [f"{g.nx}x{g.ny}" for g in GRIDS]
+REL = 1e-12
+
+
+def noise_field(grid, seed, amplitude=0.1):
+    """White noise: every mode, the Nyquist row and column included."""
+    rng = np.random.default_rng(seed)
+    return RealField(grid, amplitude * rng.standard_normal((grid.nx, grid.ny)))
+
+
+def spectrum_times(F, kind):
+    return SpectralField(F.grid, F.coeffs * make_multiplier(F.grid, kind).values)
+
+
+def reference_rhs(u, eq, t):
+    """N(u) = 1/2 [dx(u G1u) + dy(u G2u)] (+ soliton terms), or 1/2 dx(u^2)."""
+    F = dealias(forward_transform(u))
+    v = inverse_transform(F).values
+    if eq.kind == "zk":
+        flux_x, flux_y = v * v, np.zeros_like(v)
+    else:
+        g1 = inverse_transform(spectrum_times(F, "m1")).values
+        g2 = inverse_transform(spectrum_times(F, "m2")).values
+        flux_x, flux_y = v * g1, v * g2
+        if eq.kind == "sem_on_soliton":
+            phi = soliton_profile(u.grid, eq.soliton, t).values
+            flux_x = flux_x + phi * (v + g1)
+            flux_y = flux_y + phi * g2
+    grid = u.grid
+    nhat = (spectrum_times(forward_transform(RealField(grid, flux_x)), "ddx").coeffs
+            + spectrum_times(forward_transform(RealField(grid, flux_y)), "ddy").coeffs)
+    return inverse_transform(dealias(SpectralField(grid, 0.5 * nhat)))
+
+
+def reference_step(u, eq, t, dt):
+    """One integrating-factor RK4 step on full spectra."""
+    def rhs(V, tt):
+        return -forward_transform(reference_rhs(inverse_transform(V), eq, tt)).coeffs
+
+    def flow(c, tau):
+        return propagator_apply(SpectralField(u.grid, c), tau).coeffs
+
+    U = forward_transform(u).coeffs
+    k1 = rhs(SpectralField(u.grid, U), t)
+    k2 = flow(rhs(propagator_apply(SpectralField(u.grid, U + 0.5 * dt * k1), 0.5 * dt),
+                  t + 0.5 * dt), -0.5 * dt)
+    k3 = flow(rhs(propagator_apply(SpectralField(u.grid, U + 0.5 * dt * k2), 0.5 * dt),
+                  t + 0.5 * dt), -0.5 * dt)
+    k4 = flow(rhs(propagator_apply(SpectralField(u.grid, U + dt * k3), dt), t + dt), -dt)
+    out = flow(U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt)
+    return inverse_transform(SpectralField(u.grid, out))
+
+
+def assert_close(a, b):
+    assert np.max(np.abs(a - b)) <= REL * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_nonlinear_rhs_matches_full_spectrum(grid):
+    u = noise_field(grid, 1)
+    for eq in EQUATIONS:
+        assert_close(nonlinear_rhs(u, eq, 0.7).values, reference_rhs(u, eq, 0.7).values)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_ifrk4_step_matches_full_spectrum(grid):
+    u = noise_field(grid, 2)
+    for eq in EQUATIONS:
+        assert_close(ifrk4_step(u, eq, 0.3, 0.01).values,
+                     reference_step(u, eq, 0.3, 0.01).values)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_picard_distances_match_full_spectrum(grid):
+    # the first two sweep distances, rebuilt on full spectra from the
+    # iterates themselves; the iterates differ by far more than round-off
+    u0 = noise_field(grid, 3, amplitude=20.0)
+    T, nodes = 0.01, 5
+    one, _ = picard_solve(u0, SEM, T, nodes=nodes, tol=0.0, max_iter=1)
+    two, report = picard_solve(u0, SEM, T, nodes=nodes, tol=0.0, max_iter=2)
+    U0 = forward_transform(u0)
+    free = [propagator_apply(U0, t) for t in one.times]
+    first = [forward_transform(f) for f in one.fields]
+    second = [forward_transform(f) for f in two.fields]
+    expected = [max(sobolev_norm(b - a, 1.0) for a, b in zip(free, first)),
+                max(sobolev_norm(b - a, 1.0) for a, b in zip(first, second))]
+    assert report.distances == pytest.approx(expected, rel=REL)
+
+
+def test_divergence_message_norm_is_full_spectrum_l2():
+    grid = Grid2D(32, 32, 2 * np.pi, 2 * np.pi)
+    big = noise_field(grid, 4, amplitude=1e6)
+    seen = []
+    with pytest.raises(RuntimeError, match="diverged") as err:
+        evolve(big, ZK, 25.0, 0.5, callbacks=[lambda step, t, u: seen.append(u)])
+    # the last callback saw the last finite state
+    l2 = forward_transform(seen[-1]).l2()
+    assert f"last finite L2 norm {l2:.3e};" in str(err.value)

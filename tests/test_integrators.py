@@ -281,3 +281,10 @@ def test_evolve_validates_args():
         evolve(u0, ZK, 1.0, -0.1)
     with pytest.raises(ValueError):
         evolve(u0, ZK, float("inf"), 0.1)
+    # a stride below 1 is refused before the first step
+    calls = []
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="callback_stride"):
+            evolve(u0, SEM, 0.04, 0.01, callbacks=[lambda *args: calls.append(args)],
+                   callback_stride=stride)
+    assert calls == []

@@ -1,5 +1,7 @@
 """Conserved quantities, Sobolev norms, and mixed space-time norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,25 @@ def test_mixed_norm_single_snapshot_space_only():
     for text in ("x:2,y:2", "T:inf,x:2,y:2"):
         d = MixedNormDescriptor.from_string(text)
         assert mixed_norm(path, d) == pytest.approx(u.l2(), rel=1e-12)
+
+
+def test_mixed_norm_memory_one_path_buffer():
+    # the norm works in one stacked copy of the path: abs, power and the
+    # time weights are applied in place
+    grid = Grid2D(256, 256, 2 * np.pi, 2 * np.pi)
+    rng = np.random.default_rng(5)
+    frames = [rng.standard_normal((grid.nx, grid.ny)) for _ in range(3)]
+    path = TrajectoryPath(grid, np.array([0.0, 0.5, 1.0]), [RealField(grid, v) for v in frames])
+    path_bytes = sum(v.nbytes for v in frames)
+    for text in ("x:inf,y:2,T:2", "T:2,x:2,y:2"):
+        d = MixedNormDescriptor.from_string(text)
+        tracemalloc.start()
+        try:
+            mixed_norm(path, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path_bytes, text
 
 
 def test_mixed_norm_error_cases():
