@@ -223,28 +223,69 @@ def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
         _check_domain(grid, eq.soliton)
 
 
-def _quadratic_hat(uhat: np.ndarray, grid: Grid2D, eq: EquationKind, t: float) -> np.ndarray:
-    """Half spectrum of N(u) (dealiased) from the half spectrum of u, in
-    conservative form; the 1/2 of every flux rides on its transform's scale."""
-    if eq.kind == "linear":
-        return np.zeros_like(uhat)
-    tab = _half_symbols(grid)
-    ud = np.where(tab["mask"], uhat, 0.0)
-    u = _from_half(ud)
-    if eq.kind == "zk":
-        nhat = tab["ddx"] * _to_half(u * u, 0.5)
-    else:
-        g1 = _from_half(ud * tab["m1"])
-        g2 = _from_half(ud * tab["m2"])
-        flux_x = u * g1
-        flux_y = u * g2
-        if eq.kind == "sem_on_soliton":
-            p = eq.soliton
-            phi = soliton_shape(p.omega, _wrapped_offset(grid, p, t))[:, None]
-            flux_x = flux_x + phi * (u + g1)
-            flux_y = flux_y + phi * g2
-        nhat = tab["ddx"] * _to_half(flux_x, 0.5) + tab["ddy"] * _to_half(flux_y, 0.5)
-    return np.where(tab["mask"], nhat, 0.0)
+class _Nonlinearity:
+    """The dealiased N(u) of one equation on one grid, in conservative form,
+    from half spectrum to half spectrum; the 1/2 of every flux rides on its
+    transform's scale.
+
+    Built once per public call, it owns its work buffers, so evaluating it
+    allocates nothing of the field's size.  Its spectral side runs on the
+    ``band`` leading half-spectrum columns that hold a retained mode: the
+    rest of the input is dropped by the mask, and of the output is zero.
+    """
+
+    def __init__(self, grid: Grid2D, eq: EquationKind):
+        self.grid, self.eq = grid, eq
+        tab = _half_symbols(grid)
+        self.band = w = int(np.count_nonzero(tab["mask"].any(axis=0)))
+        self.mask = tab["mask"][:, :w]
+        self.outside = ~self.mask
+        self.ddx, self.ddy = tab["ddx"][:, :w], tab["ddy"][:, :w]
+        self.m1, self.m2 = tab["m1"][:, :w], tab["m2"][:, :w]
+        self.shape = (grid.nx, grid.ny)
+        n_fields = {"linear": 0, "zk": 1, "sem": 3, "sem_on_soliton": 4}[eq.kind]
+        self.fields = [np.empty(self.shape) for _ in range(n_fields)]
+        if n_fields:
+            self.ud = np.zeros((grid.nx, w), dtype=complex)
+            self.band_work = np.empty_like(self.ud)
+            self.spectrum = np.empty((grid.nx, grid.ny // 2 + 1), dtype=complex)
+
+    def __call__(self, uhat: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """Write the half spectrum of N(u(t)) into ``out`` and return it;
+        ``uhat`` is the half spectrum of u."""
+        kind, w, shape = self.eq.kind, self.band, self.shape
+        if kind == "linear":
+            out[...] = 0.0
+            return out
+        out[:, w:] = 0.0
+        ud, work, spec = self.ud, self.band_work, self.spectrum
+        np.copyto(ud, uhat[:, :w], where=self.mask)
+        u = _from_half(ud, shape, out=self.fields[0])
+        nhat = out[:, :w]
+        if kind == "zk":
+            np.multiply(u, u, out=u)
+            np.multiply(self.ddx, _to_half(u, 0.5, out=spec)[:, :w], out=nhat)
+        else:
+            g1 = _from_half(np.multiply(ud, self.m1, out=work), shape, out=self.fields[1])
+            g2 = _from_half(np.multiply(ud, self.m2, out=work), shape, out=self.fields[2])
+            if kind == "sem":
+                flux_x = np.multiply(u, g1, out=g1)
+                flux_y = np.multiply(u, g2, out=g2)
+            else:
+                # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
+                p = self.eq.soliton
+                phi = soliton_shape(p.omega, _wrapped_offset(self.grid, p, t))[:, None]
+                flux_x = np.multiply(u, g1, out=self.fields[3])
+                g1 += u
+                g1 *= phi
+                flux_x += g1
+                phi_g2 = np.multiply(g2, phi, out=g1)
+                flux_y = np.multiply(u, g2, out=g2)
+                flux_y += phi_g2
+            np.multiply(self.ddx, _to_half(flux_x, 0.5, out=spec)[:, :w], out=nhat)
+            nhat += np.multiply(self.ddy, _to_half(flux_y, 0.5, out=spec)[:, :w], out=work)
+        np.copyto(nhat, 0.0, where=self.outside)
+        return out
 
 
 def background_terms(u: RealField, p: SolitonParams, t: float) -> RealField:
@@ -266,7 +307,10 @@ def nonlinear_rhs(u: RealField, eq: EquationKind, t: float = 0.0) -> RealField:
     """
     g = u.grid
     _check_equation(g, eq)
-    return RealField(g, _from_half(_quadratic_hat(_to_half(u.values), g, eq, t)))
+    kernel = _Nonlinearity(g, eq)
+    uhat = _to_half(u.values)
+    nhat = kernel(uhat, t, np.empty_like(uhat))
+    return RealField(g, _from_half(nhat[:, :kernel.band], (g.nx, g.ny)))
 
 
 def solve_potential(u: RealField) -> RealField:

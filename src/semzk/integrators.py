@@ -23,13 +23,14 @@ quadrature as :func:`picard_solve`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from semzk.dynamics import EquationKind, _check_equation, _phase, _quadratic_hat
+from semzk.dynamics import EquationKind, _check_equation, _Nonlinearity, _phase
 from semzk.norms import _half_sobolev_weight
 from semzk.spectral import Grid2D, RealField, _from_half, _half_symbols, _to_half
 
@@ -117,19 +118,20 @@ class PicardReport:
 # Duhamel integral
 
 
-def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
-                 grid: Grid2D, eq: EquationKind) -> np.ndarray:
+def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, back_phases: np.ndarray,
+                 kernel: _Nonlinearity, nhat: np.ndarray) -> np.ndarray:
     """``integral_{t_0}^{t_j} U(-t') N(u(t')) dt'`` at every node ``t_j``.
 
     ``uhats`` holds the half spectra of ``u`` on the node lattice ``times`` and
-    ``phases`` the matching ``exp(i t omega)``; the integral is the
+    ``back_phases`` the matching ``exp(-i t omega)``; ``nhat``, shaped like
+    ``uhats``, is overwritten with the integrand.  The integral is the
     cumulative composite trapezoid rule.  Multiplying node ``j`` by
-    ``phases[j]`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
+    ``exp(i t_j omega)`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
     """
-    nhat = np.empty_like(uhats)
     for j in range(times.size):
-        nhat[j] = _quadratic_hat(uhats[j], grid, eq, float(times[j]))
-    return cumulative_trapezoid(np.conj(phases) * nhat, x=times, axis=0, initial=0.0)
+        kernel(uhats[j], float(times[j]), nhat[j])
+    np.multiply(back_phases, nhat, out=nhat)
+    return cumulative_trapezoid(nhat, x=times, axis=0, initial=0.0)
 
 
 def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
@@ -147,7 +149,8 @@ def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
     times = path.times[:i + 1]
     uhats = _to_half(np.stack([f.values for f in path.fields[:i + 1]]))
     phases = _phase(_half_symbols(grid)["omega"], times)
-    integ = _duhamel_hat(uhats, times, phases, grid, eq)
+    integ = _duhamel_hat(uhats, times, np.conj(phases), _Nonlinearity(grid, eq),
+                         np.empty_like(uhats))
     return RealField(grid, _from_half(phases[-1] * integ[-1]))
 
 
@@ -170,21 +173,26 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError("picard_solve needs a positive horizon T")
-    if nodes < 2:
-        raise ValueError("picard_solve needs at least two time nodes")
+    if not isinstance(nodes, numbers.Integral) or nodes < 2:
+        raise ValueError(f"picard_solve needs an integer number of time nodes >= 2, got {nodes!r}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"picard_solve needs an integer max_iter >= 1, got {max_iter!r}")
     grid = u0.grid
     _check_equation(grid, eq)
     times = np.linspace(0.0, T, nodes)
     u0hat = _to_half(u0.values)
     phases = _phase(_half_symbols(grid)["omega"], times)
+    back_phases = np.conj(phases)
     w2s = _half_sobolev_weight(grid, s)
     area = grid.lx * grid.ly
+    kernel = _Nonlinearity(grid, eq)
+    nhat = np.empty_like(phases)
 
     current = phases * u0hat[None, :, :]
     report = PicardReport(iterations=0, tol=tol, sobolev_index=s)
     for _ in range(max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
-            integ = _duhamel_hat(current, times, phases, grid, eq)
+            integ = _duhamel_hat(current, times, back_phases, kernel, nhat)
             new = phases * (u0hat[None, :, :] - integ)
             if not np.all(np.isfinite(new.view(np.float64))):
                 last = f"{report.distances[-1]:.3e}" if report.distances else "none"
@@ -208,20 +216,46 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
 # integrating-factor RK4
 
 
-def _ifrk4_hat(uhat: np.ndarray, grid: Grid2D, eq: EquationKind, t: float, dt: float,
-               half_phase: np.ndarray, full_phase: np.ndarray) -> np.ndarray:
-    """One IFRK4 step on the half spectrum (phases precomputed for ``dt``)."""
-    E, E2 = half_phase, full_phase
-    cE, cE2 = np.conj(E), np.conj(E2)
+def _step_phases(grid: Grid2D, dt: float) -> tuple[np.ndarray, ...]:
+    """``E = exp(i dt/2 omega)``, ``E**2`` and their conjugates on the half
+    spectrum: the phases of one IFRK4 step of size ``dt``."""
+    E = _phase(_half_symbols(grid)["omega"], 0.5 * dt)
+    E2 = E * E
+    return E, E2, np.conj(E), np.conj(E2)
 
-    def rhs(vhat, tt):
-        return -_quadratic_hat(vhat, grid, eq, tt)
 
-    k1 = rhs(uhat, t)
-    k2 = cE * rhs(E * (uhat + 0.5 * dt * k1), t + 0.5 * dt)
-    k3 = cE * rhs(E * (uhat + 0.5 * dt * k2), t + 0.5 * dt)
-    k4 = cE2 * rhs(E2 * (uhat + dt * k3), t + dt)
-    return E2 * (uhat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+def _ifrk4_hat(uhat: np.ndarray, kernel: _Nonlinearity, t: float, dt: float,
+               phases: tuple[np.ndarray, ...], out: np.ndarray,
+               acc: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """One IFRK4 step on the half spectrum, written into ``out``.
+
+    ``phases`` comes from :func:`_step_phases`; ``acc`` and ``k`` are work
+    buffers shaped like ``uhat``.  The stages ``k_i = -conj(phase) N(...)``
+    are summed as they come, in the order ``k1 + 2 k2 + 2 k3 + k4``, and
+    the arguments of stages 2-4 are built in ``out``.  The buffers hold
+    ``-k_i``, so every minus sign rides on a scalar coefficient.
+    """
+    E, E2, cE, cE2 = phases
+    h = 0.5 * dt
+
+    def stage(k_prev, coef, phase, tt, back):
+        """``-k_i`` into ``k`` from the argument ``phase (uhat + coef k_prev)``."""
+        np.multiply(coef, k_prev, out=out)
+        np.add(out, uhat, out=out)
+        np.multiply(phase, out, out=out)
+        kernel(out, tt, k)
+        np.multiply(back, k, out=k)
+
+    kernel(uhat, t, acc)
+    stage(acc, -h, E, t + h, cE)
+    acc += np.multiply(2.0, k, out=out)
+    stage(k, -h, E, t + h, cE)
+    acc += np.multiply(2.0, k, out=out)
+    stage(k, -dt, E2, t + dt, cE2)
+    acc += k
+    np.multiply(-(dt / 6.0), acc, out=out)
+    out += uhat
+    return np.multiply(E2, out, out=out)
 
 
 def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField:
@@ -235,9 +269,11 @@ def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField
         raise ValueError("step size must be finite and nonzero")
     grid = u.grid
     _check_equation(grid, eq)
-    E = _phase(_half_symbols(grid)["omega"], 0.5 * dt)
+    uhat = _to_half(u.values)
+    work = [np.empty_like(uhat) for _ in range(3)]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _from_half(_ifrk4_hat(_to_half(u.values), grid, eq, t, dt, E, E * E))
+        new = _ifrk4_hat(uhat, _Nonlinearity(grid, eq), t, dt, _step_phases(grid, dt), *work)
+        vals = _from_half(new)
     if not np.all(np.isfinite(vals)):
         raise RuntimeError(f"step diverged at t = {t:.6g}; last finite L2 norm "
                            f"{u.l2():.3e}; reduce dt")
@@ -276,22 +312,24 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
     n_steps = max(1, int(round(abs(T) / dt)))
     dt_eff = T / n_steps
     tab = _half_symbols(grid)
-    E = _phase(tab["omega"], 0.5 * dt_eff)
-    E2 = E * E
+    phases = _step_phases(grid, dt_eff)
+    kernel = _Nonlinearity(grid, eq)
 
+    # two state buffers, alternated, and the step's two work buffers
     uhat = _to_half(u0.values)
+    new, acc, k = (np.empty_like(uhat) for _ in range(3))
     for cb in callbacks:
         cb(0, 0.0, u0)
     for i in range(n_steps):
         t = i * dt_eff
         with np.errstate(over="ignore", invalid="ignore"):
-            new = _ifrk4_hat(uhat, grid, eq, t, dt_eff, E, E2)
+            _ifrk4_hat(uhat, kernel, t, dt_eff, phases, new, acc, k)
         if not np.all(np.isfinite(new.view(np.float64))):
             l2 = math.sqrt(grid.lx * grid.ly * np.sum(tab["columns"] * np.abs(uhat) ** 2))
             raise RuntimeError(
                 f"step diverged at step {i + 1} of {n_steps} (t = {t:.6g}); last finite "
                 f"L2 norm {l2:.3e}; reduce dt")
-        uhat = new
+        uhat, new = new, uhat
         step = i + 1
         if step == n_steps or (callbacks and step % callback_stride == 0):
             last = RealField(grid, _from_half(uhat))

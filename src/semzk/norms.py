@@ -24,7 +24,6 @@ from semzk.spectral import (
     RealField,
     SpectralField,
     _half_symbols,
-    _half_width,
     _readonly,
     _to_half,
 )
@@ -55,19 +54,24 @@ def conserved_I2(u: RealField) -> float:
     return float(np.sum(u.values**2) * u.grid.dx * u.grid.dy)
 
 
+def _hs_weight(xi: np.ndarray, mu: np.ndarray, s: float) -> np.ndarray:
+    """The squared H^s weight ``(1 + |(xi, mu)|)^(2s)`` on a lattice."""
+    return (1.0 + np.hypot(xi, mu)) ** (2.0 * s)
+
+
 @lru_cache(maxsize=32)
 def _sobolev_weight(grid: Grid2D, s: float) -> np.ndarray:
-    """The squared H^s weight ``(1 + |(xi, mu)|)^(2s)`` on every mode
-    (read-only, cached per grid and ``s``)."""
-    return _readonly((1.0 + np.hypot(grid.xi2d, grid.mu2d)) ** (2.0 * s))
+    """:func:`_hs_weight` on every mode (read-only, cached per grid and ``s``)."""
+    return _readonly(_hs_weight(grid.xi2d, grid.mu2d, s))
 
 
 @lru_cache(maxsize=32)
 def _half_sobolev_weight(grid: Grid2D, s: float) -> np.ndarray:
-    """:func:`_sobolev_weight` on the half spectrum times the column
+    """:func:`_hs_weight` on the half spectrum times the column
     multiplicities, so a weighted sum over a half spectrum equals the sum
     over the full one (read-only, cached per grid and ``s``)."""
-    return _readonly(_half_width(_sobolev_weight(grid, s)) * _half_symbols(grid)["columns"])
+    mu = grid.mu2d[:, :grid.ny // 2 + 1]
+    return _readonly(_hs_weight(grid.xi2d, mu, s) * _half_symbols(grid)["columns"])
 
 
 def sobolev_norm(u: RealField | SpectralField, s: float = 1.0) -> float:

@@ -14,8 +14,9 @@ Conventions used throughout the package:
   full complex spectra (the public API and the space-time fields), and
   ``_to_half``/``_from_half`` for the real half spectra of shape
   ``(..., nx, ny//2 + 1)`` that the solvers evolve.  Every symbol table
-  comes from the per-grid cache ``_symbols``, or its half-width copy
-  ``_half_symbols``.
+  comes from the per-grid cache ``_symbols``, or its half-width
+  counterpart ``_half_symbols``; both evaluate the one formula of
+  ``_symbol_tables``.
 * A half spectrum stores the columns ``k = 0 .. ny/2`` of a real field's
   spectrum; the columns ``k = -ny/2+1 .. -1`` are the conjugates of the
   stored ones.  A sum over the full spectrum of a quantity even under
@@ -303,26 +304,28 @@ def _to_values(coeffs: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     return np.real(np.fft.ifftn(coeffs, axes=axes)) * size
 
 
-def _to_half(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _to_half(values: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum series coefficients of real samples over the last two
-    axes, times ``scale`` (folded into the one normalizing pass)."""
-    coeffs = np.fft.rfftn(values, axes=(-2, -1))
+    axes, times ``scale`` (folded into the one normalizing pass), written
+    into ``out`` when it is given."""
+    coeffs = np.fft.rfftn(values, axes=(-2, -1), out=out)
     coeffs *= scale / (values.shape[-2] * values.shape[-1])
     return coeffs
 
 
-def _from_half(coeffs: np.ndarray) -> np.ndarray:
+def _from_half(coeffs: np.ndarray, shape: tuple[int, int] | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of half-spectrum series coefficients over the last two
-    axes.  A grid's ``ny`` is even, so the transform's default output length
-    ``2 * (ny//2)`` recovers it; ``norm="forward"`` leaves the inverse
-    unscaled, which is the series convention."""
-    return np.fft.irfftn(coeffs, axes=(-2, -1), norm="forward")
+    axes, written into ``out`` when it is given.
 
-
-def _half_width(table: np.ndarray) -> np.ndarray:
-    """Contiguous copy of the half-spectrum columns ``k = 0 .. ny/2`` of a
-    full ``(..., nx, ny)`` table."""
-    return np.ascontiguousarray(table[..., :table.shape[-1] // 2 + 1])
+    Without ``shape`` the coefficients are a whole half spectrum, and a
+    grid's ``ny`` is even, so the transform's default output length
+    ``2 * (ny//2)`` recovers it.  With the sample shape ``(nx, ny)``,
+    ``coeffs`` may hold only the leading columns of the half spectrum, the
+    rest being zero: the x-pass then runs on those columns alone.
+    ``norm="forward"`` leaves the inverse unscaled, which is the series
+    convention."""
+    return np.fft.irfftn(coeffs, s=shape, axes=(-2, -1), norm="forward", out=out)
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -342,15 +345,17 @@ def inverse_transform(F: SpectralField) -> RealField:
     return RealField(F.grid, _to_values(F.coeffs))
 
 
-@lru_cache(maxsize=32)
-def _symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
-    """The grid's read-only symbol tables, cached by grid value.
+def _symbol_tables(grid: Grid2D, ncols: int) -> dict[str, np.ndarray]:
+    """The read-only symbol tables on the leading ``ncols`` columns of the
+    grid's mode lattice.
 
     One complex table per entry of ``MULTIPLIER_KINDS``, zeroed on the
     Nyquist rows/columns, plus the real dispersion symbol ``omega`` and the
-    two-thirds dealiasing ``mask``.
+    two-thirds dealiasing ``mask``.  Every entry is evaluated pointwise, so
+    the tables on fewer columns are exactly the leading columns of the full
+    ones.
     """
-    xi, mu = grid.xi2d, grid.mu2d
+    xi, mu = grid.xi2d, grid.mu2d[:, :ncols]
     r2 = xi**2 + mu**2
     safe = r2.copy()
     safe[0, 0] = 1.0  # the undefined (0,0) entries are zeroed below
@@ -363,27 +368,36 @@ def _symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
         "inv_laplacian_dx": (1j * xi) / -safe,
         "symbol_omega": xi * r2 + 0j,
     }
+    nyquist = grid.nyquist_mask[:, :ncols]
     for kind, vals in tables.items():
-        vals = np.broadcast_to(vals, (grid.nx, grid.ny)).astype(np.complex128)
+        vals = np.broadcast_to(vals, (grid.nx, ncols)).astype(np.complex128)
         if kind in ("m1", "m2", "inv_laplacian_dx"):
             vals[0, 0] = 0.0
-        vals[grid.nyquist_mask] = 0.0
+        vals[nyquist] = 0.0
         tables[kind] = _readonly(vals)
     tables["omega"] = tables["symbol_omega"].real
-    tables["mask"] = _readonly(grid.dealias_mask())
-    return MappingProxyType(tables)
+    tables["mask"] = _readonly(np.ascontiguousarray(grid.dealias_mask()[:, :ncols]))
+    return tables
+
+
+@lru_cache(maxsize=32)
+def _symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
+    """The grid's symbol tables (see :func:`_symbol_tables`), cached by
+    grid value."""
+    return MappingProxyType(_symbol_tables(grid, grid.ny))
 
 
 @lru_cache(maxsize=32)
 def _half_symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
     """The tables of :func:`_symbols` on the half spectrum, cached by grid.
 
-    Each entry is a read-only contiguous copy of the columns ``k = 0 ..
-    ny/2`` of the full table; the Nyquist column ``k = ny/2`` is zero in
-    every symbol and in the mask.  ``columns`` holds the multiplicity of
-    each column in the full spectrum (see the module docstring).
+    Each entry holds the columns ``k = 0 .. ny/2`` of the full table,
+    evaluated on those columns alone; the Nyquist column ``k = ny/2`` is
+    zero in every symbol and in the mask.  ``columns`` holds the
+    multiplicity of each column in the full spectrum (see the module
+    docstring).
     """
-    tables = {kind: _readonly(_half_width(vals)) for kind, vals in _symbols(grid).items()}
+    tables = _symbol_tables(grid, grid.ny // 2 + 1)
     columns = np.full(grid.ny // 2 + 1, 2.0)
     columns[[0, -1]] = 1.0
     tables["columns"] = _readonly(columns)

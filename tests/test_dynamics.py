@@ -9,7 +9,7 @@ from semzk.dynamics import (
     ZK,
     EquationKind,
     SolitonParams,
-    _quadratic_hat,
+    _Nonlinearity,
     background_terms,
     nonlinear_rhs,
     poisson_residual,
@@ -265,7 +265,7 @@ def test_mean_mode_of_nonlinearity_is_zero():
     uhat = _to_half(u.values)
     p = SolitonParams(omega=1.0, x0=40.0)
     for eq in (ZK, SEM, sem_on_soliton(p)):
-        assert _quadratic_hat(uhat, g, eq, 0.3)[0, 0] == 0.0
+        assert _Nonlinearity(g, eq)(uhat, 0.3, np.empty_like(uhat))[0, 0] == 0.0
 
 
 def test_linear_kind_has_zero_rhs():

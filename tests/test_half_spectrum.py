@@ -15,17 +15,21 @@ from semzk.dynamics import (
     SEM,
     ZK,
     SolitonParams,
+    _Nonlinearity,
     nonlinear_rhs,
     propagator_apply,
     sem_on_soliton,
     soliton_profile,
 )
 from semzk.integrators import evolve, ifrk4_step, picard_solve
-from semzk.norms import sobolev_norm
+from semzk.norms import _half_sobolev_weight, _sobolev_weight, sobolev_norm
 from semzk.spectral import (
     Grid2D,
     RealField,
     SpectralField,
+    _half_symbols,
+    _symbols,
+    _to_half,
     dealias,
     forward_transform,
     inverse_transform,
@@ -99,6 +103,35 @@ def test_nonlinear_rhs_matches_full_spectrum(grid):
     u = noise_field(grid, 1)
     for eq in EQUATIONS:
         assert_close(nonlinear_rhs(u, eq, 0.7).values, reference_rhs(u, eq, 0.7).values)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_kernel_overwrites_its_output(grid):
+    # the kernel writes every column of the caller's buffer, the zeros
+    # beyond its band included, whatever the buffer held before
+    u = noise_field(grid, 5)
+    uhat = _to_half(u.values)
+    for eq in EQUATIONS:
+        kernel = _Nonlinearity(grid, eq)
+        clean = kernel(uhat, 0.7, np.zeros_like(uhat)).copy()
+        dirty = kernel(uhat, 0.7, np.full_like(uhat, np.nan))
+        assert np.array_equal(dirty, clean)
+        assert not np.any(clean[:, kernel.band:])
+        assert np.any(_half_symbols(grid)["mask"][:, kernel.band - 1])
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_half_tables_are_the_leading_columns_of_the_full_ones(grid):
+    for cache in (_symbols, _half_symbols, _sobolev_weight, _half_sobolev_weight):
+        cache.cache_clear()
+    tables, weight = _half_symbols(grid), _half_sobolev_weight(grid, 1.0)
+    # the half tables are built without the full ones
+    assert _symbols.cache_info().currsize == 0
+    assert _sobolev_weight.cache_info().currsize == 0
+    half = grid.ny // 2 + 1
+    for kind, full in _symbols(grid).items():
+        assert np.array_equal(tables[kind], full[:, :half])
+    assert np.array_equal(weight, _sobolev_weight(grid, 1.0)[:, :half] * tables["columns"])
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)

@@ -155,6 +155,10 @@ def test_picard_rejects_bad_horizon():
         picard_solve(u0, ZK, 0.0)
     with pytest.raises(ValueError):
         picard_solve(u0, ZK, 1.0, nodes=1)
+    with pytest.raises(ValueError, match="nodes"):
+        picard_solve(u0, ZK, 1.0, nodes=2.5)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(u0, ZK, 1.0, max_iter=0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +235,34 @@ def test_evolve_memory_does_not_grow_with_steps():
         finally:
             tracemalloc.stop()
     assert peaks[200] <= 1.1 * peaks[50]
+
+
+@pytest.mark.parametrize("grid, eq", [(Grid2D(128, 128, 2 * np.pi, 2 * np.pi), SEM),
+                                      (Grid2D(96, 96, 2 * np.pi, 2 * np.pi), ZK)],
+                         ids=["sem-128", "zk-96"])
+def test_evolve_step_transients_stay_small(grid, eq):
+    # The stages and the nonlinearity write into buffers evolve holds for
+    # the whole run, so what one step adds at its peak is about the fresh
+    # field handed to the callbacks, not a dozen stage temporaries.
+    u0 = smooth_field(grid, 16, 0.1)
+    evolve(u0, eq, 1e-3, 1e-3)  # build the cached spectral tables first
+    half_bytes = grid.nx * (grid.ny // 2 + 1) * np.dtype(complex).itemsize
+    base, rises = [], []
+
+    def watch(step, t, u):
+        current, peak = tracemalloc.get_traced_memory()
+        if base:
+            rises.append(peak - base[-1])
+        base.append(current)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        evolve(u0, eq, 0.02, 1e-3, callbacks=[watch])
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 20
+    assert max(rises) < 4 * half_bytes
 
 
 def test_evolve_time_reversal_linear():
