@@ -46,6 +46,7 @@ from semzk.spectral import (
     RealField,
     SpectralField,
     _from_half,
+    _half_ncols,
     _half_symbols,
     _symbols,
     _to_half,
@@ -248,7 +249,7 @@ class _Nonlinearity:
         if n_fields:
             self.ud = np.zeros((grid.nx, w), dtype=complex)
             self.band_work = np.empty_like(self.ud)
-            self.spectrum = np.empty((grid.nx, grid.ny // 2 + 1), dtype=complex)
+            self.spectrum = np.empty((grid.nx, _half_ncols(grid)), dtype=complex)
 
     def __call__(self, uhat: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """Write the half spectrum of N(u(t)) into ``out`` and return it;
@@ -309,8 +310,7 @@ def nonlinear_rhs(u: RealField, eq: EquationKind, t: float = 0.0) -> RealField:
     _check_equation(g, eq)
     kernel = _Nonlinearity(g, eq)
     uhat = _to_half(u.values)
-    nhat = kernel(uhat, t, np.empty_like(uhat))
-    return RealField(g, _from_half(nhat[:, :kernel.band], (g.nx, g.ny)))
+    return RealField(g, _from_half(kernel(uhat, t, np.empty_like(uhat))))
 
 
 def solve_potential(u: RealField) -> RealField:

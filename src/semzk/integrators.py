@@ -118,19 +118,19 @@ class PicardReport:
 # Duhamel integral
 
 
-def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, back_phases: np.ndarray,
+def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
                  kernel: _Nonlinearity, nhat: np.ndarray) -> np.ndarray:
     """``integral_{t_0}^{t_j} U(-t') N(u(t')) dt'`` at every node ``t_j``.
 
     ``uhats`` holds the half spectra of ``u`` on the node lattice ``times`` and
-    ``back_phases`` the matching ``exp(-i t omega)``; ``nhat``, shaped like
+    ``phases`` the matching ``exp(i t omega)``; ``nhat``, shaped like
     ``uhats``, is overwritten with the integrand.  The integral is the
     cumulative composite trapezoid rule.  Multiplying node ``j`` by
-    ``exp(i t_j omega)`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
+    ``phases[j]`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
     """
     for j in range(times.size):
         kernel(uhats[j], float(times[j]), nhat[j])
-    np.multiply(back_phases, nhat, out=nhat)
+        np.multiply(np.conj(phases[j]), nhat[j], out=nhat[j])
     return cumulative_trapezoid(nhat, x=times, axis=0, initial=0.0)
 
 
@@ -149,8 +149,7 @@ def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
     times = path.times[:i + 1]
     uhats = _to_half(np.stack([f.values for f in path.fields[:i + 1]]))
     phases = _phase(_half_symbols(grid)["omega"], times)
-    integ = _duhamel_hat(uhats, times, np.conj(phases), _Nonlinearity(grid, eq),
-                         np.empty_like(uhats))
+    integ = _duhamel_hat(uhats, times, phases, _Nonlinearity(grid, eq), np.empty_like(uhats))
     return RealField(grid, _from_half(phases[-1] * integ[-1]))
 
 
@@ -182,7 +181,6 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     times = np.linspace(0.0, T, nodes)
     u0hat = _to_half(u0.values)
     phases = _phase(_half_symbols(grid)["omega"], times)
-    back_phases = np.conj(phases)
     w2s = _half_sobolev_weight(grid, s)
     area = grid.lx * grid.ly
     kernel = _Nonlinearity(grid, eq)
@@ -192,7 +190,7 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     report = PicardReport(iterations=0, tol=tol, sobolev_index=s)
     for _ in range(max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
-            integ = _duhamel_hat(current, times, back_phases, kernel, nhat)
+            integ = _duhamel_hat(current, times, phases, kernel, nhat)
             new = phases * (u0hat[None, :, :] - integ)
             if not np.all(np.isfinite(new.view(np.float64))):
                 last = f"{report.distances[-1]:.3e}" if report.distances else "none"

@@ -23,6 +23,7 @@ from semzk.spectral import (
     Grid2D,
     RealField,
     SpectralField,
+    _half_ncols,
     _half_symbols,
     _readonly,
     _to_half,
@@ -70,7 +71,7 @@ def _half_sobolev_weight(grid: Grid2D, s: float) -> np.ndarray:
     """:func:`_hs_weight` on the half spectrum times the column
     multiplicities, so a weighted sum over a half spectrum equals the sum
     over the full one (read-only, cached per grid and ``s``)."""
-    mu = grid.mu2d[:, :grid.ny // 2 + 1]
+    mu = grid.mu2d[:, :_half_ncols(grid)]
     return _readonly(_hs_weight(grid.xi2d, mu, s) * _half_symbols(grid)["columns"])
 
 

@@ -387,6 +387,11 @@ def _symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
     return MappingProxyType(_symbol_tables(grid, grid.ny))
 
 
+def _half_ncols(grid: Grid2D) -> int:
+    """The number of columns ``k = 0 .. ny/2`` of the grid's half spectrum."""
+    return grid.ny // 2 + 1
+
+
 @lru_cache(maxsize=32)
 def _half_symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
     """The tables of :func:`_symbols` on the half spectrum, cached by grid.
@@ -397,8 +402,9 @@ def _half_symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
     multiplicity of each column in the full spectrum (see the module
     docstring).
     """
-    tables = _symbol_tables(grid, grid.ny // 2 + 1)
-    columns = np.full(grid.ny // 2 + 1, 2.0)
+    ncols = _half_ncols(grid)
+    tables = _symbol_tables(grid, ncols)
+    columns = np.full(ncols, 2.0)
     columns[[0, -1]] = 1.0
     tables["columns"] = _readonly(columns)
     return MappingProxyType(tables)
