@@ -291,14 +291,35 @@ def block_modes(grid: Grid2D, t_box: float, nt: int, n: int,
                                _check_level(n), _check_level(l))
 
 
+def _mode_keys(modes: np.ndarray, grid: Grid2D, nt: int) -> np.ndarray:
+    """One integer per centered mode, injective on the modes of an
+    (nx, ny, nt) lattice and on their negations (hence the strides n + 1)."""
+    jx, jy, jt = (np.asarray(modes, dtype=np.int64)
+                  + (grid.nx // 2, grid.ny // 2, nt // 2)).T
+    return (jx * (grid.ny + 1) + jy) * (nt + 1) + jt
+
+
+def _conjugate_partner(modes: np.ndarray, grid: Grid2D, nt: int):
+    """Row of each mode's negation in the distinct `modes`, or None when some
+    negation is missing."""
+    modes = np.asarray(modes, dtype=np.int64)
+    key = _mode_keys(modes, grid, nt)
+    neg = _mode_keys(-modes, grid, nt)
+    order = np.argsort(key)
+    rows = np.searchsorted(key, neg, sorter=order)
+    partner = order[np.minimum(rows, key.size - 1)]
+    return partner if np.array_equal(key[partner], neg) else None
+
+
 @dataclass
 class SparseBlock:
     """A space-time field stored as a short list of Fourier modes.
 
-    `modes` holds centered integer indices (jx, jy, jt) and `values` the
-    matching complex coefficients.  Compared to a dense
-    :class:`SpaceTimeField`, this form stays cheap on fine lattices where a
-    dyadic block touches only a tiny fraction of the modes.
+    `modes` holds distinct centered integer indices (jx, jy, jt), each in
+    ``[-n/2, n/2)`` for its axis length n, and `values` the matching complex
+    coefficients.  Compared to a dense :class:`SpaceTimeField`, this form
+    stays cheap on fine lattices where a dyadic block touches only a tiny
+    fraction of the modes.
     """
 
     grid: Grid2D
@@ -310,8 +331,18 @@ class SparseBlock:
     def __post_init__(self) -> None:
         if self.modes.ndim != 2 or self.modes.shape[1] != 3:
             raise ValueError("modes must have shape (count, 3)")
+        if not np.issubdtype(self.modes.dtype, np.integer):
+            raise ValueError(f"modes must be integers, got dtype {self.modes.dtype}")
         if self.values.shape != (self.modes.shape[0],):
             raise ValueError("values must match the number of modes")
+        sizes = np.array([self.grid.nx, self.grid.ny, self.nt])
+        lo = -(sizes // 2)
+        if np.any((self.modes < lo) | (self.modes >= lo + sizes)):
+            raise ValueError("modes must lie in [-n/2, n/2) on every axis "
+                             f"(n = {self.grid.nx}, {self.grid.ny}, {self.nt})")
+        key = np.sort(_mode_keys(self.modes, self.grid, self.nt))
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("modes must be unique")
 
     @property
     def volume(self) -> float:
@@ -360,13 +391,7 @@ def random_block_sparse(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,
     mags = rng.uniform(0.5, 1.5, modes.shape[0])
     # Average each magnitude with its value at the negated mode so the
     # coefficients stay Hermitian-symmetric.
-    key = ((modes[:, 0] + grid.nx // 2) * grid.ny
-           + (modes[:, 1] + grid.ny // 2)) * nt + (modes[:, 2] + nt // 2)
-    neg = ((-modes[:, 0] + grid.nx // 2) * grid.ny
-           + (-modes[:, 1] + grid.ny // 2)) * nt + (-modes[:, 2] + nt // 2)
-    order = np.argsort(key)
-    partner = order[np.searchsorted(key, neg, sorter=order)]
-    mags = 0.5 * (mags + mags[partner])
+    mags = 0.5 * (mags + mags[_conjugate_partner(modes, grid, nt)])
     xi = (2.0 * np.pi / grid.lx) * modes[:, 0]
     mu = (2.0 * np.pi / grid.ly) * modes[:, 1]
     tau = (2.0 * np.pi / t_box) * modes[:, 2]

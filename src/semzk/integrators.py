@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from semzk.dynamics import EquationKind, _check_equation, _Nonlinearity, _phase
 from semzk.norms import _half_sobolev_weight
@@ -124,14 +123,27 @@ def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
 
     ``uhats`` holds the half spectra of ``u`` on the node lattice ``times`` and
     ``phases`` the matching ``exp(i t omega)``; ``nhat``, shaped like
-    ``uhats``, is overwritten with the integrand.  The integral is the
-    cumulative composite trapezoid rule.  Multiplying node ``j`` by
-    ``phases[j]`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
+    ``uhats``, receives the integrand and is returned holding the integral.
+    The integral is the cumulative composite trapezoid rule, summed in place
+    with the operations and per-interval steps ``np.diff(times)`` of
+    ``scipy.integrate.cumulative_trapezoid``, so it matches that function to
+    the bit without its three temporary node stacks.  Multiplying node ``j``
+    by ``phases[j]`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
     """
     for j in range(times.size):
         kernel(uhats[j], float(times[j]), nhat[j])
         np.multiply(np.conj(phases[j]), nhat[j], out=nhat[j])
-    return cumulative_trapezoid(nhat, x=times, axis=0, initial=0.0)
+    steps = np.diff(times)
+    # Interval j-1 goes into slot j from the top down, so the lower node it
+    # reads is still the integrand; then the slots are summed from the bottom.
+    for j in range(times.size - 1, 0, -1):
+        np.add(nhat[j], nhat[j - 1], out=nhat[j])
+        np.multiply(steps[j - 1], nhat[j], out=nhat[j])
+        np.divide(nhat[j], 2.0, out=nhat[j])
+    nhat[0] = 0.0
+    for j in range(1, times.size):
+        np.add(nhat[j - 1], nhat[j], out=nhat[j])
+    return nhat
 
 
 def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:

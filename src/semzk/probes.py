@@ -34,7 +34,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.stats import linregress
 
-from .dyadic import SpaceTimeField, SparseBlock, random_block_sparse
+from .dyadic import SpaceTimeField, SparseBlock, _conjugate_partner, random_block_sparse
 from .dynamics import _phase
 from .integrators import TrajectoryPath
 from .norms import MixedNormDescriptor, mixed_norm, sobolev_norm
@@ -168,6 +168,14 @@ def _x_groups(block: SparseBlock):
     return modes, np.asarray(block.values)[order], edges
 
 
+def _is_real(block: SparseBlock) -> bool:
+    """Whether the block is exactly Hermitian: every mode's negation is in
+    the block and carries the exact conjugate value."""
+    partner = _conjugate_partner(block.modes, block.grid, block.nt)
+    return partner is not None and np.array_equal(block.values[partner],
+                                                  np.conj(block.values))
+
+
 def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     """Exact space-time L^2 norm of the product of two sparse fields.
 
@@ -181,6 +189,13 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     is added to the total before the next plane.  Besides the sorted copies
     of the inputs, memory is bounded by the mode pairs of the largest plane
     and one ``span_y * span_t`` accumulator, not by the whole output lattice.
+
+    When both blocks are real fields, the product's coefficients obey
+    ``C(-K) = conj C(K)``, so plane ``-X`` has the squared modulus of plane
+    ``X``: only the planes ``X >= 0`` are built, those with ``X > 0``
+    counted twice.  "Real" is tested exactly: every mode's negation is in
+    the block and carries the exact conjugate value.  Any other pair,
+    near-Hermitian ones included, sums every plane.
     """
     if b1.grid != b2.grid or b1.t_box != b2.t_box or b1.nt != b2.nt:
         raise ValueError("blocks live on different space-time lattices")
@@ -199,8 +214,11 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     plane_pairs = np.convolve(count1, count2)
     keys = np.empty(plane_pairs.max(), dtype=np.intp)
     vals = np.empty(plane_pairs.max(), dtype=complex)
+    # Plane index of X = 0; a real block's jx range is symmetric about 0.
+    zero = -int(m1[0, 0] + m2[0, 0])
+    real = _is_real(b1) and _is_real(b2)
     total = 0.0
-    for plane in range(plane_pairs.size):
+    for plane in range(zero if real else 0, plane_pairs.size):
         end = 0
         for a in range(max(0, plane - count2.size + 1),
                        min(count1.size, plane + 1)):
@@ -216,7 +234,8 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
             end = dest.stop
         re = np.bincount(keys[:end], weights=vals[:end].real, minlength=bins)
         im = np.bincount(keys[:end], weights=vals[:end].imag, minlength=bins)
-        total += float(np.sum(re * re + im * im, dtype=np.float64))
+        weight = 2.0 if real and plane > zero else 1.0
+        total += weight * float(np.sum(re * re + im * im, dtype=np.float64))
     return math.sqrt(b1.volume * total)
 
 

@@ -9,6 +9,8 @@ from semzk.dyadic import (
     BUMP_PLATEAU,
     BUMP_SUPPORT,
     SpaceTimeField,
+    SparseBlock,
+    _conjugate_partner,
     annulus,
     bump,
     dispersion_values,
@@ -20,6 +22,7 @@ from semzk.dyadic import (
     project_frequency,
     project_modulation,
     random_block,
+    random_block_sparse,
     smooth_step,
     spacetime_from_snapshots,
     tau_values,
@@ -218,3 +221,45 @@ class TestRandomBlock:
         # tau only reaches +-7 here, far below the l = 64 plateau
         with pytest.raises(ValueError, match="no modes"):
             random_block(G, 2 * np.pi, 16, 1, 64, seed=0)
+
+
+class TestSparseBlock:
+    def block(self, modes, values=None, nt=8):
+        modes = np.asarray(modes)
+        if values is None:
+            values = np.ones(modes.shape[0], dtype=complex)
+        return SparseBlock(G, 2 * np.pi, nt, modes, values)
+
+    def test_rejects_duplicate_modes(self):
+        # summed by the sparse product but overwritten by to_field, the two
+        # copies gave 63.0 against 15.7 dense
+        with pytest.raises(ValueError, match="unique"):
+            self.block([[1, 1, 1], [1, 1, 1]])
+        with pytest.raises(ValueError, match="unique"):
+            self.block([[0, 0, 0], [1, -2, 3], [0, 0, 0]])
+
+    def test_rejects_modes_outside_the_lattice(self):
+        # to_field would wrap 16 onto -16 and 4 onto -4
+        for mode in ([16, 0, 0], [0, -17, 0], [0, 0, 4], [0, 0, -5]):
+            with pytest.raises(ValueError, match=r"\[-n/2, n/2\)"):
+                self.block([[0, 0, 0], mode])
+        edge = self.block([[-16, -16, -4], [15, 15, 3]])
+        assert edge.to_field().coeffs[16, 16, 4] == 1.0
+
+    def test_rejects_non_integer_modes(self):
+        with pytest.raises(ValueError, match="integers"):
+            self.block(np.array([[0.0, 1.0, 1.0]]))
+        with pytest.raises(ValueError, match="integers"):
+            self.block(np.array([[True, False, True]]))
+
+    def test_conjugate_partner(self):
+        blk = random_block_sparse(G, 2 * np.pi, 64, 2, 4, seed=3)
+        partner = _conjugate_partner(blk.modes, G, 64)
+        assert np.array_equal(blk.modes[partner], -blk.modes)
+        assert np.array_equal(partner[partner], np.arange(partner.size))
+        # a mode at -n/2 has no negation on the lattice
+        modes = np.array([[0, 0, 0], [-16, 1, 2], [1, 2, 3], [-1, -2, -3]])
+        assert _conjugate_partner(modes, G, 8) is None
+        assert np.array_equal(_conjugate_partner(modes[[0, 2, 3]], G, 8),
+                              [0, 2, 1])
+        assert _conjugate_partner(np.zeros((0, 3), dtype=int), G, 8).size == 0

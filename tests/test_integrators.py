@@ -4,25 +4,36 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from semzk.dynamics import (
     LINEAR,
     SEM,
     ZK,
     SolitonParams,
+    _Nonlinearity,
+    _phase,
     propagator_apply,
     sem_on_soliton,
     soliton_profile,
 )
 from semzk.integrators import (
     TrajectoryPath,
+    _duhamel_hat,
     duhamel_term,
     evolve,
     ifrk4_step,
     picard_solve,
 )
 from semzk.norms import conserved_I1, conserved_I2, sobolev_norm
-from semzk.spectral import Grid2D, RealField, forward_transform, inverse_transform
+from semzk.spectral import (
+    Grid2D,
+    RealField,
+    _half_symbols,
+    _to_half,
+    forward_transform,
+    inverse_transform,
+)
 
 SMALL = Grid2D(32, 32, 2 * np.pi, 2 * np.pi)
 
@@ -111,6 +122,26 @@ def test_duhamel_background_kinds_run():
         assert out.l2() > 0
 
 
+@pytest.mark.parametrize("nodes", [1, 2, 17])
+def test_duhamel_trapezoid_matches_scipy_bits(nodes):
+    # the in-place sum repeats cumulative_trapezoid's operations in its order
+    g = Grid2D(48, 32, 2 * np.pi, 2 * np.pi)
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 0.3, nodes)
+    uhats = _to_half(20.0 * rng.standard_normal((nodes, g.nx, g.ny)))
+    phases = _phase(_half_symbols(g)["omega"], times)
+    kernel = _Nonlinearity(g, SEM)
+    integrand = np.empty_like(uhats)
+    for j in range(nodes):
+        kernel(uhats[j], float(times[j]), integrand[j])
+        np.multiply(np.conj(phases[j]), integrand[j], out=integrand[j])
+    expected = cumulative_trapezoid(integrand, x=times, axis=0, initial=0.0)
+    nhat = np.empty_like(uhats)
+    got = _duhamel_hat(uhats, times, phases, kernel, nhat)
+    assert got is nhat
+    assert np.array_equal(got, expected)
+
+
 # ---------------------------------------------------------------------------
 # Picard iteration
 
@@ -141,6 +172,25 @@ def test_picard_report_shapes():
     _, rep = picard_solve(u0, ZK, 0.2, nodes=33, tol=1e-10)
     assert len(rep.ratios) == len(rep.distances) - 1
     assert rep.iterations == len(rep.distances)
+
+
+def test_picard_memory_in_node_stacks():
+    # A stack is one complex half spectrum per node.  The sweep holds the
+    # phases, the iterate, the integrand buffer and the next iterate, plus
+    # the temporaries of the distance; summing the trapezoid in the
+    # integrand buffer keeps its three extra stacks out (6.6 stacks before).
+    g = Grid2D(128, 128, 2 * np.pi, 2 * np.pi)
+    u0 = smooth_field(g, 8, 0.1)
+    picard_solve(u0, SEM, 1e-3, nodes=5, tol=0.0, max_iter=1)  # cached tables
+    stack = 65 * g.nx * (g.ny // 2 + 1) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        _, rep = picard_solve(u0, SEM, 0.01, nodes=65, tol=0.0, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations == 3
+    assert peak < 6.0 * stack
 
 
 def test_picard_divergence_detected():

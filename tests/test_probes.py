@@ -12,8 +12,10 @@ from semzk.dyadic import (
     block_modes,
     random_block_sparse,
 )
+from semzk import probes
 from semzk.probes import (
     BlockTrial,
+    _is_real,
     bilinear_bound,
     fit_separated_exponent,
     nonlinear_box,
@@ -107,6 +109,43 @@ class TestProductNorm:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_criterion_10_blocks_take_the_real_path(self, monkeypatch):
+        # Every block of criterion 10's coarse and fine sweeps is exactly
+        # Hermitian, so every product there sums half the output planes.
+        seen = []
+
+        def record(b1, b2):
+            seen.append(_is_real(b1) and _is_real(b2))
+            return 1.0
+
+        monkeypatch.setattr(probes, "sparse_product_l2", record)
+        probe_block_bilinear(G, TBOX, 512)
+        probe_block_bilinear(Grid2D(160, 160, 12 * np.pi, 12 * np.pi), TBOX,
+                             512, n_pairs=((1, 4), (2, 8)),
+                             l_pairs=((1, 1), (2, 2), (8, 8)))
+        assert len(seen) == 960 + 60
+        assert all(seen)
+
+    def test_global_phase_takes_the_full_path(self):
+        b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
+        b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2),
+                                 shift=(1.0, 2.0, 3.0))
+        turned = SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes,
+                             np.exp(0.7j) * b1.values)
+        assert _is_real(b1) and _is_real(b2) and not _is_real(turned)
+        assert sparse_product_l2(turned, b2) == pytest.approx(
+            sparse_product_l2(b1, b2), rel=1e-13)
+
+    def test_one_ulp_off_hermitian_takes_the_full_path(self):
+        b1 = random_block_sparse(G, TBOX, 512, 4, 2, seed=(1, 4, 2, 1))
+        b2 = random_block_sparse(G, TBOX, 512, 2, 2, seed=(1, 2, 2, 2))
+        values = b1.values.copy()
+        values[3] = complex(np.nextafter(values[3].real, np.inf), values[3].imag)
+        nudged = SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes, values)
+        assert not _is_real(nudged)
+        dense = product_l2(nudged.to_field(), b2.to_field())
+        assert sparse_product_l2(nudged, b2) == pytest.approx(dense, rel=1e-12)
 
     def test_sparse_rejects_mismatched_lattices(self):
         b1 = random_block_sparse(G, TBOX, 64, 1, 1, seed=1)
