@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from semzk.dyadic import (
     SparseBlock,
     SpaceTimeField,
+    _conjugate_partner,
     block_modes,
     random_block_sparse,
 )
@@ -112,11 +114,14 @@ class TestProductNorm:
 
     def test_criterion_10_blocks_take_the_real_path(self, monkeypatch):
         # Every block of criterion 10's coarse and fine sweeps is exactly
-        # Hermitian, so every product there sums half the output planes.
+        # Hermitian, so every product there sums half the output planes, and
+        # has real coefficients, so every plane takes one real bincount.
         seen = []
 
         def record(b1, b2):
-            seen.append(_is_real(b1) and _is_real(b2))
+            seen.append(_is_real(b1) and _is_real(b2)
+                        and np.all(b1.values.imag == 0.0)
+                        and np.all(b2.values.imag == 0.0))
             return 1.0
 
         monkeypatch.setattr(probes, "sparse_product_l2", record)
@@ -146,6 +151,52 @@ class TestProductNorm:
         assert not _is_real(nudged)
         dense = product_l2(nudged.to_field(), b2.to_field())
         assert sparse_product_l2(nudged, b2) == pytest.approx(dense, rel=1e-12)
+
+    def test_real_coefficients_agree_with_the_other_paths(self, monkeypatch):
+        # Zero-shift blocks have real coefficients: one real bincount per
+        # plane, over the planes X >= 0 when both blocks are also Hermitian.
+        b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1),
+                                 shift=(0.0, 0.0, 0.0))
+        b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2),
+                                 shift=(0.0, 0.0, 0.0))
+        turned = SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes,
+                             np.exp(0.7j) * b1.values)
+        # Drop the partner of the first mode: real coefficients, not Hermitian.
+        partner = _conjugate_partner(b1.modes, G, 512)[0]
+        keep = np.arange(b1.modes.shape[0]) != partner
+        lopsided = SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes[keep],
+                               b1.values[keep])
+        assert np.all(b1.values.imag == 0.0) and np.all(b2.values.imag == 0.0)
+        assert _is_real(b1) and _is_real(b2) and not _is_real(lopsided)
+
+        calls = []
+        bincount = np.bincount
+
+        def record(*args, **kwargs):
+            calls.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", record)
+
+        def planes(f1, f2):
+            jx1, jx2 = f1.modes[:, 0], f2.modes[:, 0]
+            return int(jx1.max() + jx2.max() - jx1.min() - jx2.min() + 1)
+
+        def product(f1, f2):
+            calls.clear()
+            return sparse_product_l2(f1, f2), len(calls)
+
+        real, count = product(b1, b2)
+        assert count == (planes(b1, b2) + 1) // 2
+        complex_, count = product(turned, b2)
+        assert count == 2 * planes(b1, b2)
+        assert real == pytest.approx(complex_, rel=1e-13)
+        assert real == pytest.approx(
+            product_l2(b1.to_field(), b2.to_field()), rel=1e-12)
+        norm, count = product(lopsided, b2)
+        assert count == planes(lopsided, b2)
+        assert norm == pytest.approx(
+            product_l2(lopsided.to_field(), b2.to_field()), rel=1e-12)
 
     def test_sparse_rejects_mismatched_lattices(self):
         b1 = random_block_sparse(G, TBOX, 64, 1, 1, seed=1)
@@ -252,6 +303,45 @@ class TestBilinearProbe:
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
         assert rep1.separated_count == 4
         assert len(rep1.trials) == 8
+
+    def test_shared_translation_leaves_the_norm_unchanged(self):
+        # |u1 u2| is invariant under a common space-time translation, so the
+        # shared blocks can be built at shift zero.
+        rng = np.random.default_rng(11)
+        for n1, l1, n2, l2 in ((1, 1, 4, 1), (2, 2, 8, 2), (4, 8, 4, 1),
+                               (8, 4, 2, 8)):
+            def norm(shift):
+                u1 = random_block_sparse(G, TBOX, 512, n1, l1,
+                                         seed=(0, n1, l1, 1), shift=shift)
+                u2 = random_block_sparse(G, TBOX, 512, n2, l2,
+                                         seed=(0, n2, l2, 2), shift=shift)
+                return sparse_product_l2(u1, u2)
+
+            shift = (rng.uniform(0.0, G.lx), rng.uniform(0.0, G.ly),
+                     rng.uniform(0.0, TBOX))
+            assert norm(shift) == pytest.approx(norm((0.0, 0.0, 0.0)),
+                                                rel=1e-13)
+
+    def test_coarse_trials_obey_the_counting_bound(self):
+        # Cauchy-Schwarz over the N(K) mode pairs that land on one output
+        # mode K gives |u1 u2| <= sqrt(max_K N(K) / volume) for unit blocks.
+        coarse = probe_block_bilinear(G, TBOX, 512)
+        assert len(coarse.trials) == 960
+        bounds = {}
+        for t in coarse.trials:
+            pair = (t.n1, t.l1, t.n2, t.l2)
+            if pair not in bounds:
+                boxes = []
+                for n, l in ((t.n1, t.l1), (t.n2, t.l2)):
+                    modes = block_modes(G, TBOX, 512, n, l)
+                    modes = modes - modes.min(axis=0)
+                    box = np.zeros(modes.max(axis=0) + 1)
+                    box[tuple(modes.T)] = 1.0
+                    boxes.append(box)
+                count = np.rint(fftconvolve(*boxes)).max()
+                bounds[pair] = math.sqrt(count / VOLUME)
+            assert t.product_norm <= bounds[pair]
+        assert len(bounds) == 96
 
     def test_shared_shift_changes_overlap(self):
         shared = probe_block_bilinear(G, TBOX, 256, n_pairs=((1, 4),),
