@@ -164,9 +164,10 @@ def _check_domain(grid: Grid2D, p: SolitonParams) -> None:
             f"(lx = {grid.lx:g}, omega = {p.omega:g}); need the tail below {SEAM_TOLERANCE:g}")
 
 
-def _wrapped_offset(grid: Grid2D, p: SolitonParams, t: float) -> np.ndarray:
-    # distance from the crest, wrapped to [-lx/2, lx/2)
-    d = grid.x - (p.x0 + p.omega * t)
+def _wrapped_offset(grid: Grid2D, p: SolitonParams, t) -> np.ndarray:
+    # distance from the crest, wrapped to [-lx/2, lx/2); one row per time
+    # when ``t`` is an array
+    d = grid.x - (p.x0 + p.omega * np.asarray(t, dtype=float)[..., None])
     return (d + 0.5 * grid.lx) % grid.lx - 0.5 * grid.lx
 
 
@@ -233,10 +234,16 @@ class _Nonlinearity:
     allocates nothing of the field's size.  Its spectral side runs on the
     ``band`` leading half-spectrum columns that hold a retained mode: the
     rest of the input is dropped by the mask, and of the output is zero.
+
+    With ``batch`` it evaluates a stack of up to ``batch`` states in one
+    call, each transform running once over the stack; its buffers then
+    carry that leading node axis, so their size is bounded by the batch and
+    not by the number of nodes the caller holds.  Without it the kernel
+    takes one state.
     """
 
-    def __init__(self, grid: Grid2D, eq: EquationKind):
-        self.grid, self.eq = grid, eq
+    def __init__(self, grid: Grid2D, eq: EquationKind, batch: int | None = None):
+        self.grid, self.eq, self.batch = grid, eq, batch
         tab = _half_symbols(grid)
         self.band = w = int(np.count_nonzero(tab["mask"].any(axis=0)))
         self.mask = tab["mask"][:, :w]
@@ -244,47 +251,54 @@ class _Nonlinearity:
         self.ddx, self.ddy = tab["ddx"][:, :w], tab["ddy"][:, :w]
         self.m1, self.m2 = tab["m1"][:, :w], tab["m2"][:, :w]
         self.shape = (grid.nx, grid.ny)
+        lead = () if batch is None else (batch,)
         n_fields = {"linear": 0, "zk": 1, "sem": 3, "sem_on_soliton": 4}[eq.kind]
-        self.fields = [np.empty(self.shape) for _ in range(n_fields)]
+        self.fields = [np.empty(lead + self.shape) for _ in range(n_fields)]
         if n_fields:
-            self.ud = np.zeros((grid.nx, w), dtype=complex)
+            self.ud = np.zeros(lead + (grid.nx, w), dtype=complex)
             self.band_work = np.empty_like(self.ud)
-            self.spectrum = np.empty((grid.nx, _half_ncols(grid)), dtype=complex)
+            self.spectrum = np.empty(lead + (grid.nx, _half_ncols(grid)), dtype=complex)
 
-    def __call__(self, uhat: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-        """Write the half spectrum of N(u(t)) into ``out`` and return it;
-        ``uhat`` is the half spectrum of u."""
+    def __call__(self, uhat: np.ndarray, t, out: np.ndarray) -> np.ndarray:
+        """Write the half spectrum of N(u(t)) into ``out`` and return it.
+
+        ``uhat`` is the half spectrum of u at the time ``t``; for a batched
+        kernel it is a stack of ``m <= batch`` of them, ``t`` the array of
+        their ``m`` times and ``out`` a stack of the same shape."""
         kind, w, shape = self.eq.kind, self.band, self.shape
         if kind == "linear":
             out[...] = 0.0
             return out
-        out[:, w:] = 0.0
-        ud, work, spec = self.ud, self.band_work, self.spectrum
-        np.copyto(ud, uhat[:, :w], where=self.mask)
-        u = _from_half(ud, shape, out=self.fields[0])
-        nhat = out[:, :w]
+        out[..., w:] = 0.0
+        ud, work, spec, fields = self.ud, self.band_work, self.spectrum, self.fields
+        if uhat.ndim == 3 and uhat.shape[0] < self.batch:
+            m = uhat.shape[0]
+            ud, work, spec, fields = ud[:m], work[:m], spec[:m], [f[:m] for f in fields]
+        np.copyto(ud, uhat[..., :w], where=self.mask)
+        u = _from_half(ud, shape, out=fields[0])
+        nhat = out[..., :w]
         if kind == "zk":
             np.multiply(u, u, out=u)
-            np.multiply(self.ddx, _to_half(u, 0.5, out=spec)[:, :w], out=nhat)
+            np.multiply(self.ddx, _to_half(u, 0.5, out=spec)[..., :w], out=nhat)
         else:
-            g1 = _from_half(np.multiply(ud, self.m1, out=work), shape, out=self.fields[1])
-            g2 = _from_half(np.multiply(ud, self.m2, out=work), shape, out=self.fields[2])
+            g1 = _from_half(np.multiply(ud, self.m1, out=work), shape, out=fields[1])
+            g2 = _from_half(np.multiply(ud, self.m2, out=work), shape, out=fields[2])
             if kind == "sem":
                 flux_x = np.multiply(u, g1, out=g1)
                 flux_y = np.multiply(u, g2, out=g2)
             else:
                 # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
                 p = self.eq.soliton
-                phi = soliton_shape(p.omega, _wrapped_offset(self.grid, p, t))[:, None]
-                flux_x = np.multiply(u, g1, out=self.fields[3])
+                phi = soliton_shape(p.omega, _wrapped_offset(self.grid, p, t))[..., None]
+                flux_x = np.multiply(u, g1, out=fields[3])
                 g1 += u
                 g1 *= phi
                 flux_x += g1
                 phi_g2 = np.multiply(g2, phi, out=g1)
                 flux_y = np.multiply(u, g2, out=g2)
                 flux_y += phi_g2
-            np.multiply(self.ddx, _to_half(flux_x, 0.5, out=spec)[:, :w], out=nhat)
-            nhat += np.multiply(self.ddy, _to_half(flux_y, 0.5, out=spec)[:, :w], out=work)
+            np.multiply(self.ddx, _to_half(flux_x, 0.5, out=spec)[..., :w], out=nhat)
+            nhat += np.multiply(self.ddy, _to_half(flux_y, 0.5, out=spec)[..., :w], out=work)
         np.copyto(nhat, 0.0, where=self.outside)
         return out
 

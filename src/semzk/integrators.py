@@ -15,7 +15,10 @@ Two independent routes to the solution are provided on purpose:
 Both evaluate the nonlinearity through the one conservative-form kernel in
 :mod:`semzk.dynamics` and carry the state as a real half spectrum (see
 :mod:`semzk.spectral`), so their agreement is a genuine cross-check of the
-time discretizations, not of shared stepping code.  :func:`duhamel_term`
+time discretizations, not of shared stepping code.  :func:`evolve` calls
+the kernel on one state per stage; a Picard sweep calls it on batches of
+consecutive time nodes, a few hundred KiB of samples each, so that every
+transform runs once per batch and not once per node.  :func:`duhamel_term`
 exposes the Duhamel integral of a given trajectory through the same
 quadrature as :func:`picard_solve`.
 """
@@ -117,6 +120,27 @@ class PicardReport:
 # Duhamel integral
 
 
+#: Bytes of one real field stack that a batched kernel call spans: enough
+#: nodes per call to amortize each transform's fixed cost on small grids,
+#: few enough that the kernel's buffers stay in cache on large ones.
+_NODE_BATCH_BYTES = 256 * 1024
+
+
+def _node_kernel(grid: Grid2D, eq: EquationKind, nodes: int) -> _Nonlinearity:
+    """The kernel of ``eq`` batched over as many of ``nodes`` time nodes as
+    fit one real field stack of ``_NODE_BATCH_BYTES`` (at least one)."""
+    per_node = np.dtype(float).itemsize * grid.nx * grid.ny
+    return _Nonlinearity(grid, eq, batch=max(1, min(nodes, _NODE_BATCH_BYTES // per_node)))
+
+
+def _trapezoid_slot(slot: np.ndarray, lower: np.ndarray, step: float) -> None:
+    """Overwrite the integrand ``slot`` with its interval's trapezoid
+    ``step * (slot + lower) / 2``, in ``cumulative_trapezoid``'s operations."""
+    np.add(slot, lower, out=slot)
+    np.multiply(step, slot, out=slot)
+    np.divide(slot, 2.0, out=slot)
+
+
 def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
                  kernel: _Nonlinearity, nhat: np.ndarray) -> np.ndarray:
     """``integral_{t_0}^{t_j} U(-t') N(u(t')) dt'`` at every node ``t_j``.
@@ -124,22 +148,34 @@ def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
     ``uhats`` holds the half spectra of ``u`` on the node lattice ``times`` and
     ``phases`` the matching ``exp(i t omega)``; ``nhat``, shaped like
     ``uhats``, receives the integrand and is returned holding the integral.
-    The integral is the cumulative composite trapezoid rule, summed in place
-    with the operations and per-interval steps ``np.diff(times)`` of
+    ``kernel`` is batched (see :func:`_node_kernel`): the nodes go through it
+    ``kernel.batch`` at a time, and each batch is turned by ``conj(phases)``
+    and into its trapezoid intervals while it is fresh.  The integral is the
+    cumulative composite trapezoid rule, with the operations and
+    per-interval steps ``np.diff(times)`` of
     ``scipy.integrate.cumulative_trapezoid``, so it matches that function to
     the bit without its three temporary node stacks.  Multiplying node ``j``
     by ``phases[j]`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
     """
-    for j in range(times.size):
-        kernel(uhats[j], float(times[j]), nhat[j])
-        np.multiply(np.conj(phases[j]), nhat[j], out=nhat[j])
     steps = np.diff(times)
-    # Interval j-1 goes into slot j from the top down, so the lower node it
-    # reads is still the integrand; then the slots are summed from the bottom.
-    for j in range(times.size - 1, 0, -1):
-        np.add(nhat[j], nhat[j - 1], out=nhat[j])
-        np.multiply(steps[j - 1], nhat[j], out=nhat[j])
-        np.divide(nhat[j], 2.0, out=nhat[j])
+    # ``below`` keeps the integrand of the node under the batch, whose slot
+    # already holds its interval; ``top`` saves the batch's top one for the next
+    below, top = np.empty_like(nhat[0]), np.empty_like(nhat[0])
+    for j0 in range(0, times.size, kernel.batch):
+        j1 = min(j0 + kernel.batch, times.size)
+        block = nhat[j0:j1]
+        kernel(uhats[j0:j1], times[j0:j1], block)
+        np.multiply(np.conj(phases[j0:j1]), block, out=block)
+        np.copyto(top, block[-1])
+        # interval j-1 goes into slot j from the top down, so the lower
+        # node it reads is still the integrand
+        for j in range(j1 - 1, j0, -1):
+            _trapezoid_slot(nhat[j], nhat[j - 1], steps[j - 1])
+        if j0:
+            _trapezoid_slot(nhat[j0], below, steps[j0 - 1])
+        below, top = top, below
+    # then the slots are summed from the bottom (``np.add.accumulate`` over
+    # the node axis gives the same bits but ran 2.5-3x slower at 64^2-128^2)
     nhat[0] = 0.0
     for j in range(1, times.size):
         np.add(nhat[j - 1], nhat[j], out=nhat[j])
@@ -161,7 +197,8 @@ def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
     times = path.times[:i + 1]
     uhats = _to_half(np.stack([f.values for f in path.fields[:i + 1]]))
     phases = _phase(_half_symbols(grid)["omega"], times)
-    integ = _duhamel_hat(uhats, times, phases, _Nonlinearity(grid, eq), np.empty_like(uhats))
+    integ = _duhamel_hat(uhats, times, phases, _node_kernel(grid, eq, times.size),
+                         np.empty_like(uhats))
     return RealField(grid, _from_half(phases[-1] * integ[-1]))
 
 
@@ -180,7 +217,8 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     the sup-in-time H^s distance between sweeps drops below ``tol``.
 
     Returns the final trajectory and a :class:`PicardReport`; raises
-    ``RuntimeError`` if the iteration produces non-finite values.
+    ``RuntimeError`` if the iteration produces non-finite values, naming the
+    sweep, the first non-finite node and its time, and the last distance.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError("picard_solve needs a positive horizon T")
@@ -195,29 +233,38 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     phases = _phase(_half_symbols(grid)["omega"], times)
     w2s = _half_sobolev_weight(grid, s)
     area = grid.lx * grid.ly
-    kernel = _Nonlinearity(grid, eq)
-    nhat = np.empty_like(phases)
+    kernel = _node_kernel(grid, eq, nodes)
 
+    # Two node stacks swap roles every sweep: the iterate, and the buffer
+    # that takes the integrand, then the next iterate in place, while the
+    # iterate's buffer takes the difference for the distance.
     current = phases * u0hat[None, :, :]
+    spare = np.empty_like(current)
     report = PicardReport(iterations=0, tol=tol, sobolev_index=s)
     for _ in range(max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
-            integ = _duhamel_hat(current, times, phases, kernel, nhat)
-            new = phases * (u0hat[None, :, :] - integ)
-            if not np.all(np.isfinite(new.view(np.float64))):
+            new = _duhamel_hat(current, times, phases, kernel, spare)
+            np.subtract(u0hat, new, out=new)
+            np.multiply(new, phases, out=new)
+            finite = np.isfinite(new.view(np.float64)).all(axis=(1, 2))
+            if not finite.all():
+                j = int(np.argmin(finite))
                 last = f"{report.distances[-1]:.3e}" if report.distances else "none"
-                raise RuntimeError(f"picard iteration diverged at sweep {report.iterations + 1}; "
-                                   f"last distance {last}")
+                raise RuntimeError(
+                    f"picard iteration diverged at sweep {report.iterations + 1}: first "
+                    f"non-finite node {j} of {nodes} (t = {times[j]:.6g}); last distance {last}")
+            np.subtract(new, current, out=current)
             dist = float(np.max(np.sqrt(
-                area * np.sum(w2s[None, :, :] * np.abs(new - current) ** 2, axis=(1, 2)))))
+                area * np.sum(w2s * np.abs(current) ** 2, axis=(1, 2)))))
         report.iterations += 1
         report.distances.append(dist)
         if len(report.distances) > 1 and report.distances[-2] > 0:
             report.ratios.append(dist / report.distances[-2])
-        current = new
+        current, spare = new, current
         if dist <= tol:
             report.converged = True
             break
+    del spare, phases, kernel
     fields = [RealField(grid, values) for values in _from_half(current)]
     return TrajectoryPath(grid, times, fields), report
 

@@ -268,6 +268,35 @@ def test_mean_mode_of_nonlinearity_is_zero():
         assert _Nonlinearity(g, eq)(uhat, 0.3, np.empty_like(uhat))[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("eq", [LINEAR, ZK, SEM, sem_on_soliton(SolitonParams(1.0, 40.0))],
+                         ids=["linear", "zk", "sem", "sem_on_soliton"])
+def test_batched_kernel_matches_per_node_calls(eq):
+    # Seven nodes through a batch of four: one full batch and a partial
+    # last one.  Each node has its own state and time, so a batch that
+    # mixed up rows, or gave every node the first node's soliton profile,
+    # would differ from the node-by-node calls.
+    g = Grid2D(128, 8, 80.0, 2 * np.pi)
+    rng = np.random.default_rng(21)
+    uhats = _to_half(0.1 * rng.standard_normal((7, g.nx, g.ny)))
+    times = 0.4 + 0.3 * np.arange(7)
+    single = _Nonlinearity(g, eq)
+    expected = np.empty_like(uhats)
+    for j in range(7):
+        single(uhats[j], float(times[j]), expected[j])
+    batched = _Nonlinearity(g, eq, batch=4)
+    got = np.full_like(uhats, np.nan)
+    for j0 in (0, 4):
+        out = got[j0:j0 + 4]
+        assert batched(uhats[j0:j0 + 4], times[j0:j0 + 4], out) is out
+    assert np.array_equal(got, expected)
+    if eq.kind == "sem_on_soliton":
+        # the profile moves with each node's time: the same state at two
+        # times gives two different N
+        same = np.stack([uhats[0], uhats[0]])
+        pair = batched(same, times[:2], np.empty_like(same))
+        assert not np.array_equal(pair[0], pair[1])
+
+
 def test_linear_kind_has_zero_rhs():
     g = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     u = band_limited_field(g, 5, [(1, 1), (2, 0)])

@@ -1,5 +1,6 @@
 """Duhamel quadrature, Picard iteration, and the IFRK4 marcher."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,11 @@ from semzk.dynamics import (
     sem_on_soliton,
     soliton_profile,
 )
+import semzk.integrators as integrators
 from semzk.integrators import (
     TrajectoryPath,
     _duhamel_hat,
+    _node_kernel,
     duhamel_term,
     evolve,
     ifrk4_step,
@@ -137,9 +140,27 @@ def test_duhamel_trapezoid_matches_scipy_bits(nodes):
         np.multiply(np.conj(phases[j]), integrand[j], out=integrand[j])
     expected = cumulative_trapezoid(integrand, x=times, axis=0, initial=0.0)
     nhat = np.empty_like(uhats)
-    got = _duhamel_hat(uhats, times, phases, kernel, nhat)
+    got = _duhamel_hat(uhats, times, phases, _node_kernel(g, SEM, nodes), nhat)
     assert got is nhat
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("eq", [SEM, sem_on_soliton(SolitonParams(1.0, 40.0))],
+                         ids=["sem", "sem_on_soliton"])
+def test_duhamel_bits_do_not_depend_on_the_batch(eq):
+    # 17 nodes in batches of 1, of 3 (a partial last batch of 2) and of all
+    # 17: the batch changes how many nodes one kernel call sees, and which
+    # slots take their lower integrand across a batch boundary, not a bit
+    g = Grid2D(128, 8, 80.0, 2 * np.pi)
+    rng = np.random.default_rng(6)
+    times = np.linspace(0.0, 0.2, 17)
+    uhats = _to_half(0.1 * rng.standard_normal((17, g.nx, g.ny)))
+    phases = _phase(_half_symbols(g)["omega"], times)
+    results = [_duhamel_hat(uhats, times, phases, _Nonlinearity(g, eq, batch=b),
+                            np.empty_like(uhats)) for b in (1, 3, 17)]
+    assert np.any(results[0] != 0.0)
+    assert np.array_equal(results[0], results[1])
+    assert np.array_equal(results[0], results[2])
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +197,10 @@ def test_picard_report_shapes():
 
 def test_picard_memory_in_node_stacks():
     # A stack is one complex half spectrum per node.  The sweep holds the
-    # phases, the iterate, the integrand buffer and the next iterate, plus
-    # the temporaries of the distance; summing the trapezoid in the
-    # integrand buffer keeps its three extra stacks out (6.6 stacks before).
+    # phases, the iterate and the integrand buffer, which then takes the
+    # next iterate while the iterate's buffer takes the difference for the
+    # distance; the rest is the distance's real temporary and the output
+    # fields, built after the sweep's buffers are released (4.18 stacks).
     g = Grid2D(128, 128, 2 * np.pi, 2 * np.pi)
     u0 = smooth_field(g, 8, 0.1)
     picard_solve(u0, SEM, 1e-3, nodes=5, tol=0.0, max_iter=1)  # cached tables
@@ -190,13 +212,47 @@ def test_picard_memory_in_node_stacks():
     finally:
         tracemalloc.stop()
     assert rep.iterations == 3
-    assert peak < 6.0 * stack
+    assert peak < 4.5 * stack
 
 
 def test_picard_divergence_detected():
     big = smooth_field(SMALL, 4, 300.0)
     with pytest.raises(RuntimeError, match="diverged"):
         picard_solve(big, ZK, 2.0, nodes=17, max_iter=25)
+
+
+def test_picard_divergence_names_the_first_nonfinite_node(monkeypatch):
+    u0 = smooth_field(SMALL, 4, 0.1)
+    _, first = picard_solve(u0, ZK, 0.2, nodes=17, tol=0.0, max_iter=1)
+    sweeps = []
+
+    def poisoned(uhats, times, phases, kernel, nhat):
+        integ = _duhamel_hat(uhats, times, phases, kernel, nhat)
+        sweeps.append(None)
+        if len(sweeps) == 2:
+            integ[5, 3, 2] = np.nan
+            integ[9:] = np.inf
+        return integ
+
+    monkeypatch.setattr(integrators, "_duhamel_hat", poisoned)
+    message = (f"picard iteration diverged at sweep 2: first non-finite node 5 of 17 "
+               f"(t = {0.2 * 5 / 16:.6g}); last distance {first.distances[0]:.3e}")
+    with pytest.raises(RuntimeError) as err:
+        picard_solve(u0, ZK, 0.2, nodes=17, tol=0.0, max_iter=4)
+    assert str(err.value) == message
+
+
+def test_picard_divergence_reports_where():
+    big = smooth_field(SMALL, 4, 300.0)
+    with pytest.raises(RuntimeError) as err:
+        picard_solve(big, ZK, 2.0, nodes=17, max_iter=25)
+    found = re.fullmatch(r"picard iteration diverged at sweep \d+: first non-finite node "
+                         r"(\d+) of 17 \(t = (\S+)\); last distance \S+", str(err.value))
+    assert found, str(err.value)
+    node, t = int(found[1]), float(found[2])
+    # node 0 is the data itself, which stays finite
+    assert 1 <= node <= 16
+    assert t == pytest.approx(2.0 * node / 16, rel=1e-5)
 
 
 def test_picard_rejects_bad_horizon():
