@@ -1,6 +1,6 @@
 """Command-line front end for the experiment drivers.
 
-Every run subcommand reads an optional TOML-style configuration file, applies
+Every run subcommand reads an optional TOML configuration file, applies
 ``key=value`` overrides from the command line, and hands the resolved
 configuration to the matching driver in :mod:`semzk.scenarios`.  Exit codes:
 0 on success, 2 for usage or configuration problems, 1 for runtime failures.
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_command(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="FILE",
-                       help="configuration file (key = value lines)")
+                       help="configuration file (TOML key = value pairs)")
         p.add_argument("--out", metavar="DIR",
                        help="output directory (overrides out_dir)")
         p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",

@@ -1,11 +1,12 @@
-"""Run configuration: a flat key-value file format and its typed container.
+"""Run configuration: TOML run files and their typed container.
 
-The on-disk format is a TOML subset chosen to stay human-diffable: one
-``key = value`` pair per line, ``#`` comments, scalar values (quoted string,
-integer, float, true/false) and flat arrays of scalars.  No tables, no
-multi-line values.  The same scalar grammar parses command-line overrides,
-except that an unquoted override value falls back to a bare string, so
-``equation=sem`` works without shell quoting.
+Run files are TOML, read by the standard library's ``tomllib`` (Python >=
+3.11).  A configuration is flat: ``key = value`` pairs whose values are
+strings, integers, floats, booleans or arrays of them; tables and dates
+are rejected when the mapping becomes a :class:`RunConfig`.  Command-line
+overrides are single TOML values, except that a value TOML cannot read
+falls back to a bare string, so ``equation=sem`` works without shell
+quoting.
 
 Every run directory receives the fully resolved configuration in this
 format; re-running it reproduces the run bit for bit.
@@ -14,7 +15,7 @@ format; re-running it reproduces the run bit for bit.
 from __future__ import annotations
 
 import math
-import re
+import tomllib
 from dataclasses import dataclass, fields, replace
 
 from .dynamics import KINDS as EQUATION_KINDS
@@ -30,105 +31,38 @@ __all__ = [
     "RunConfig",
 ]
 
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
-
 PERTURBATION_SHAPES = ("sinusoidal-in-y", "localized-gaussian")
 INITIAL_KINDS = ("soliton", "random", "snapshot")
 
+# A TOML basic string must escape the quote, the backslash and the control
+# characters but tab; tab is escaped too, so no written value holds one.
+_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"',
+            **{c: f"\\u{c:04X}" for c in (*range(0x20), 0x7F)}}
 
-def _strip_comment(value: str) -> str:
-    quoted = False
-    for pos, char in enumerate(value):
-        if char == '"':
-            quoted = not quoted
-        elif char == "#" and not quoted:
-            return value[:pos].rstrip()
+
+def _arrays_as_tuples(value):
+    if isinstance(value, list):
+        return tuple(_arrays_as_tuples(item) for item in value)
     return value
 
 
-def _parse_string(value: str, where: str) -> str:
-    body = value[1:-1]
-    out = []
-    pos = 0
-    while pos < len(body):
-        char = body[pos]
-        if char == "\\":
-            if pos + 1 >= len(body) or body[pos + 1] not in '\\"':
-                raise ValueError(f"{where}: unsupported escape in string")
-            out.append(body[pos + 1])
-            pos += 2
-        elif char == '"':
-            raise ValueError(f"{where}: unescaped quote in string")
-        else:
-            out.append(char)
-            pos += 1
-    return "".join(out)
-
-
-def _split_array(body: str, where: str) -> list:
-    items, depth, quoted, start = [], 0, False, 0
-    for pos, char in enumerate(body):
-        if char == '"' and (pos == 0 or body[pos - 1] != "\\"):
-            quoted = not quoted
-        elif quoted:
-            continue
-        elif char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        elif char == "," and depth == 0:
-            items.append(body[start:pos])
-            start = pos + 1
-    if quoted or depth != 0:
-        raise ValueError(f"{where}: unterminated array")
-    items.append(body[start:])
-    return [item.strip() for item in items if item.strip()]
-
-
 def parse_scalar(value: str, where: str = "value"):
-    """Parse one TOML-subset value: string, bool, int, float, or flat array."""
-    value = value.strip()
-    if not value:
-        raise ValueError(f"{where}: empty value")
-    if value.startswith('"'):
-        if len(value) < 2 or not value.endswith('"'):
-            raise ValueError(f"{where}: unterminated string")
-        return _parse_string(value, where)
-    if value.startswith("["):
-        if not value.endswith("]"):
-            raise ValueError(f"{where}: unterminated array")
-        return tuple(parse_scalar(item, where)
-                     for item in _split_array(value[1:-1], where))
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    if _INT_RE.match(value):
-        return int(value)
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"{where}: cannot parse value {value!r}") from None
+    """Parse one TOML value: string, bool, int, float, array (as a tuple).
+
+    Raises ``tomllib.TOMLDecodeError`` (a ``ValueError``) on invalid TOML,
+    and ``ValueError`` if the text holds more than the value, such as a
+    second key after a newline.
+    """
+    data = tomllib.loads(f"v = {value}")
+    if len(data) != 1:
+        raise ValueError(f"{where}: expected a single value, got {value!r}")
+    return _arrays_as_tuples(data["v"])
 
 
 def parse_toml_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines into a dict, preserving order."""
-    data: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw.strip())
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not _KEY_RE.match(key):
-            raise ValueError(f"line {lineno}: invalid key {key!r}")
-        if key in data:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        data[key] = parse_scalar(value, f"line {lineno}")
-    return data
+    """Parse a TOML document into a dict in file order, arrays as tuples."""
+    return {key: _arrays_as_tuples(value)
+            for key, value in tomllib.loads(text).items()}
 
 
 def parse_toml_file(path) -> dict:
@@ -144,8 +78,7 @@ def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{value.translate(_ESCAPES)}"'
     if isinstance(value, (tuple, list)):
         return "[" + ", ".join(_format_value(item) for item in value) + "]"
     raise TypeError(f"cannot format config value of type {type(value).__name__}")
@@ -255,6 +188,10 @@ class RunConfig:
                 value = float(value)
             if target == "tuple" and isinstance(value, str):
                 value = (value,)
+            if target == "tuple" and not (
+                    isinstance(value, tuple)
+                    and all(isinstance(entry, str) for entry in value)):
+                raise ValueError(f"config key {key!r} must be an array of strings")
             if target == "int" and (isinstance(value, bool)
                                     or not isinstance(value, int)):
                 raise ValueError(f"config key {key!r} must be an integer")
@@ -272,7 +209,8 @@ class RunConfig:
         return cls.from_mapping(parse_toml_file(path))
 
     def with_overrides(self, overrides) -> "RunConfig":
-        """Apply ``key=value`` strings; unquoted values may be bare strings."""
+        """Apply ``key=value`` strings; each value is one TOML value, or a
+        bare string where TOML cannot read it."""
         updates = {}
         known = {f.name: f for f in fields(self)}
         for item in overrides:

@@ -217,8 +217,9 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     the sup-in-time H^s distance between sweeps drops below ``tol``.
 
     Returns the final trajectory and a :class:`PicardReport`; raises
-    ``RuntimeError`` if the iteration produces non-finite values, naming the
-    sweep, the first non-finite node and its time, and the last distance.
+    ``RuntimeError`` if a sweep gives a non-finite iterate or H^s distance,
+    naming the sweep, the first node whose distance is non-finite and its
+    time, and the last finite distance.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError("picard_solve needs a positive horizon T")
@@ -246,16 +247,18 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
             new = _duhamel_hat(current, times, phases, kernel, spare)
             np.subtract(u0hat, new, out=new)
             np.multiply(new, phases, out=new)
-            finite = np.isfinite(new.view(np.float64)).all(axis=(1, 2))
-            if not finite.all():
-                j = int(np.argmin(finite))
+            np.subtract(new, current, out=current)
+            node_dist = np.sqrt(area * np.sum(w2s * np.abs(current) ** 2, axis=(1, 2)))
+            # a non-finite iterate node gives a non-finite distance, and an
+            # overflow can give one on a finite node
+            bad = ~np.isfinite(node_dist)
+            if bad.any():
+                j = int(np.argmax(bad))
                 last = f"{report.distances[-1]:.3e}" if report.distances else "none"
                 raise RuntimeError(
                     f"picard iteration diverged at sweep {report.iterations + 1}: first "
                     f"non-finite node {j} of {nodes} (t = {times[j]:.6g}); last distance {last}")
-            np.subtract(new, current, out=current)
-            dist = float(np.max(np.sqrt(
-                area * np.sum(w2s * np.abs(current) ** 2, axis=(1, 2)))))
+            dist = float(np.max(node_dist))
         report.iterations += 1
         report.distances.append(dist)
         if len(report.distances) > 1 and report.distances[-2] > 0:

@@ -430,6 +430,27 @@ def probe_block_bilinear(grid: Grid2D, t_box: float, nt: int, *,
     return BilinearReport(tuple(trials), exponent, count)
 
 
+def _random_hermitian(seed, shape, cutoffs, *, skip_zero=False) -> np.ndarray:
+    """Coefficients on the lattice ``shape`` carried by |j_i| <= cutoffs[i].
+
+    One iid complex Gaussian per mode of the centered box, drawn in C order
+    of the box (the last axis fastest), the zero mode left out and kept zero
+    under ``skip_zero``; the box is then averaged with its conjugate flip,
+    ``c(j) = (a(j) + conj a(-j)) / 2``, so the physical field is real.
+    """
+    box = tuple(2 * m + 1 for m in cutoffs)
+    size = math.prod(box)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size - 1 if skip_zero else size, 2)).view(complex)[:, 0]
+    if skip_zero:
+        a = np.insert(a, size // 2, 0.0)  # the middle of the box is the zero mode
+    a = a.reshape(box)
+    c = np.zeros(shape, dtype=complex)
+    c[np.ix_(*(np.arange(-m, m + 1) % n for m, n in zip(cutoffs, shape)))] = \
+        0.5 * a + 0.5 * np.conj(np.flip(a))
+    return c
+
+
 def random_bandlimited_spacetime(grid: Grid2D, t_box: float, nt: int, seed, *,
                                  max_mode: int = 4,
                                  max_tmode: int = 8) -> SpaceTimeField:
@@ -442,14 +463,7 @@ def random_bandlimited_spacetime(grid: Grid2D, t_box: float, nt: int, seed, *,
     """
     if 2 * max_mode >= min(grid.nx, grid.ny) or 2 * max_tmode >= nt:
         raise ValueError("lattice too coarse for the requested mode range")
-    rng = np.random.default_rng(seed)
-    c = np.zeros((grid.nx, grid.ny, nt), dtype=complex)
-    for jx in range(-max_mode, max_mode + 1):
-        for jy in range(-max_mode, max_mode + 1):
-            for jt in range(-max_tmode, max_tmode + 1):
-                a = rng.standard_normal() + 1j * rng.standard_normal()
-                c[jx % grid.nx, jy % grid.ny, jt % nt] += 0.5 * a
-                c[-jx % grid.nx, -jy % grid.ny, -jt % nt] += 0.5 * np.conj(a)
+    c = _random_hermitian(seed, (grid.nx, grid.ny, nt), (max_mode, max_mode, max_tmode))
     return SpaceTimeField(grid, float(t_box), c)
 
 
@@ -467,15 +481,7 @@ def random_low_mode_field(grid: Grid2D, seed, *, max_mode: int = 4,
     """
     if 2 * max_mode >= min(grid.nx, grid.ny):
         raise ValueError("grid too coarse for the requested mode range")
-    rng = np.random.default_rng(seed)
-    c = np.zeros((grid.nx, grid.ny), dtype=complex)
-    for j in range(-max_mode, max_mode + 1):
-        for k in range(-max_mode, max_mode + 1):
-            if j == 0 and k == 0:
-                continue
-            a = rng.standard_normal() + 1j * rng.standard_normal()
-            c[j % grid.nx, k % grid.ny] += 0.5 * a
-            c[-j % grid.nx, -k % grid.ny] += 0.5 * np.conj(a)
+    c = _random_hermitian(seed, (grid.nx, grid.ny), (max_mode, max_mode), skip_zero=True)
     spec = SpectralField(grid, amplitude * c)
     return inverse_transform(spec)
 

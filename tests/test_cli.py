@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semzk.cli import main
-from semzk.snapshots import write_snapshot
+from semzk.snapshots import read_snapshot, write_snapshot
 from semzk.spectral import Grid2D, RealField
 
 
@@ -38,7 +38,7 @@ class TestInfoAndUsage:
         assert "bogus_key" in capsys.readouterr().err
 
     def test_invalid_value_exits_two(self, tmp_path, capsys):
-        for value in ("nx=63", "T=nan", "dt=inf"):
+        for value in ("nx=63", "T=nan", "dt=inf", "norms=3"):
             out = tmp_path / value
             assert main(["simulate", "--out", str(out), value]) == 2, value
             assert not out.exists(), value
@@ -80,3 +80,20 @@ class TestEndToEnd:
         resolved = (tmp_path / "run" / "resolved-config.toml").read_text()
         assert "T = 0.01" in resolved
         assert "nx = 64" in resolved
+
+    def test_run_resumes_through_its_resolved_config(self, tmp_path, capsys):
+        # quotes and a hash in the output path must survive the written file
+        base = ["nx=64", "ny=8", "lx=40.0", "omega=4.0", "x0=10.0", "dt=0.01"]
+        first = tmp_path / 'a "#1"'
+        assert main(["simulate", "--out", str(first), "T=0.02", *base]) == 0
+        assert main(["simulate", "--out", str(tmp_path / "full"), "T=0.04",
+                     *base]) == 0
+        second = tmp_path / 'b "#2"'
+        assert main(["simulate", "--config", str(first / "resolved-config.toml"),
+                     "--out", str(second), "initial=snapshot",
+                     f"initial_path={first}/snapshots/final.snap"]) == 0
+        resumed = read_snapshot(second / "snapshots" / "final.snap")
+        continuous = read_snapshot(tmp_path / "full" / "snapshots" / "final.snap")
+        assert resumed.time == pytest.approx(0.04)
+        assert np.max(np.abs(resumed.field().values
+                             - continuous.field().values)) < 1e-12

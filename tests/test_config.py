@@ -45,25 +45,36 @@ class TestParser:
     def test_errors(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_toml_text("just some words")
-        with pytest.raises(ValueError, match="duplicate key"):
+        with pytest.raises(ValueError, match="Cannot overwrite a value"):
             parse_toml_text("a = 1\na = 2")
-        with pytest.raises(ValueError, match="invalid key"):
-            parse_toml_text("3bad = 1")
-        with pytest.raises(ValueError, match="cannot parse"):
+        # a legal TOML key, but no config field
+        with pytest.raises(ValueError, match="unknown config key '3bad'"):
+            RunConfig.from_mapping(parse_toml_text("3bad = 1"))
+        with pytest.raises(ValueError, match="Invalid value"):
             parse_toml_text("a = one")
-        with pytest.raises(ValueError, match="unterminated string"):
+        with pytest.raises(ValueError, match="Unterminated string"):
             parse_toml_text('a = "oops')
 
     def test_round_trip(self):
         mapping = {"a": 1, "b": 2.5, "c": "x \"y\" z", "d": True,
-                   "e": ("p", "q"), "f": 6.283185307179586}
+                   "e": ("p", "q"), "f": 6.283185307179586,
+                   "g": ("a\\", "b"), "h": ("x", ("y", 2)), "i": 1e-05}
         assert parse_toml_text(format_toml(mapping)) == mapping
+
+    def test_writer_escapes_every_control_character(self):
+        text = format_toml({"s": "".join(map(chr, range(0x20))) + "\x7f"})
+        assert text.endswith("\n") and text[:-1].isprintable()
+        assert "\\u0000" in text and "\\u0009" in text and "\\u007F" in text
+        assert format_toml({"s": 'a "b" \\c'}) == 's = "a \\"b\\" \\\\c"\n'
 
     def test_parse_scalar_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_scalar("")
         with pytest.raises(ValueError):
             parse_scalar("[1, 2")
+        with pytest.raises(ValueError, match="single value"):
+            parse_scalar("1\nnx = 8")
+        assert parse_scalar('["a", ["b", 2]]') == ("a", ("b", 2))
 
 
 class TestRunConfig:
@@ -74,6 +85,16 @@ class TestRunConfig:
 
     def test_resolved_text_round_trips(self):
         cfg = RunConfig(equation="sem", T=0.5, norms=("x:inf,y:2",))
+        again = RunConfig.from_mapping(parse_toml_text(cfg.resolved_text()))
+        assert again == cfg
+
+    @pytest.mark.parametrize("text", [
+        'runs/a "#1"', "a\\", "a\\\"b", "x = 1", "a, b", "[0]", "[",
+        "line\nnx = 8", "tab\there", "del\x7f", "nul\x00", "crlf\r\n",
+        "état ∂u/∂t 解", '"""', "'", "#",
+    ])
+    def test_any_string_round_trips(self, text):
+        cfg = RunConfig(out_dir=text, initial_path=text, norms=(text, "x:2"))
         again = RunConfig.from_mapping(parse_toml_text(cfg.resolved_text()))
         assert again == cfg
 
@@ -90,6 +111,27 @@ class TestRunConfig:
             RunConfig.from_mapping({"heatmaps": 1})
         # integers promote to floats
         assert RunConfig.from_mapping({"T": 2}).T == 2.0
+
+    @pytest.mark.parametrize("text, message", [
+        ("nx = {a = 1}", "'nx' must be an integer"),
+        ("out_dir = {a = 1}", "'out_dir' must be a string"),
+        ("norms = {a = 'x'}", "'norms' must be an array of strings"),
+        ("T.a = 1.0", "'T' must be a number"),
+        ("norms.a = 'x'", "'norms' must be an array of strings"),
+        ("[heatmaps]\na = true", "'heatmaps' must be true or false"),
+        ("[norms]\na = 'x'", "'norms' must be an array of strings"),
+        ("[[norms]]\na = 'x'", "'norms' must be an array of strings"),
+        ("[colour]\na = 1", "unknown config key 'colour'"),
+        ("T = 1979-05-27", "'T' must be a number"),
+        ("out_dir = 1979-05-27T07:32:00Z", "'out_dir' must be a string"),
+        ("seed = 07:32:00", "'seed' must be an integer"),
+        ("norms = 3", "'norms' must be an array of strings"),
+        ("norms = ['x:2', 3]", "'norms' must be an array of strings"),
+        ("norms = [['x:2']]", "'norms' must be an array of strings"),
+    ])
+    def test_non_flat_toml_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_mapping(parse_toml_text(text))
 
     def test_invariants(self):
         with pytest.raises(ValueError, match="unknown equation kind"):
@@ -114,9 +156,21 @@ class TestRunConfig:
         assert new.heatmaps is True
         assert new.out_dir == "runs/x"
         assert cfg.equation == "zk"  # original untouched
+        quoted = cfg.with_overrides(['out_dir="runs/y"', "norms=x:inf,y:2",
+                                     'norms=["x:2", "y:inf"]'])
+        assert quoted.out_dir == "runs/y"
+        assert quoted.norms == ("x:2", "y:inf")
 
     def test_override_errors(self):
         with pytest.raises(ValueError, match="key=value"):
             RunConfig().with_overrides(["T0.25"])
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig().with_overrides(["tee=1"])
+        # override values are TOML: ".5" is a bare string, not a number
+        with pytest.raises(ValueError, match="'dt' must be a number"):
+            RunConfig().with_overrides(["dt=.5"])
+        # a second key smuggled after a newline is not a value
+        with pytest.raises(ValueError, match="'T' must be a number"):
+            RunConfig().with_overrides(["T=1\nnx = 8"])
+        with pytest.raises(ValueError, match="'norms' must be an array"):
+            RunConfig().with_overrides(["norms=3"])

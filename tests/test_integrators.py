@@ -1,5 +1,6 @@
 """Duhamel quadrature, Picard iteration, and the IFRK4 marcher."""
 
+import math
 import re
 import tracemalloc
 
@@ -253,6 +254,16 @@ def test_picard_divergence_reports_where():
     # node 0 is the data itself, which stays finite
     assert 1 <= node <= 16
     assert t == pytest.approx(2.0 * node / 16, rel=1e-5)
+
+
+def test_picard_divergence_stops_at_an_infinite_distance():
+    # on this data a sweep's iterate stays finite while its H^s distance
+    # overflows; that sweep must raise, not be recorded as an inf distance
+    big = smooth_field(SMALL, 4, 300.0)
+    with pytest.raises(RuntimeError) as err:
+        picard_solve(big, ZK, 2.0, nodes=17, max_iter=25)
+    found = re.search(r"last distance (\S+)$", str(err.value))
+    assert found and math.isfinite(float(found[1])), str(err.value)
 
 
 def test_picard_rejects_bad_horizon():

@@ -1,5 +1,6 @@
 """Product norms, weighted norms, and the three probe families."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from semzk.probes import (
     probe_linear_estimates,
     probe_nonlinear_estimate,
     product_l2,
+    random_bandlimited_spacetime,
     random_low_mode_field,
     sparse_product_l2,
     xsb_norm,
@@ -36,6 +38,7 @@ from semzk.integrators import TrajectoryPath
 from semzk.norms import MixedNormDescriptor, mixed_norm, sobolev_norm
 from semzk.spectral import (
     Grid2D,
+    SpectralField,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -353,6 +356,20 @@ class TestBilinearProbe:
         assert shared.max_ratio() > independent.max_ratio()
 
 
+def _loop_draw(seed, shape, cutoffs, skip_zero=False):
+    """Reference for the random-field draw: one complex Gaussian per mode of
+    the centered box in C order, added with its conjugate at the negated mode."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(shape, dtype=complex)
+    for j in itertools.product(*(range(-m, m + 1) for m in cutoffs)):
+        if skip_zero and not any(j):
+            continue
+        a = rng.standard_normal() + 1j * rng.standard_normal()
+        c[tuple(np.mod(j, shape))] += 0.5 * a
+        c[tuple(np.mod(np.negative(j), shape))] += 0.5 * np.conj(a)
+    return c
+
+
 class TestLinearProbes:
     def test_random_data_refines_consistently(self):
         coarse = random_low_mode_field(G, seed=5)
@@ -367,6 +384,25 @@ class TestLinearProbes:
         small = Grid2D(8, 8, 2 * np.pi, 2 * np.pi)
         with pytest.raises(ValueError, match="too coarse"):
             random_low_mode_field(small, seed=0)
+
+    @pytest.mark.parametrize("shape, cutoffs, skip_zero, seed", [
+        ((32, 48), (5, 5), True, 0),
+        ((16, 16), (4, 4), True, (16, 3)),
+        ((16, 32, 64), (4, 4, 8), False, (3, 1)),
+        ((8, 16, 8), (2, 3, 1), False, 11),
+    ])
+    def test_random_draw_matches_the_loop(self, shape, cutoffs, skip_zero, seed):
+        ref = _loop_draw(seed, shape, cutoffs, skip_zero)
+        assert np.array_equal(
+            probes._random_hermitian(seed, shape, cutoffs, skip_zero=skip_zero), ref)
+
+    def test_random_fields_match_the_loop(self):
+        grid = Grid2D(32, 48, 2 * np.pi, 3.0)
+        low = random_low_mode_field(grid, 5, max_mode=5, amplitude=0.3)
+        ref = SpectralField(grid, 0.3 * _loop_draw(5, (32, 48), (5, 5), True))
+        assert np.array_equal(low.values, inverse_transform(ref).values)
+        box = random_bandlimited_spacetime(grid, 1.0, 64, (3, 1))
+        assert np.array_equal(box.coeffs, _loop_draw((3, 1), (32, 48, 64), (4, 4, 8)))
 
     def test_constants_deterministic_and_positive(self):
         rep1 = probe_linear_estimates(G, n_nodes=17, seed=3)
