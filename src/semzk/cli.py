@@ -84,15 +84,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise _UsageError(f"{path}: {exc}") from exc
     else:
         cfg = RunConfig()
-    overrides = list(args.overrides)
-    if args.out is not None:
-        overrides.append(f"out_dir={args.out}")
-    if getattr(args, "omega", None) is not None:
-        overrides.append(f"omega={args.omega}")
-    if getattr(args, "horizon", None) is not None:
-        overrides.append(f"T={args.horizon}")
+    # the flags are used as given, after (and over) the overrides
+    flags = {"out_dir": args.out, "omega": getattr(args, "omega", None),
+             "T": getattr(args, "horizon", None)}
     try:
-        return cfg.with_overrides(overrides)
+        return cfg.with_overrides(args.overrides).replace(
+            **{key: value for key, value in flags.items() if value is not None})
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 

@@ -2,8 +2,8 @@
 
 Run files are TOML, read by the standard library's ``tomllib`` (Python >=
 3.11).  A configuration is flat: ``key = value`` pairs whose values are
-strings, integers, floats, booleans or arrays of them; tables and dates
-are rejected when the mapping becomes a :class:`RunConfig`.  Command-line
+strings, integers, floats, booleans or arrays of them; :class:`RunConfig`
+checks every value when it is built, however it is built.  Command-line
 overrides are single TOML values, except that a value TOML cannot read
 falls back to a bare string, so ``equation=sem`` works without shell
 quoting.
@@ -19,6 +19,7 @@ import tomllib
 from dataclasses import dataclass, fields, replace
 
 from .dynamics import KINDS as EQUATION_KINDS
+from .norms import _snapshot_descriptors
 from .spectral import Grid2D
 
 __all__ = [
@@ -33,6 +34,11 @@ __all__ = [
 
 PERTURBATION_SHAPES = ("sinusoidal-in-y", "localized-gaussian")
 INITIAL_KINDS = ("soliton", "random", "snapshot")
+
+# the type each field annotation admits, and how an error names it
+_FIELD_KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
+                "str": (str, "a string"), "bool": (bool, "true or false"),
+                "tuple": (tuple, "an array of strings")}
 
 # A TOML basic string must escape the quote, the backslash and the control
 # characters but tab; tab is escaped too, so no written value holds one.
@@ -98,6 +104,11 @@ class RunConfig:
     traveling wave; the perturbation fields only by the instability scenario
     (amplitude zero means no perturbation).  `norms` lists extra mixed-norm
     descriptors (without a time axis) appended as diagnostics columns.
+
+    ``__post_init__``, which every way of building a config runs, is the one
+    place it is checked.  Each field is typed by its annotation (an int or a
+    numpy float becomes a float, a string or list for `norms` a tuple, and a
+    bool is neither an integer nor a number); any failure is a ``ValueError``.
     """
 
     equation: str = "zk"
@@ -133,8 +144,22 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if f.type == "float" and isinstance(value, (int, float)) \
+                    and not isinstance(value, bool):
+                value = float(value)
+            if f.type == "tuple" and isinstance(value, (str, list)):
+                value = (value,) if isinstance(value, str) else tuple(value)
+            kind, expected = _FIELD_KINDS[f.type]
+            if (not isinstance(value, kind)
+                    or (isinstance(value, bool) and f.type != "bool")
+                    or (f.type == "tuple"
+                        and not all(isinstance(e, str) for e in value))):
+                raise ValueError(f"config key {f.name!r} must be {expected}")
+            if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"config field {f.name} must be finite")
+            object.__setattr__(self, f.name, value)
+        _snapshot_descriptors(self.norms)
         if self.equation not in EQUATION_KINDS:
             raise ValueError(f"unknown equation kind {self.equation!r}")
         if self.initial not in INITIAL_KINDS:
@@ -169,40 +194,15 @@ class RunConfig:
         for name in ("probe_nodes", "picard_nodes"):
             if getattr(self, name) < 2:
                 raise ValueError(f"config field {name} must be at least 2")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
-        if not all(isinstance(entry, str) for entry in self.norms):
-            raise ValueError("norms must be a list of descriptor strings")
         self.grid()  # reject impossible grid dimensions up front
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
-        known = {f.name: f for f in fields(cls)}
-        values = {}
-        for key, value in mapping.items():
+        known = {f.name for f in fields(cls)}
+        for key in mapping:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            target = known[key].type
-            if target == "float" and isinstance(value, int) \
-                    and not isinstance(value, bool):
-                value = float(value)
-            if target == "tuple" and isinstance(value, str):
-                value = (value,)
-            if target == "tuple" and not (
-                    isinstance(value, tuple)
-                    and all(isinstance(entry, str) for entry in value)):
-                raise ValueError(f"config key {key!r} must be an array of strings")
-            if target == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, int)):
-                raise ValueError(f"config key {key!r} must be an integer")
-            if target == "float" and not isinstance(value, float):
-                raise ValueError(f"config key {key!r} must be a number")
-            if target == "str" and not isinstance(value, str):
-                raise ValueError(f"config key {key!r} must be a string")
-            if target == "bool" and not isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be true or false")
-            values[key] = value
-        return cls(**values)
+        return cls(**mapping)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -228,9 +228,7 @@ class RunConfig:
             if known[key].type == "str" and not isinstance(parsed, str):
                 parsed = value.strip()
             updates[key] = parsed
-        merged = dict(self.to_mapping())
-        merged.update(updates)
-        return type(self).from_mapping(merged)
+        return self.replace(**updates)
 
     def to_mapping(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -142,6 +142,15 @@ class MixedNormDescriptor:
         return ",".join(f"{a}:{fmt(p)}" for a, p in self.entries)
 
 
+def _snapshot_descriptors(labels) -> list[MixedNormDescriptor]:
+    """Parse diagnostics norm descriptors, which must omit the time axis."""
+    descriptors = [MixedNormDescriptor.from_string(label) for label in labels]
+    for label, desc in zip(labels, descriptors):
+        if "T" in dict(desc.entries):
+            raise ValueError(f"diagnostics norm {label!r} must omit the time axis")
+    return descriptors
+
+
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     w = np.empty_like(times)
     w[1:-1] = 0.5 * (times[2:] - times[:-2])

@@ -554,14 +554,14 @@ def probe_linear_estimates(grid: Grid2D, *, horizon: float = 1.0,
     return LinearProbeReport(constants, norms, references, params)
 
 
-def probe_l4_estimate(f: SpaceTimeField, *, delta: float = DELTA) -> float:
-    """Fourth-power norm against the (0, 5/6+delta) weighted norm.
+def probe_l4_estimate(f: SpaceTimeField) -> float:
+    """Fourth-power norm against the (0, B_FOURTH) weighted norm.
 
     Uses the identity that the squared space-time L^4 norm of a real field
     equals the L^2 norm of its square.
     """
     l4 = math.sqrt(product_l2(f, f))
-    return l4 / xsb_norm(f, 0.0, 5.0 / 6.0 + delta)
+    return l4 / xsb_norm(f, 0.0, B_FOURTH)
 
 
 # ---------------------------------------------------------------------------
@@ -577,18 +577,18 @@ class NonlinearProbeReport:
     delta: float
 
 
-def probe_nonlinear_estimate(f: SpaceTimeField, *, s: float = 1.0,
-                             delta: float = DELTA) -> NonlinearProbeReport:
+def probe_nonlinear_estimate(f: SpaceTimeField, *,
+                             s: float = 1.0) -> NonlinearProbeReport:
     """Weighted norm of the quadratic nonlinearity over the squared input norm.
 
-    The output is weighted with exponent ``-1/2 + 2 delta`` in the modulation
-    bracket, the input with ``1/2 + delta``; both carry ``s`` powers of the
+    The output is weighted with exponent ``B_MINUS`` in the modulation
+    bracket, the input with ``B_PLUS``; both carry ``s`` powers of the
     frequency bracket.
     """
     box = nonlinear_box(f)
-    out_norm = xsb_norm_box(box, f.grid, f.t_box, s, -0.5 + 2 * delta)
-    in_norm = xsb_norm(f, s, 0.5 + delta)
+    out_norm = xsb_norm_box(box, f.grid, f.t_box, s, B_MINUS)
+    in_norm = xsb_norm(f, s, B_PLUS)
     if in_norm == 0.0:
         raise ValueError("input field is identically zero")
     return NonlinearProbeReport(out_norm / in_norm**2, out_norm, in_norm,
-                                s, delta)
+                                s, DELTA)

@@ -31,7 +31,7 @@ from .dynamics import (
 from .integrators import PicardReport, TrajectoryPath, evolve, picard_solve
 from .norms import (
     DiagnosticsRecord,
-    MixedNormDescriptor,
+    _snapshot_descriptors,
     conserved_I1,
     conserved_I2,
     diagnostics_header,
@@ -132,13 +132,7 @@ class DiagnosticsCollector:
     def __init__(self, grid: Grid2D, norm_labels=(), time_offset: float = 0.0):
         self.grid = grid
         self.time_offset = float(time_offset)
-        self.descriptors = []
-        for label in norm_labels:
-            desc = MixedNormDescriptor.from_string(label)
-            if any(axis == "T" for axis, _ in desc.entries):
-                raise ValueError(
-                    f"diagnostics norm {label!r} must omit the time axis")
-            self.descriptors.append(desc)
+        self.descriptors = _snapshot_descriptors(norm_labels)
         self.labels = [desc.label for desc in self.descriptors]
         self.records: list[DiagnosticsRecord] = []
 
@@ -555,6 +549,7 @@ def run_picard_demo(cfg: RunConfig, *,
             window = horizon
     _write_endpoints(out, cfg.equation, u0, 0.0, path.fields[-1],
                      float(path.times[-1]))
+    _maybe_heatmaps(cfg, out, u0, path.fields[-1])
     collector = DiagnosticsCollector(grid, cfg.norms)
     for k, (t, u) in enumerate(zip(path.times, path.fields)):
         collector(k, float(t), u)

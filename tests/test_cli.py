@@ -38,10 +38,19 @@ class TestInfoAndUsage:
         assert "bogus_key" in capsys.readouterr().err
 
     def test_invalid_value_exits_two(self, tmp_path, capsys):
-        for value in ("nx=63", "T=nan", "dt=inf", "norms=3"):
+        for value in ("nx=63", "T=nan", "dt=inf", "norms=3", "norms=bogus",
+                      "norms=x:inf,y:2,T:2"):
             out = tmp_path / value
             assert main(["simulate", "--out", str(out), value]) == 2, value
             assert not out.exists(), value
+
+    def test_out_used_as_given(self, tmp_path, monkeypatch, capsys):
+        # a quote and a trailing blank are part of the directory name
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", '"q" ', "out_dir=other", "nx=16",
+                     "ny=16", "T=0.01", "dt=0.01"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ['"q" ']
+        assert (tmp_path / '"q" ' / "summary.json").is_file()
 
 
 class TestRuntimeFailures:

@@ -1,5 +1,6 @@
 """The key-value config format and the typed run configuration."""
 
+import numpy as np
 import pytest
 
 from semzk.config import (
@@ -94,9 +95,11 @@ class TestRunConfig:
         "état ∂u/∂t 解", '"""', "'", "#",
     ])
     def test_any_string_round_trips(self, text):
-        cfg = RunConfig(out_dir=text, initial_path=text, norms=(text, "x:2"))
+        cfg = RunConfig(out_dir=text, initial_path=text)
         again = RunConfig.from_mapping(parse_toml_text(cfg.resolved_text()))
         assert again == cfg
+        array = {"norms": (text, "x:2")}
+        assert parse_toml_text(format_toml(array)) == array
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key 'colour'"):
@@ -147,6 +150,27 @@ class TestRunConfig:
         # T = 0 is a legal degenerate run
         assert RunConfig(T=0.0).T == 0.0
 
+    @pytest.mark.parametrize("change, message", [
+        ({"norms": 3}, "'norms' must be an array of strings"),
+        ({"heatmaps": "no"}, "'heatmaps' must be true or false"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"T": "1"}, "'T' must be a number"),
+        ({"norms": ("bogus",)}, "bad mixed-norm component 'bogus'"),
+        ({"norms": ("x:inf,y:2,T:2",)}, "must omit the time axis"),
+    ])
+    def test_every_construction_checks(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**change)
+        with pytest.raises(ValueError, match=message):
+            RunConfig().replace(**change)
+
+    def test_coercions(self):
+        cfg = RunConfig(norms=["x:2,y:2"], T=1, dt=np.float64(0.5))
+        assert cfg.norms == ("x:2,y:2",)
+        assert hash(cfg) == hash(RunConfig(norms="x:2,y:2", T=1.0, dt=0.5))
+        assert type(cfg.T) is float and type(cfg.dt) is float
+        assert "T = 1.0\ndt = 0.5\n" in cfg.resolved_text()
+
     def test_overrides(self):
         cfg = RunConfig()
         new = cfg.with_overrides(["equation=sem", "T=0.25", "heatmaps=true",
@@ -157,9 +181,9 @@ class TestRunConfig:
         assert new.out_dir == "runs/x"
         assert cfg.equation == "zk"  # original untouched
         quoted = cfg.with_overrides(['out_dir="runs/y"', "norms=x:inf,y:2",
-                                     'norms=["x:2", "y:inf"]'])
+                                     'norms=["x:2,y:inf", "y:1,x:4"]'])
         assert quoted.out_dir == "runs/y"
-        assert quoted.norms == ("x:2", "y:inf")
+        assert quoted.norms == ("x:2,y:inf", "y:1,x:4")
 
     def test_override_errors(self):
         with pytest.raises(ValueError, match="key=value"):

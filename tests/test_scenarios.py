@@ -230,10 +230,13 @@ class TestPicardDemo:
 
     def test_small_data_contracts(self, tmp_path):
         cfg = sim_config(tmp_path / "run", nx=32, ny=16, lx=TWO_PI,
-                         amplitude=0.01, T=0.05, picard_nodes=17, seed=3)
+                         amplitude=0.01, T=0.05, picard_nodes=17, seed=3,
+                         heatmaps=True)
         rep = run_picard_demo(cfg)
         assert rep.report.converged
         assert all(r < 1.0 for r in rep.report.ratios)
+        for name in ("initial.pgm", "final.pgm"):
+            assert (tmp_path / "run" / "heatmaps" / name).is_file()
 
     def test_find_window_extends_horizon(self, tmp_path):
         cfg = sim_config(tmp_path / "run", nx=32, ny=16, lx=TWO_PI,
