@@ -163,7 +163,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # The overrides are one positional list, which ends at the first option;
+    # the overrides after an option come back as extras and join the list.
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        if not hasattr(args, "overrides") or any(e.startswith("-") for e in extras):
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.overrides += extras
     if args.command == "info":
         return _cmd_info()
     try:

@@ -147,7 +147,10 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type == "float" and isinstance(value, (int, float)) \
                     and not isinstance(value, bool):
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer beyond the float range
+                    value = math.inf
             if f.type == "tuple" and isinstance(value, (str, list)):
                 value = (value,) if isinstance(value, str) else tuple(value)
             kind, expected = _FIELD_KINDS[f.type]

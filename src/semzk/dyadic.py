@@ -119,6 +119,17 @@ def _check_level(n) -> int:
     return n
 
 
+def _check_nt(nt) -> None:
+    if nt < 4 or nt % 2:
+        raise ValueError("nt must be an even integer >= 4")
+
+
+def _shell(x, level: int):
+    """Weight of the dyadic shell `level` at x: the bump for level 1, else
+    the ring annulus(x / level)."""
+    return bump(x) if level == 1 else annulus(x / level)
+
+
 def frequency_radius(grid: Grid2D) -> np.ndarray:
     """|(xi, mu)| on the spatial lattice, in FFT ordering."""
     return np.hypot(grid.xi2d, grid.mu2d * np.ones((1, grid.ny)))
@@ -142,8 +153,7 @@ def modulation_values(grid: Grid2D, t_box: float, nt: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _frequency_weight_cached(grid: Grid2D, n: int) -> np.ndarray:
-    r = frequency_radius(grid)
-    w = bump(r) if n == 1 else annulus(r / n)
+    w = _shell(frequency_radius(grid), n)
     w.setflags(write=False)
     return w
 
@@ -159,8 +169,7 @@ def frequency_weight(grid: Grid2D, n: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _modulation_weight_cached(grid: Grid2D, t_box: float, nt: int,
                               l: int) -> np.ndarray:
-    m = modulation_values(grid, t_box, nt)
-    w = bump(m) if l == 1 else annulus(m / l)
+    w = _shell(modulation_values(grid, t_box, nt), l)
     w.setflags(write=False)
     return w
 
@@ -193,8 +202,7 @@ class SpaceTimeField:
             raise ValueError(
                 f"coefficient shape {c.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny}, nt)")
-        if c.shape[2] < 4 or c.shape[2] % 2:
-            raise ValueError("nt must be an even integer >= 4")
+        _check_nt(c.shape[2])
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite coefficients")
         self.coeffs = c
@@ -261,8 +269,7 @@ def _block_modes_cached(grid: Grid2D, t_box: float, nt: int, n: int,
     jt = lo[:, None] + np.arange(width, dtype=np.int64)[None, :]
     valid = np.abs(jt) <= nt // 2 - 1
     m = tau[np.where(valid, jt, 0) % nt] - omega[:, None]
-    wmod = bump(m) if l == 1 else annulus(m / l)
-    keep = valid & (wmod == 1.0)
+    keep = valid & (_shell(m, l) == 1.0)
     rows, cols = np.nonzero(keep)
     modes = np.column_stack([jx[rows], jy[rows], jt[rows, cols]])
     order = np.lexsort((modes[:, 2], modes[:, 1], modes[:, 0]))
@@ -283,8 +290,7 @@ def block_modes(grid: Grid2D, t_box: float, nt: int, n: int,
     its conjugate partner on the lattice; modes whose dispersion falls
     outside the representable tau range drop out naturally.
     """
-    if nt < 4 or nt % 2:
-        raise ValueError("nt must be an even integer >= 4")
+    _check_nt(nt)
     if not t_box > 0.0:
         raise ValueError("t_box must be positive")
     return _block_modes_cached(grid, float(t_box), int(nt),
@@ -313,13 +319,16 @@ def _conjugate_partner(modes: np.ndarray, grid: Grid2D, nt: int):
 
 @dataclass
 class SparseBlock:
-    """A space-time field stored as a short list of Fourier modes.
+    """A real, even space-time field stored as a short list of Fourier modes.
 
     `modes` holds distinct centered integer indices (jx, jy, jt), each in
-    ``[-n/2, n/2)`` for its axis length n, and `values` the matching complex
-    coefficients.  Compared to a dense :class:`SpaceTimeField`, this form
-    stays cheap on fine lattices where a dyadic block touches only a tiny
-    fraction of the modes.
+    ``[-n/2, n/2)`` for its axis length n, and `values` the matching real
+    coefficients, with ``c(-k) = c(k)``: every mode's negation is in the
+    block and carries the same value, so the field is real and even under
+    negation of space-time.  These are the blocks the bilinear probe
+    measures; construction rejects any other.  Compared to a dense
+    :class:`SpaceTimeField`, this form stays cheap on fine lattices where a
+    dyadic block touches only a tiny fraction of the modes.
     """
 
     grid: Grid2D
@@ -343,6 +352,13 @@ class SparseBlock:
         key = np.sort(_mode_keys(self.modes, self.grid, self.nt))
         if np.any(key[1:] == key[:-1]):
             raise ValueError("modes must be unique")
+        if not np.issubdtype(self.values.dtype, np.floating):
+            raise ValueError(f"values must be real floats, got dtype {self.values.dtype}")
+        partner = _conjugate_partner(self.modes, self.grid, self.nt)
+        if partner is None:
+            raise ValueError("every mode's negation must be in the block")
+        if not np.array_equal(self.values[partner], self.values):
+            raise ValueError("values must be even: c(-k) == c(k)")
 
     @property
     def volume(self) -> float:
@@ -350,7 +366,7 @@ class SparseBlock:
 
     def l2(self) -> float:
         """Space-time L^2 norm of the represented field."""
-        return float(np.sqrt(self.volume * np.sum(np.abs(self.values) ** 2)))
+        return float(np.sqrt(self.volume * np.sum(self.values ** 2)))
 
     def to_field(self) -> SpaceTimeField:
         """Scatter the modes into a dense coefficient array."""
@@ -363,46 +379,34 @@ class SparseBlock:
 
 
 def random_block_sparse(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,
-                        seed, shift=None) -> SparseBlock:
-    """Random unit-norm real block supported where both shell weights equal one.
+                        seed) -> SparseBlock:
+    """Random unit-norm real even block supported where both shell weights
+    equal one.
 
-    The block is a translated wave packet: every retained mode carries the
-    same random space-time translation (uniform over the box, applied as a
-    linear phase) and a magnitude jitter symmetric under negation of the mode,
-    so the physical field is real.  Coherent phases concentrate the product of
-    two blocks on the resonant mode pairs; independently randomized phases
-    would flatten every product norm to the same value regardless of the
-    blocks' supports, leaving bilinear scaling probes blind.
+    The block is a wave packet centered at the origin of space-time: every
+    retained mode carries a positive magnitude, jittered at random and
+    averaged with its value at the negated mode.  Coherent coefficients
+    concentrate the product of two blocks on the resonant mode pairs;
+    independently randomized phases would flatten every product norm to the
+    same value regardless of the blocks' supports, leaving bilinear scaling
+    probes blind.
 
-    Pass `shift` (a triple (x0, y0, t0)) to translate several blocks by the
-    same amount; by default the shift is drawn from `seed`.  The result is
-    normalized to unit space-time L^2 norm and is reproducible from the
-    arguments alone.
+    The result is normalized to unit space-time L^2 norm and is reproducible
+    from the arguments alone.
     """
     modes = block_modes(grid, t_box, nt, n, l)
     if modes.shape[0] == 0:
         raise ValueError(
             f"space-time lattice has no modes in the block n={n}, l={l}; "
             "increase the resolution or shrink the levels")
-    rng = np.random.default_rng(seed)
-    if shift is None:
-        shift = (rng.uniform(0.0, grid.lx), rng.uniform(0.0, grid.ly),
-                 rng.uniform(0.0, t_box))
-    mags = rng.uniform(0.5, 1.5, modes.shape[0])
-    # Average each magnitude with its value at the negated mode so the
-    # coefficients stay Hermitian-symmetric.
-    mags = 0.5 * (mags + mags[_conjugate_partner(modes, grid, nt)])
-    xi = (2.0 * np.pi / grid.lx) * modes[:, 0]
-    mu = (2.0 * np.pi / grid.ly) * modes[:, 1]
-    tau = (2.0 * np.pi / t_box) * modes[:, 2]
-    values = mags * np.exp(1j * (xi * shift[0] + mu * shift[1] + tau * shift[2]))
+    mags = np.random.default_rng(seed).uniform(0.5, 1.5, modes.shape[0])
+    values = 0.5 * (mags + mags[_conjugate_partner(modes, grid, nt)])
     volume = grid.lx * grid.ly * t_box
-    values /= np.sqrt(volume * np.sum(np.abs(values) ** 2))
+    values *= 1.0 / np.sqrt(volume * np.sum(values ** 2))
     return SparseBlock(grid, float(t_box), int(nt), modes, values)
 
 
 def random_block(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,
-                 seed, shift=None) -> SpaceTimeField:
+                 seed) -> SpaceTimeField:
     """Dense version of :func:`random_block_sparse` (same coefficients)."""
-    return random_block_sparse(grid, t_box, nt, n, l, seed=seed,
-                               shift=shift).to_field()
+    return random_block_sparse(grid, t_box, nt, n, l, seed=seed).to_field()

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.stats import linregress
 
-from .dyadic import SpaceTimeField, SparseBlock, _conjugate_partner, random_block_sparse
+from .dyadic import SpaceTimeField, SparseBlock, random_block_sparse
 from .dynamics import _phase
 from .integrators import TrajectoryPath
 from .norms import MixedNormDescriptor, mixed_norm, sobolev_norm
@@ -138,7 +138,8 @@ def _add_boxes(boxes) -> CoefficientBox:
     return CoefficientBox(out, tuple(int(v) for v in lo))
 
 
-def _check_compatible(f1: SpaceTimeField, f2: SpaceTimeField) -> None:
+def _check_compatible(f1, f2) -> None:
+    """Raise unless two fields or blocks share grid, t_box and nt."""
     if f1.grid != f2.grid or f1.t_box != f2.t_box or f1.nt != f2.nt:
         raise ValueError("fields live on different space-time lattices")
 
@@ -168,14 +169,6 @@ def _x_groups(block: SparseBlock):
     return modes, np.asarray(block.values)[order], edges
 
 
-def _is_real(block: SparseBlock) -> bool:
-    """Whether the block is exactly Hermitian: every mode's negation is in
-    the block and carries the exact conjugate value."""
-    partner = _conjugate_partner(block.modes, block.grid, block.nt)
-    return partner is not None and np.array_equal(block.values[partner],
-                                                  np.conj(block.values))
-
-
 def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     """Exact space-time L^2 norm of the product of two sparse fields.
 
@@ -190,20 +183,12 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     of the inputs, memory is bounded by the mode pairs of the largest plane
     and one ``span_y * span_t`` accumulator, not by the whole output lattice.
 
-    When both blocks are real fields, the product's coefficients obey
-    ``C(-K) = conj C(K)``, so plane ``-X`` has the squared modulus of plane
-    ``X``: only the planes ``X >= 0`` are built, those with ``X > 0``
-    counted twice.  "Real" is tested exactly: every mode's negation is in
-    the block and carries the exact conjugate value.  Any other pair,
-    near-Hermitian ones included, sums every plane.
-
-    Independently of that, when every coefficient of both blocks has an
-    imaginary part of exactly zero, the product's coefficients are real
-    numbers too, and each plane is summed by one real ``bincount`` instead
-    of a real/imaginary pair.
+    Both blocks are real even fields, so the product's coefficients are
+    real and obey ``C(-K) = C(K)``: plane ``-X`` has the squared sum of
+    plane ``X``.  Only the planes ``X >= 0`` are built, each summed by one
+    real ``bincount``, and those with ``X > 0`` are counted twice.
     """
-    if b1.grid != b2.grid or b1.t_box != b2.t_box or b1.nt != b2.nt:
-        raise ValueError("blocks live on different space-time lattices")
+    _check_compatible(b1, b2)
     if b1.modes.shape[0] == 0 or b2.modes.shape[0] == 0:
         return 0.0
     m1, v1, edges1 = _x_groups(b1)
@@ -217,17 +202,12 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     bins = int(span[1] * span[2])
     count1, count2 = np.diff(edges1), np.diff(edges2)
     plane_pairs = np.convolve(count1, count2)
-    # Real coefficients have a real product: one real bincount per plane.
-    real_values = not (np.any(v1.imag) or np.any(v2.imag))
-    if real_values:
-        v1, v2 = v1.real, v2.real
     keys = np.empty(plane_pairs.max(), dtype=np.intp)
-    vals = np.empty(plane_pairs.max(), dtype=v1.dtype)
-    # Plane index of X = 0; a real block's jx range is symmetric about 0.
+    vals = np.empty(plane_pairs.max())
+    # Plane index of X = 0; an even block's jx range is symmetric about 0.
     zero = -int(m1[0, 0] + m2[0, 0])
-    real = _is_real(b1) and _is_real(b2)
     total = 0.0
-    for plane in range(zero if real else 0, plane_pairs.size):
+    for plane in range(zero, plane_pairs.size):
         end = 0
         for a in range(max(0, plane - count2.size + 1),
                        min(count1.size, plane + 1)):
@@ -241,17 +221,9 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
             np.multiply(v1[rows1, None], v2[None, rows2],
                         out=vals[dest].reshape(shape))
             end = dest.stop
-        if real_values:
-            re = np.bincount(keys[:end], weights=vals[:end], minlength=bins)
-            square = re * re
-        else:
-            re = np.bincount(keys[:end], weights=vals[:end].real,
-                             minlength=bins)
-            im = np.bincount(keys[:end], weights=vals[:end].imag,
-                             minlength=bins)
-            square = re * re + im * im
-        weight = 2.0 if real and plane > zero else 1.0
-        total += weight * float(np.sum(square, dtype=np.float64))
+        sums = np.bincount(keys[:end], weights=vals[:end], minlength=bins)
+        weight = 1.0 if plane == zero else 2.0
+        total += weight * float(np.sum(sums * sums, dtype=np.float64))
     return math.sqrt(b1.volume * total)
 
 
@@ -399,29 +371,28 @@ def fit_separated_exponent(trials):
 
 def probe_block_bilinear(grid: Grid2D, t_box: float, nt: int, *,
                          n_pairs=DEFAULT_N_PAIRS, l_pairs=DEFAULT_L_PAIRS,
-                         seeds=DEFAULT_SEEDS,
-                         share_shift: bool = True) -> BilinearReport:
+                         seeds=DEFAULT_SEEDS) -> BilinearReport:
     """Measure product norms of random dyadic blocks against predicted bounds.
 
-    With ``share_shift`` both blocks of a trial carry the same linear phase,
-    so their packets sit at one place in space-time and overlap; with
-    independent random offsets the packets rarely overlap and the measured
-    norms say little about worst-case scaling.  Any shared phase gives the
-    same norm, because a common translation leaves the L^2 norm of the
-    product unchanged, so the shared blocks are built at shift zero: their
-    coefficients are then real and positive, and the seeds of a pair differ
-    only in the magnitude jitter.
+    Every block is a real even field with positive coefficients (see
+    :func:`~semzk.dyadic.random_block_sparse`), and one kind of block is
+    enough.  Replacing each Fourier coefficient of u1 and u2 by its modulus
+    keeps the L^2 norms of u1 and u2 and cannot lower that of u1 u2,
+    because ``|sum c1 c2| <= sum |c1| |c2|`` at every output mode; for a
+    real field those moduli are even in k.  So the worst case over real blocks is
+    reached on blocks with real, even, nonnegative coefficients.  Both
+    packets sit at the origin of space-time and overlap; the seeds of a pair
+    differ only in the magnitude jitter.
     """
     trials = []
     for n1, n2 in n_pairs:
         for l1, l2 in l_pairs:
             bound, separated = bilinear_bound(n1, l1, n2, l2)
             for seed in seeds:
-                shift = (0.0, 0.0, 0.0) if share_shift else None
                 u1 = random_block_sparse(grid, t_box, nt, n1, l1,
-                                        seed=(seed, n1, l1, 1), shift=shift)
+                                         seed=(seed, n1, l1, 1))
                 u2 = random_block_sparse(grid, t_box, nt, n2, l2,
-                                        seed=(seed, n2, l2, 2), shift=shift)
+                                         seed=(seed, n2, l2, 2))
                 norm = sparse_product_l2(u1, u2)
                 trials.append(BlockTrial(n1, l1, n2, l2, seed, norm, bound,
                                          separated))

@@ -28,6 +28,32 @@ class TestInfoAndUsage:
             main(["simulate", "--frobnicate"])
         assert exc.value.code == 2
 
+    def test_unknown_flag_after_overrides_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "nx=16", "--out", str(out), "ny=16",
+                  "--frobnicate"])
+        assert exc.value.code == 2
+        assert "--frobnicate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overrides_on_both_sides_of_an_option(self, tmp_path, capsys):
+        for name, argv in [
+                ("before", ["nx=16", "ny=16", "T=0.01", "dt=0.01", "--out"]),
+                ("mixed", ["nx=16", "--out", "ny=16", "T=0.01", "dt=0.01"])]:
+            out = tmp_path / name
+            at = argv.index("--out") + 1
+            assert main(["simulate", *argv[:at], str(out), *argv[at:]]) == 0
+            resolved = (out / "resolved-config.toml").read_text()
+            assert "nx = 16\nny = 16\nlx = 80.0\nly" in resolved
+            assert "T = 0.01\ndt = 0.01\n" in resolved
+
+    def test_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "huge"
+        assert main(["simulate", "T=" + "9" * 400, "--out", str(out)]) == 2
+        assert "T must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "--config", "/no/such/file.toml"]) == 2
         err = capsys.readouterr().err

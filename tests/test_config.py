@@ -157,6 +157,7 @@ class TestRunConfig:
         ({"T": "1"}, "'T' must be a number"),
         ({"norms": ("bogus",)}, "bad mixed-norm component 'bogus'"),
         ({"norms": ("x:inf,y:2,T:2",)}, "must omit the time axis"),
+        ({"T": 10**400}, "config field T must be finite"),
     ])
     def test_every_construction_checks(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -198,3 +199,6 @@ class TestRunConfig:
             RunConfig().with_overrides(["T=1\nnx = 8"])
         with pytest.raises(ValueError, match="'norms' must be an array"):
             RunConfig().with_overrides(["norms=3"])
+        # an integer beyond the float range is not a finite number
+        with pytest.raises(ValueError, match="T must be finite"):
+            RunConfig().with_overrides(["T=" + "9" * 400])

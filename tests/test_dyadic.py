@@ -227,30 +227,62 @@ class TestSparseBlock:
     def block(self, modes, values=None, nt=8):
         modes = np.asarray(modes)
         if values is None:
-            values = np.ones(modes.shape[0], dtype=complex)
+            values = np.ones(modes.shape[0])
         return SparseBlock(G, 2 * np.pi, nt, modes, values)
 
     def test_rejects_duplicate_modes(self):
         # summed by the sparse product but overwritten by to_field, the two
         # copies gave 63.0 against 15.7 dense
         with pytest.raises(ValueError, match="unique"):
-            self.block([[1, 1, 1], [1, 1, 1]])
+            self.block([[1, 1, 1], [-1, -1, -1], [1, 1, 1]])
         with pytest.raises(ValueError, match="unique"):
-            self.block([[0, 0, 0], [1, -2, 3], [0, 0, 0]])
+            self.block([[0, 0, 0], [1, -2, 3], [-1, 2, -3], [0, 0, 0]])
 
     def test_rejects_modes_outside_the_lattice(self):
         # to_field would wrap 16 onto -16 and 4 onto -4
         for mode in ([16, 0, 0], [0, -17, 0], [0, 0, 4], [0, 0, -5]):
             with pytest.raises(ValueError, match=r"\[-n/2, n/2\)"):
-                self.block([[0, 0, 0], mode])
-        edge = self.block([[-16, -16, -4], [15, 15, 3]])
-        assert edge.to_field().coeffs[16, 16, 4] == 1.0
+                self.block([[0, 0, 0], mode, [-j for j in mode]])
+        edge = self.block([[-15, -15, -3], [15, 15, 3]])
+        assert edge.to_field().coeffs[15, 15, 3] == 1.0
+        assert edge.to_field().coeffs[17, 17, 5] == 1.0
 
     def test_rejects_non_integer_modes(self):
         with pytest.raises(ValueError, match="integers"):
-            self.block(np.array([[0.0, 1.0, 1.0]]))
+            self.block(np.array([[0.0, 1.0, 1.0], [0.0, -1.0, -1.0]]))
         with pytest.raises(ValueError, match="integers"):
             self.block(np.array([[True, False, True]]))
+
+    def test_rejects_complex_values(self):
+        with pytest.raises(ValueError, match="real"):
+            self.block([[1, 2, 3], [-1, -2, -3]], np.ones(2, dtype=complex))
+
+    def test_rejects_a_missing_negation(self):
+        with pytest.raises(ValueError, match="negation"):
+            self.block([[0, 0, 0], [1, 2, 3]])
+        # a mode at -n/2 has no negation on the lattice
+        with pytest.raises(ValueError, match="negation"):
+            self.block([[-16, -16, -4], [15, 15, 3]])
+        with pytest.raises(ValueError, match="negation"):
+            self.block([[-15, 1, 2], [15, -1, -2], [0, -16, 0]])
+
+    def test_rejects_a_value_one_ulp_off_its_partner(self):
+        blk = random_block_sparse(G, 2 * np.pi, 512, 4, 2, seed=(1, 4, 2, 1))
+        values = blk.values.copy()
+        values[3] = np.nextafter(values[3], np.inf)
+        with pytest.raises(ValueError, match="even"):
+            SparseBlock(G, blk.t_box, blk.nt, blk.modes, values)
+
+    def test_accepts_an_empty_block(self):
+        empty = self.block(np.zeros((0, 3), dtype=int))
+        assert empty.l2() == 0.0
+        assert not np.any(empty.to_field().coeffs)
+
+    def test_random_blocks_are_positive(self):
+        # the probe's worst case is reached on nonnegative coefficients
+        blk = random_block_sparse(G, 2 * np.pi, 64, 2, 4, seed=3)
+        assert blk.values.dtype == np.float64
+        assert np.all(blk.values > 0.0)
 
     def test_conjugate_partner(self):
         blk = random_block_sparse(G, 2 * np.pi, 64, 2, 4, seed=3)

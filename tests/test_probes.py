@@ -18,7 +18,6 @@ from semzk.dyadic import (
 from semzk import probes
 from semzk.probes import (
     BlockTrial,
-    _is_real,
     bilinear_bound,
     fit_separated_exponent,
     nonlinear_box,
@@ -73,15 +72,8 @@ class TestProductNorm:
 
     def test_sparse_agrees_with_dense(self):
         b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
-        b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2),
-                                 shift=(1.0, 2.0, 3.0))
+        b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2))
         rng = np.random.default_rng(7)
-
-        def complex_values(b):
-            # random complex coefficients: the field is no longer real
-            n = b.modes.shape[0]
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            return SparseBlock(b.grid, b.t_box, b.nt, b.modes, v)
 
         def shuffled(b):
             order = rng.permutation(b.modes.shape[0])
@@ -89,11 +81,8 @@ class TestProductNorm:
                                b.values[order])
 
         empty = SparseBlock(G, TBOX, 512, np.zeros((0, 3), dtype=int),
-                            np.zeros(0, dtype=complex))
-        cases = [(b1, b2),
-                 (complex_values(b1), complex_values(b2)),
-                 (shuffled(complex_values(b1)), shuffled(b2)),
-                 (b1, empty)]
+                            np.zeros(0))
+        cases = [(b1, b2), (shuffled(b1), shuffled(b2)), (b1, empty)]
         for f1, f2 in cases:
             sparse = sparse_product_l2(f1, f2)
             dense = product_l2(f1.to_field(), f2.to_field())
@@ -115,63 +104,10 @@ class TestProductNorm:
             tracemalloc.stop()
         assert peak < 100e6
 
-    def test_criterion_10_blocks_take_the_real_path(self, monkeypatch):
-        # Every block of criterion 10's coarse and fine sweeps is exactly
-        # Hermitian, so every product there sums half the output planes, and
-        # has real coefficients, so every plane takes one real bincount.
-        seen = []
-
-        def record(b1, b2):
-            seen.append(_is_real(b1) and _is_real(b2)
-                        and np.all(b1.values.imag == 0.0)
-                        and np.all(b2.values.imag == 0.0))
-            return 1.0
-
-        monkeypatch.setattr(probes, "sparse_product_l2", record)
-        probe_block_bilinear(G, TBOX, 512)
-        probe_block_bilinear(Grid2D(160, 160, 12 * np.pi, 12 * np.pi), TBOX,
-                             512, n_pairs=((1, 4), (2, 8)),
-                             l_pairs=((1, 1), (2, 2), (8, 8)))
-        assert len(seen) == 960 + 60
-        assert all(seen)
-
-    def test_global_phase_takes_the_full_path(self):
-        b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
-        b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2),
-                                 shift=(1.0, 2.0, 3.0))
-        turned = SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes,
-                             np.exp(0.7j) * b1.values)
-        assert _is_real(b1) and _is_real(b2) and not _is_real(turned)
-        assert sparse_product_l2(turned, b2) == pytest.approx(
-            sparse_product_l2(b1, b2), rel=1e-13)
-
-    def test_one_ulp_off_hermitian_takes_the_full_path(self):
-        b1 = random_block_sparse(G, TBOX, 512, 4, 2, seed=(1, 4, 2, 1))
-        b2 = random_block_sparse(G, TBOX, 512, 2, 2, seed=(1, 2, 2, 2))
-        values = b1.values.copy()
-        values[3] = complex(np.nextafter(values[3].real, np.inf), values[3].imag)
-        nudged = SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes, values)
-        assert not _is_real(nudged)
-        dense = product_l2(nudged.to_field(), b2.to_field())
-        assert sparse_product_l2(nudged, b2) == pytest.approx(dense, rel=1e-12)
-
     def test_real_coefficients_agree_with_the_other_paths(self, monkeypatch):
-        # Zero-shift blocks have real coefficients: one real bincount per
-        # plane, over the planes X >= 0 when both blocks are also Hermitian.
-        b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1),
-                                 shift=(0.0, 0.0, 0.0))
-        b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2),
-                                 shift=(0.0, 0.0, 0.0))
-        turned = SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes,
-                             np.exp(0.7j) * b1.values)
-        # Drop the partner of the first mode: real coefficients, not Hermitian.
-        partner = _conjugate_partner(b1.modes, G, 512)[0]
-        keep = np.arange(b1.modes.shape[0]) != partner
-        lopsided = SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes[keep],
-                               b1.values[keep])
-        assert np.all(b1.values.imag == 0.0) and np.all(b2.values.imag == 0.0)
-        assert _is_real(b1) and _is_real(b2) and not _is_real(lopsided)
-
+        # One real bincount per output plane X >= 0, and the dense norm.
+        b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
+        b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2))
         calls = []
         bincount = np.bincount
 
@@ -180,26 +116,18 @@ class TestProductNorm:
             return bincount(*args, **kwargs)
 
         monkeypatch.setattr(np, "bincount", record)
-
-        def planes(f1, f2):
-            jx1, jx2 = f1.modes[:, 0], f2.modes[:, 0]
-            return int(jx1.max() + jx2.max() - jx1.min() - jx2.min() + 1)
-
-        def product(f1, f2):
-            calls.clear()
-            return sparse_product_l2(f1, f2), len(calls)
-
-        real, count = product(b1, b2)
-        assert count == (planes(b1, b2) + 1) // 2
-        complex_, count = product(turned, b2)
-        assert count == 2 * planes(b1, b2)
-        assert real == pytest.approx(complex_, rel=1e-13)
-        assert real == pytest.approx(
-            product_l2(b1.to_field(), b2.to_field()), rel=1e-12)
-        norm, count = product(lopsided, b2)
-        assert count == planes(lopsided, b2)
+        jx1, jx2 = b1.modes[:, 0], b2.modes[:, 0]
+        planes = int(jx1.max() + jx2.max() - jx1.min() - jx2.min() + 1)
+        norm = sparse_product_l2(b1, b2)
+        assert len(calls) == (planes + 1) // 2
         assert norm == pytest.approx(
-            product_l2(lopsided.to_field(), b2.to_field()), rel=1e-12)
+            product_l2(b1.to_field(), b2.to_field()), rel=1e-12)
+        # Dropping the partner of one mode leaves a block that is not even.
+        partner = _conjugate_partner(b1.modes, G, 512)[0]
+        keep = np.arange(b1.modes.shape[0]) != partner
+        with pytest.raises(ValueError, match="negation"):
+            SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes[keep],
+                        b1.values[keep])
 
     def test_sparse_rejects_mismatched_lattices(self):
         b1 = random_block_sparse(G, TBOX, 64, 1, 1, seed=1)
@@ -307,24 +235,6 @@ class TestBilinearProbe:
         assert rep1.separated_count == 4
         assert len(rep1.trials) == 8
 
-    def test_shared_translation_leaves_the_norm_unchanged(self):
-        # |u1 u2| is invariant under a common space-time translation, so the
-        # shared blocks can be built at shift zero.
-        rng = np.random.default_rng(11)
-        for n1, l1, n2, l2 in ((1, 1, 4, 1), (2, 2, 8, 2), (4, 8, 4, 1),
-                               (8, 4, 2, 8)):
-            def norm(shift):
-                u1 = random_block_sparse(G, TBOX, 512, n1, l1,
-                                         seed=(0, n1, l1, 1), shift=shift)
-                u2 = random_block_sparse(G, TBOX, 512, n2, l2,
-                                         seed=(0, n2, l2, 2), shift=shift)
-                return sparse_product_l2(u1, u2)
-
-            shift = (rng.uniform(0.0, G.lx), rng.uniform(0.0, G.ly),
-                     rng.uniform(0.0, TBOX))
-            assert norm(shift) == pytest.approx(norm((0.0, 0.0, 0.0)),
-                                                rel=1e-13)
-
     def test_coarse_trials_obey_the_counting_bound(self):
         # Cauchy-Schwarz over the N(K) mode pairs that land on one output
         # mode K gives |u1 u2| <= sqrt(max_K N(K) / volume) for unit blocks.
@@ -345,15 +255,6 @@ class TestBilinearProbe:
                 bounds[pair] = math.sqrt(count / VOLUME)
             assert t.product_norm <= bounds[pair]
         assert len(bounds) == 96
-
-    def test_shared_shift_changes_overlap(self):
-        shared = probe_block_bilinear(G, TBOX, 256, n_pairs=((1, 4),),
-                                      l_pairs=((1, 1),), seeds=(0,))
-        independent = probe_block_bilinear(G, TBOX, 256, n_pairs=((1, 4),),
-                                           l_pairs=((1, 1),), seeds=(0,),
-                                           share_shift=False)
-        # Co-located packets overlap more than independently placed ones.
-        assert shared.max_ratio() > independent.max_ratio()
 
 
 def _loop_draw(seed, shape, cutoffs, skip_zero=False):
