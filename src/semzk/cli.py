@@ -2,13 +2,16 @@
 
 Every run subcommand reads an optional TOML configuration file, applies
 ``key=value`` overrides from the command line, and hands the resolved
-configuration to the matching driver in :mod:`semzk.scenarios`.  Exit codes:
-0 on success, 2 for usage or configuration problems, 1 for runtime failures.
+configuration to the matching driver in :mod:`semzk.scenarios`.  Its one
+line of results is read back from the ``summary.json`` the run just wrote.
+Exit codes: 0 on success, 2 for usage or configuration problems, 1 for
+runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -32,6 +35,68 @@ class _UsageError(Exception):
     """Configuration or argument problem; maps to exit code 2."""
 
 
+def _simulate_line(s: dict) -> str:
+    return (f"evolved {s['equation']} to t={s['t_final']:g}; "
+            f"I2 {s['i2_initial']:.6g} -> {s['i2_final']:.6g}")
+
+
+def _soliton_line(s: dict) -> str:
+    return (f"shape error {s['shape_error']:.3e}, crest off by "
+            f"{s['crest_error_cells']:.3f} cells, "
+            f"I2 drift {s['i2_drift']:.3e}")
+
+
+def _instability_line(s: dict) -> str:
+    sig = "none" if s["sigma"] is None else f"{s['sigma']:.6f}"
+    line = f"k_y={s['k_y']:.4f}: sigma={sig}"
+    if s["flags"]:
+        line += " (" + "; ".join(s["flags"]) + ")"
+    return line
+
+
+def _picard_line(s: dict) -> str:
+    state = "converged" if s["converged"] else "did not converge"
+    line = f"{state} in {s['iterations']} sweeps"
+    if s["existence_window"] is not None:
+        line += f"; contraction holds out to T={s['existence_window']:g}"
+    return line
+
+
+def _probe_linear_line(s: dict) -> str:
+    return (f"constants stable to {100 * s['max_stability']:.2f}% "
+            f"under refinement")
+
+
+def _probe_bilinear_line(s: dict) -> str:
+    expo = s["separated_exponent"]
+    expo_text = "n/a" if expo is None else f"{expo:+.4f}"
+    return (f"{s['n_trials']} trials, max ratio {s['max_ratio']:.4f}, "
+            f"separated exponent {expo_text}")
+
+
+def _probe_nonlinear_line(s: dict) -> str:
+    return f"{s['n_trials']} trials, max constant {s['max_constant']:.4e}"
+
+
+# subcommand -> (help, driver, result line from the run's summary.json)
+_COMMANDS = {
+    "simulate": ("evolve an initial state and record diagnostics and "
+                 "snapshots", run_simulation, _simulate_line),
+    "soliton-bench": ("propagate the exact travelling wave and measure the "
+                      "error", run_soliton_benchmark, _soliton_line),
+    "instability": ("grow a transverse perturbation on the soliton and fit "
+                    "its rate", run_instability, _instability_line),
+    "picard": ("run the fixed-point iteration and record contraction "
+               "ratios", run_picard_demo, _picard_line),
+    "probe-linear": ("measure free-flow mixed-norm constants",
+                     run_probe_linear, _probe_linear_line),
+    "probe-bilinear": ("measure dyadic block product norms",
+                       run_probe_bilinear, _probe_bilinear_line),
+    "probe-nonlinear": ("measure quadratic-output norms on random space-time "
+                        "fields", run_probe_nonlinear, _probe_nonlinear_line),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semzk",
@@ -40,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"semzk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_run_command(name: str, help_text: str):
+    for name, (help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="FILE",
                        help="configuration file (TOML key = value pairs)")
@@ -49,26 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides out_dir)")
         p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                        help="configuration overrides")
-        return p
-
-    add_run_command("simulate", "evolve an initial state and record "
-                                "diagnostics and snapshots")
-    bench = add_run_command("soliton-bench", "propagate the exact travelling "
-                                             "wave and measure the error")
-    bench.add_argument("--omega", type=float, default=None,
-                       help="soliton speed parameter")
-    bench.add_argument("--T", type=float, default=None, dest="horizon",
-                       help="propagation time")
-    add_run_command("instability", "grow a transverse perturbation on the "
-                                   "soliton and fit its rate")
-    picard = add_run_command("picard", "run the fixed-point iteration and "
-                                       "record contraction ratios")
-    picard.add_argument("--find-window", action="store_true",
-                        help="double the horizon until contraction fails")
-    add_run_command("probe-linear", "measure free-flow mixed-norm constants")
-    add_run_command("probe-bilinear", "measure dyadic block product norms")
-    add_run_command("probe-nonlinear", "measure quadratic-output norms on "
-                                       "random space-time fields")
     sub.add_parser("info", help="print version and build configuration")
     return parser
 
@@ -84,12 +128,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise _UsageError(f"{path}: {exc}") from exc
     else:
         cfg = RunConfig()
-    # the flags are used as given, after (and over) the overrides
-    flags = {"out_dir": args.out, "omega": getattr(args, "omega", None),
-             "T": getattr(args, "horizon", None)}
     try:
-        return cfg.with_overrides(args.overrides).replace(
-            **{key: value for key, value in flags.items() if value is not None})
+        cfg = cfg.with_overrides(args.overrides)
+        # --out is used as given, after (and over) the overrides
+        return cfg if args.out is None else cfg.replace(out_dir=args.out)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -111,52 +153,11 @@ def _cmd_info() -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    cmd = args.command
-    if cmd == "simulate":
-        rep = run_simulation(cfg)
-        print(f"evolved {cfg.equation} to t={rep.summary['t_final']:g}; "
-              f"I2 {rep.summary['i2_initial']:.6g} -> "
-              f"{rep.summary['i2_final']:.6g}")
-        out = rep.out_dir
-    elif cmd == "soliton-bench":
-        rep = run_soliton_benchmark(cfg)
-        print(f"shape error {rep.shape_error:.3e}, crest off by "
-              f"{rep.crest_error_cells:.3f} cells, "
-              f"I2 drift {rep.i2_drift:.3e}")
-        out = rep.out_dir
-    elif cmd == "instability":
-        rep = run_instability(cfg)
-        sig = "none" if rep.sigma is None else f"{rep.sigma:.6f}"
-        line = f"k_y={rep.k_y:.4f}: sigma={sig}"
-        if rep.flags:
-            line += " (" + "; ".join(rep.flags) + ")"
-        print(line)
-        out = rep.out_dir
-    elif cmd == "picard":
-        rep = run_picard_demo(cfg, find_window=args.find_window)
-        state = "converged" if rep.report.converged else "did not converge"
-        line = f"{state} in {rep.report.iterations} sweeps"
-        if rep.existence_window is not None:
-            line += f"; contraction holds out to T={rep.existence_window:g}"
-        print(line)
-        out = rep.out_dir
-    elif cmd == "probe-linear":
-        summary = run_probe_linear(cfg)
-        print(f"constants stable to {100 * summary['max_stability']:.2f}% "
-              f"under refinement")
-        out = Path(cfg.out_dir)
-    elif cmd == "probe-bilinear":
-        rep = run_probe_bilinear(cfg)
-        expo = rep.separated_exponent
-        expo_text = "n/a" if expo is None else f"{expo:+.4f}"
-        print(f"{len(rep.trials)} trials, max ratio {rep.max_ratio():.4f}, "
-              f"separated exponent {expo_text}")
-        out = Path(cfg.out_dir)
-    else:
-        summary = run_probe_nonlinear(cfg)
-        print(f"{summary['n_trials']} trials, max constant "
-              f"{summary['max_constant']:.4e}")
-        out = Path(cfg.out_dir)
+    _, driver, result_line = _COMMANDS[args.command]
+    driver(cfg)
+    out = Path(cfg.out_dir)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    print(result_line(summary))
     print(f"wrote {out}")
     return 0
 

@@ -141,6 +141,7 @@ class RunConfig:
     probe_nodes: int = 65
     picard_nodes: int = 65
     picard_tol: float = 1e-8
+    picard_find_window: bool = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -165,6 +166,8 @@ class RunConfig:
         _snapshot_descriptors(self.norms)
         if self.equation not in EQUATION_KINDS:
             raise ValueError(f"unknown equation kind {self.equation!r}")
+        if not self.out_dir:
+            raise ValueError("config field out_dir must not be empty")
         if self.initial not in INITIAL_KINDS:
             raise ValueError(f"unknown initial condition {self.initial!r}")
         if self.initial == "snapshot" and not self.initial_path:

@@ -338,6 +338,8 @@ class SparseBlock:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self.modes = np.asarray(self.modes)
+        self.values = np.asarray(self.values)
         if self.modes.ndim != 2 or self.modes.shape[1] != 3:
             raise ValueError("modes must have shape (count, 3)")
         if not np.issubdtype(self.modes.dtype, np.integer):
@@ -354,6 +356,8 @@ class SparseBlock:
             raise ValueError("modes must be unique")
         if not np.issubdtype(self.values.dtype, np.floating):
             raise ValueError(f"values must be real floats, got dtype {self.values.dtype}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("non-finite coefficients")
         partner = _conjugate_partner(self.modes, self.grid, self.nt)
         if partner is None:
             raise ValueError("every mode's negation must be in the block")

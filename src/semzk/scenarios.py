@@ -1,12 +1,14 @@
 """Experiment drivers that write self-contained run directories.
 
-Every driver resolves a :class:`~semzk.config.RunConfig`, creates the output
-directory, and leaves behind the same four artifacts: the fully resolved
-configuration (``resolved-config.toml``), per-step scalar diagnostics
-(``diagnostics.csv``), checkpoints (``snapshots/``), and a machine-readable
-``summary.json`` that embeds the resolved configuration.  Identical
-configurations produce bit-identical artifacts; nothing time- or host-
-dependent is written.
+Every driver resolves a :class:`~semzk.config.RunConfig` and writes its run
+directory through :class:`_RunDir`: first the fully resolved configuration,
+which reruns the run, last a machine-readable summary that embeds it.  In
+between, ``simulate``, ``soliton-bench``, ``instability`` and ``picard``
+write checkpoints (``snapshots/``), scalar diagnostics (``diagnostics.csv``)
+and, with ``heatmaps``, ``heatmaps/``; ``instability`` adds ``growth.csv``
+and ``picard`` ``iterations.csv``.  The three probe drivers write one
+``trials.csv``.  Identical configurations produce bit-identical artifacts;
+nothing time- or host-dependent is written.
 """
 
 from __future__ import annotations
@@ -75,21 +77,6 @@ __all__ = [
 # run-directory plumbing
 
 
-def _prepare_run_dir(cfg: RunConfig, *, snapshots: bool = True) -> Path:
-    out = Path(cfg.out_dir)
-    (out / "snapshots" if snapshots else out).mkdir(parents=True, exist_ok=True)
-    (out / "resolved-config.toml").write_text(cfg.resolved_text(),
-                                              encoding="utf-8")
-    return out
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_summary(path, payload: dict) -> None:
     """Deterministic JSON: sorted keys, no timestamps, trailing newline."""
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
@@ -111,14 +98,48 @@ def write_pgm(path, values: np.ndarray) -> None:
         handle.write(header + img.tobytes())
 
 
-def _maybe_heatmaps(cfg: RunConfig, out: Path, initial: RealField,
-                    final: RealField) -> None:
-    if not cfg.heatmaps:
-        return
-    hm = out / "heatmaps"
-    hm.mkdir(exist_ok=True)
-    write_pgm(hm / "initial.pgm", initial.values)
-    write_pgm(hm / "final.pgm", final.values)
+class _RunDir:
+    """The run directory of one driver and the files the drivers share.
+
+    Building it makes the directory (with ``snapshots/`` or without) and
+    writes the resolved configuration; :meth:`summary` ends the run with the
+    summary, which embeds that configuration.
+    """
+
+    def __init__(self, cfg: RunConfig, *, snapshots: bool = True):
+        self.cfg = cfg
+        self.path = Path(cfg.out_dir)
+        (self.path / "snapshots" if snapshots else self.path).mkdir(
+            parents=True, exist_ok=True)
+        (self.path / "resolved-config.toml").write_text(cfg.resolved_text(),
+                                                        encoding="utf-8")
+
+    def csv(self, name: str, header, rows) -> None:
+        with open(self.path / name, "w", newline="",
+                  encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def trajectory(self, initial: RealField, t_initial: float,
+                   final: RealField, t_final: float,
+                   collector: DiagnosticsCollector) -> None:
+        """The endpoint snapshots, ``diagnostics.csv`` and the heatmaps."""
+        for name, u, t in (("initial", initial, t_initial),
+                           ("final", final, t_final)):
+            write_snapshot(self.path / "snapshots" / f"{name}.snap", u,
+                           time=t, equation=self.cfg.equation)
+            if self.cfg.heatmaps:
+                (self.path / "heatmaps").mkdir(exist_ok=True)
+                write_pgm(self.path / "heatmaps" / f"{name}.pgm", u.values)
+        keys = collector.norm_keys()
+        self.csv("diagnostics.csv", diagnostics_header(keys),
+                 [rec.to_row(keys) for rec in collector.records])
+
+    def summary(self, **fields) -> dict:
+        payload = {"config": self.cfg.to_mapping(), **fields}
+        write_summary(self.path / "summary.json", payload)
+        return payload
 
 
 class DiagnosticsCollector:
@@ -148,11 +169,6 @@ class DiagnosticsCollector:
     def norm_keys(self) -> list[str]:
         return ["H1"] + self.labels
 
-    def write(self, path) -> None:
-        keys = self.norm_keys()
-        _write_csv(path, diagnostics_header(keys),
-                   [rec.to_row(keys) for rec in self.records])
-
 
 class _SnapshotWriter:
     """Writes interior checkpoints every ``stride`` steps (0 disables)."""
@@ -171,15 +187,6 @@ class _SnapshotWriter:
                            equation=self.equation)
 
 
-def _write_endpoints(out: Path, equation: str, initial: RealField,
-                     t_initial: float, final: RealField,
-                     t_final: float) -> None:
-    write_snapshot(out / "snapshots" / "initial.snap", initial,
-                   time=t_initial, equation=equation)
-    write_snapshot(out / "snapshots" / "final.snap", final, time=t_final,
-                   equation=equation)
-
-
 def _march(cfg: RunConfig, u0: RealField, equation: EquationKind, *,
            t_start: float = 0.0, callbacks=()):
     """Evolve ``u0`` over the configured schedule into a fresh run directory.
@@ -188,23 +195,20 @@ def _march(cfg: RunConfig, u0: RealField, equation: EquationKind, *,
     callbacks every ``diagnostic_stride`` steps, after the extra
     ``callbacks``; the initial and final snapshots, ``diagnostics.csv`` and
     the heatmaps follow.  Every recorded time is offset by the global start
-    time ``t_start``.  Returns the run directory, the endpoint trajectory,
-    the diagnostics records and the final global time.
+    time ``t_start``.  Returns the :class:`_RunDir`, the endpoint
+    trajectory, the diagnostics records and the final global time.
     """
-    out = _prepare_run_dir(cfg)
+    run = _RunDir(cfg)
     collector = DiagnosticsCollector(cfg.grid(), cfg.norms,
                                      time_offset=t_start)
-    snapper = _SnapshotWriter(out / "snapshots", cfg.snapshot_stride,
+    snapper = _SnapshotWriter(run.path / "snapshots", cfg.snapshot_stride,
                               equation.kind, time_offset=t_start)
     path = evolve(u0, equation, cfg.T, cfg.dt,
                   callbacks=[*callbacks, collector, snapper],
                   callback_stride=cfg.diagnostic_stride)
-    final = path.fields[-1]
     t_final = t_start + float(path.times[-1])
-    _write_endpoints(out, equation.kind, u0, t_start, final, t_final)
-    collector.write(out / "diagnostics.csv")
-    _maybe_heatmaps(cfg, out, u0, final)
-    return out, path, collector.records, t_final
+    run.trajectory(u0, t_start, path.fields[-1], t_final, collector)
+    return run, path, collector.records, t_final
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +304,14 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
         equation = sem_on_soliton(_soliton_params(shifted))
     else:
         equation = _equation_for(cfg)
-    out, path, records, t_final = _march(cfg, u0, equation, t_start=t_start)
+    run, path, records, t_final = _march(cfg, u0, equation, t_start=t_start)
     first, last = records[0], records[-1]
-    summary = {
-        "config": cfg.to_mapping(),
-        "equation": cfg.equation,
-        "t_start": t_start,
-        "t_final": t_final,
-        "n_steps": max(1, int(round(cfg.T / cfg.dt))) if cfg.T else 0,
-        "i1_initial": first.i1,
-        "i1_final": last.i1,
-        "i2_initial": first.i2,
-        "i2_final": last.i2,
-        "h1_final": last.norms["H1"],
-    }
-    write_summary(out / "summary.json", summary)
-    return SimulationReport(out, path, summary, records)
+    summary = run.summary(
+        equation=cfg.equation, t_start=t_start, t_final=t_final,
+        n_steps=max(1, int(round(cfg.T / cfg.dt))) if cfg.T else 0,
+        i1_initial=first.i1, i1_final=last.i1, i2_initial=first.i2,
+        i2_final=last.i2, h1_final=last.norms["H1"])
+    return SimulationReport(run.path, path, summary, records)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +368,7 @@ def run_soliton_benchmark(cfg: RunConfig) -> SolitonBenchmarkReport:
         background = conserved_I1(phi) / (grid.lx * grid.ly)
     u0 = RealField(grid, phi.values - background)
     speed = cfg.omega - background
-    out, path, records, t_final = _march(cfg, u0, EquationKind(cfg.equation))
+    run, path, records, t_final = _march(cfg, u0, EquationKind(cfg.equation))
     final = path.fields[-1]
     expected_shift = soliton_profile(
         grid, SolitonParams(cfg.omega, cfg.x0 + speed * t_final))
@@ -384,22 +380,12 @@ def run_soliton_benchmark(cfg: RunConfig) -> SolitonBenchmarkReport:
     crest_cells = _circular_distance(crest, target, grid.lx) / grid.dx
     first, last = records[0], records[-1]
     i2_drift = abs(last.i2 - first.i2) / abs(first.i2)
-    summary = {
-        "config": cfg.to_mapping(),
-        "speed": speed,
-        "t_final": t_final,
-        "crest_position": crest,
-        "expected_position": target,
-        "crest_error_cells": crest_cells,
-        "shape_error": shape_error,
-        "i1_initial": first.i1,
-        "i1_final": last.i1,
-        "i2_initial": first.i2,
-        "i2_final": last.i2,
-        "i2_drift": i2_drift,
-    }
-    write_summary(out / "summary.json", summary)
-    return SolitonBenchmarkReport(out, crest, target, crest_cells,
+    summary = run.summary(
+        speed=speed, t_final=t_final, crest_position=crest,
+        expected_position=target, crest_error_cells=crest_cells,
+        shape_error=shape_error, i1_initial=first.i1, i1_final=last.i1,
+        i2_initial=first.i2, i2_final=last.i2, i2_drift=i2_drift)
+    return SolitonBenchmarkReport(run.path, crest, target, crest_cells,
                                   shape_error, first.i1, last.i1, first.i2,
                                   last.i2, i2_drift, summary, final)
 
@@ -430,7 +416,7 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
     ``window_high`` times the norm of the background profile — after the
     transient, before saturation.  The run always marches
     ``sem_on_soliton``, and the resolved config and summary say so, so a
-    snapshot of the run resumes under its own ``resolved-config.toml``.
+    snapshot of the run resumes under its own resolved config.
     """
     cfg = cfg.replace(equation="sem_on_soliton")
     grid = cfg.grid()
@@ -445,7 +431,7 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
         times.append(time)
         norms.append(math.sqrt(conserved_I2(u)))
 
-    out = _march(cfg, v0, equation, callbacks=[track])[0]
+    run = _march(cfg, v0, equation, callbacks=[track])[0]
     t_arr = np.array(times)
     n_arr = np.array(norms)
     flags: list[str] = []
@@ -472,22 +458,14 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
                 flags.append("growth window not reached; extend T")
             else:
                 flags.append("too few samples inside the fit window")
-    _write_csv(out / "growth.csv", ["time", "norm"],
-               list(zip(t_arr.tolist(), n_arr.tolist())))
+    run.csv("growth.csv", ["time", "norm"],
+            list(zip(t_arr.tolist(), n_arr.tolist())))
     k_y = 2.0 * np.pi * cfg.perturbation_wavenumber / grid.ly
-    summary = {
-        "config": cfg.to_mapping(),
-        "k_y": k_y,
-        "sigma": sigma,
-        "v0_norm": v0_norm,
-        "phi_norm": phi_norm,
-        "window_low": low,
-        "window_high": high,
-        "window_samples": int(in_window.sum()),
-        "flags": flags,
-    }
-    write_summary(out / "summary.json", summary)
-    return InstabilityReport(out, k_y, sigma, t_arr, n_arr, (low, high),
+    summary = run.summary(
+        k_y=k_y, sigma=sigma, v0_norm=v0_norm, phi_norm=phi_norm,
+        window_low=low, window_high=high,
+        window_samples=int(in_window.sum()), flags=flags)
+    return InstabilityReport(run.path, k_y, sigma, t_arr, n_arr, (low, high),
                              flags, summary)
 
 
@@ -516,24 +494,27 @@ def run_picard_demo(cfg: RunConfig, *,
                     find_window: bool = False) -> PicardDemoReport:
     """Run the fixed-point iteration and record its contraction history.
 
-    With ``find_window`` the horizon is doubled until the iteration stops
-    contracting, recording the last horizon at which every contraction ratio
-    stayed below one — an empirical local existence window.
+    With ``picard_find_window`` the horizon is doubled until the iteration
+    stops contracting, recording the last horizon at which every contraction
+    ratio stayed below one — an empirical local existence window.  The
+    ``find_window`` keyword sets that key, so the resolved config and the
+    summary record the search.
     """
+    if find_window:
+        cfg = cfg.replace(picard_find_window=True)
     grid = cfg.grid()
     u0 = _picard_data(cfg, grid)
     equation = _equation_for(cfg)
     path, report = picard_solve(u0, equation, cfg.T, nodes=cfg.picard_nodes,
                                 tol=cfg.picard_tol)
-    out = _prepare_run_dir(cfg)
+    run = _RunDir(cfg)
     rows = []
     for k, distance in enumerate(report.distances):
         ratio = report.ratios[k - 1] if k >= 1 else ""
         rows.append([k, distance, ratio])
-    _write_csv(out / "iterations.csv", ["iteration", "distance", "ratio"],
-               rows)
+    run.csv("iterations.csv", ["iteration", "distance", "ratio"], rows)
     window = None
-    if find_window:
+    if cfg.picard_find_window:
         window = cfg.T
         horizon = cfg.T
         for _ in range(12):
@@ -547,23 +528,15 @@ def run_picard_demo(cfg: RunConfig, *,
             if not rep.converged or any(r >= 1.0 for r in rep.ratios):
                 break
             window = horizon
-    _write_endpoints(out, cfg.equation, u0, 0.0, path.fields[-1],
-                     float(path.times[-1]))
-    _maybe_heatmaps(cfg, out, u0, path.fields[-1])
     collector = DiagnosticsCollector(grid, cfg.norms)
     for k, (t, u) in enumerate(zip(path.times, path.fields)):
         collector(k, float(t), u)
-    collector.write(out / "diagnostics.csv")
-    summary = {
-        "config": cfg.to_mapping(),
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "distances": list(report.distances),
-        "ratios": list(report.ratios),
-        "existence_window": window,
-    }
-    write_summary(out / "summary.json", summary)
-    return PicardDemoReport(out, report, path, window, summary)
+    run.trajectory(u0, 0.0, path.fields[-1], float(path.times[-1]), collector)
+    summary = run.summary(
+        converged=report.converged, iterations=report.iterations,
+        distances=list(report.distances), ratios=list(report.ratios),
+        existence_window=window)
+    return PicardDemoReport(run.path, report, path, window, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -586,25 +559,17 @@ def run_probe_linear(cfg: RunConfig) -> dict:
                                   seed=cfg.seed)
     stability = {name: abs(fine.constants[name] - value) / value
                  for name, value in coarse.constants.items()}
-    out = _prepare_run_dir(cfg, snapshots=False)
+    run = _RunDir(cfg, snapshots=False)
     rows = []
     for label, report in (("coarse", coarse), ("fine", fine)):
         for name, value in sorted(report.constants.items()):
             rows.append([label, report.params["nx"], report.params["ny"],
                         report.params["n_nodes"], name, value])
-    _write_csv(out / "trials.csv",
-               ["resolution", "nx", "ny", "n_nodes", "constant", "value"],
-               rows)
-    summary = {
-        "config": cfg.to_mapping(),
-        "coarse": coarse.constants,
-        "fine": fine.constants,
-        "stability": stability,
-        "max_stability": max(stability.values()),
-        "seed": cfg.seed,
-    }
-    write_summary(out / "summary.json", summary)
-    return summary
+    run.csv("trials.csv",
+            ["resolution", "nx", "ny", "n_nodes", "constant", "value"], rows)
+    return run.summary(
+        coarse=coarse.constants, fine=fine.constants, stability=stability,
+        max_stability=max(stability.values()), seed=cfg.seed)
 
 
 def run_probe_bilinear(cfg: RunConfig) -> BilinearReport:
@@ -612,22 +577,18 @@ def run_probe_bilinear(cfg: RunConfig) -> BilinearReport:
     grid = cfg.grid()
     seeds = tuple(range(cfg.probe_seeds))
     report = probe_block_bilinear(grid, cfg.t_box, cfg.nt, seeds=seeds)
-    out = _prepare_run_dir(cfg, snapshots=False)
+    run = _RunDir(cfg, snapshots=False)
     rows = [[t.n1, t.l1, t.n2, t.l2, t.seed, t.product_norm, t.bound,
              t.ratio, int(t.separated)] for t in report.trials]
-    _write_csv(out / "trials.csv",
-               ["n1", "l1", "n2", "l2", "seed", "product_norm", "bound",
-                "ratio", "separated"],
-               rows)
-    summary = {
-        "config": cfg.to_mapping(),
-        "max_ratio": report.max_ratio(),
-        "separated_exponent": report.separated_exponent,
-        "separated_count": report.separated_count,
-        "n_trials": len(report.trials),
-        "seeds": list(seeds),
-    }
-    write_summary(out / "summary.json", summary)
+    run.csv("trials.csv",
+            ["n1", "l1", "n2", "l2", "seed", "product_norm", "bound", "ratio",
+             "separated"],
+            rows)
+    run.summary(
+        max_ratio=report.max_ratio(),
+        separated_exponent=report.separated_exponent,
+        separated_count=report.separated_count, n_trials=len(report.trials),
+        seeds=list(seeds))
     return report
 
 
@@ -645,17 +606,11 @@ def run_probe_nonlinear(cfg: RunConfig) -> dict:
         l4_ratios.append(l4)
         rows.append([trial, rep.constant, rep.output_norm, rep.input_norm,
                      l4])
-    out = _prepare_run_dir(cfg, snapshots=False)
-    _write_csv(out / "trials.csv",
-               ["trial", "constant", "output_norm", "input_norm", "l4_ratio"],
-               rows)
-    summary = {
-        "config": cfg.to_mapping(),
-        "max_constant": max(constants),
-        "median_constant": float(np.median(constants)),
-        "max_l4_ratio": max(l4_ratios),
-        "n_trials": cfg.probe_trials,
-        "seed": cfg.seed,
-    }
-    write_summary(out / "summary.json", summary)
-    return summary
+    run = _RunDir(cfg, snapshots=False)
+    run.csv("trials.csv",
+            ["trial", "constant", "output_norm", "input_norm", "l4_ratio"],
+            rows)
+    return run.summary(
+        max_constant=max(constants),
+        median_constant=float(np.median(constants)),
+        max_l4_ratio=max(l4_ratios), n_trials=cfg.probe_trials, seed=cfg.seed)

@@ -1,6 +1,7 @@
 """Smoke tests for the command-line interface and its exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -63,12 +64,18 @@ class TestInfoAndUsage:
         assert main(["simulate", "bogus_key=1"]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
-    def test_invalid_value_exits_two(self, tmp_path, capsys):
+    def test_invalid_value_exits_two(self, tmp_path, monkeypatch, capsys):
         for value in ("nx=63", "T=nan", "dt=inf", "norms=3", "norms=bogus",
-                      "norms=x:inf,y:2,T:2"):
+                      "norms=x:inf,y:2,T:2", 'out_dir=""', "out_dir="):
             out = tmp_path / value
             assert main(["simulate", "--out", str(out), value]) == 2, value
             assert not out.exists(), value
+        # an empty directory name would write the run into the current one
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["simulate", "--out", ""]) == 2
+        assert "out_dir must not be empty" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_out_used_as_given(self, tmp_path, monkeypatch, capsys):
         # a quote and a trailing blank are part of the directory name
@@ -95,7 +102,7 @@ class TestRuntimeFailures:
 
 class TestEndToEnd:
     def test_soliton_bench_writes_summary(self, tmp_path, capsys):
-        code = main(["soliton-bench", "--omega", "4", "--T", "0.05",
+        code = main(["soliton-bench", "omega=4", "T=0.05",
                      "--out", str(tmp_path / "bench"),
                      "nx=256", "ny=8", "lx=40.0", "x0=10.0", "dt=0.005"])
         assert code == 0
@@ -132,3 +139,43 @@ class TestEndToEnd:
         assert resumed.time == pytest.approx(0.04)
         assert np.max(np.abs(resumed.field().values
                              - continuous.field().values)) < 1e-12
+
+
+TWO_PI = str(2.0 * math.pi)
+SMALL_SOLITON = ["nx=64", "ny=8", "lx=40.0", "omega=4.0", "x0=10.0",
+                 "dt=0.01", "diagnostic_stride=1"]
+SMALL_RUNS = {
+    "simulate": [*SMALL_SOLITON, "T=0.05", "snapshot_stride=2",
+                 'norms=["x:inf,y:2"]', "heatmaps=true"],
+    "soliton-bench": [*SMALL_SOLITON, "T=0.05"],
+    "instability": [*SMALL_SOLITON, "T=0.1", "perturbation_amplitude=1e-4"],
+    "picard": ["nx=32", "ny=16", f"lx={TWO_PI}", "amplitude=0.01", "T=0.05",
+               "picard_nodes=9", "picard_find_window=true"],
+    "probe-linear": ["equation=linear", "nx=16", "ny=16", f"lx={TWO_PI}",
+                     f"ly={TWO_PI}", "probe_nodes=9"],
+    "probe-bilinear": ["equation=linear", "nx=32", "ny=32", f"lx={TWO_PI}",
+                       f"ly={TWO_PI}", "nt=64", "probe_seeds=1"],
+    "probe-nonlinear": ["equation=linear", "nx=16", "ny=16", f"lx={TWO_PI}",
+                        f"ly={TWO_PI}", "nt=32", "probe_trials=2"],
+}
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_rerun_from_resolved_config(command, tmp_path, capsys):
+    """Every subcommand reruns from its own resolved config: the same CSVs
+    byte for byte and the same summary, apart from the output directory."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--out", str(first), *SMALL_RUNS[command]]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {first}\n")
+    assert main([command, "--config", str(first / "resolved-config.toml"),
+                 "--out", str(second)]) == 0
+    csvs = sorted(p.relative_to(first) for p in first.rglob("*.csv"))
+    assert csvs
+    assert csvs == sorted(p.relative_to(second) for p in second.rglob("*.csv"))
+    for name in csvs:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    a, b = (json.loads((d / "summary.json").read_text())
+            for d in (first, second))
+    assert (a["config"].pop("out_dir"), b["config"].pop("out_dir")) \
+        == (str(first), str(second))
+    assert a == b

@@ -158,6 +158,8 @@ class TestRunConfig:
         ({"norms": ("bogus",)}, "bad mixed-norm component 'bogus'"),
         ({"norms": ("x:inf,y:2,T:2",)}, "must omit the time axis"),
         ({"T": 10**400}, "config field T must be finite"),
+        ({"out_dir": ""}, "out_dir must not be empty"),
+        ({"picard_find_window": 1}, "'picard_find_window' must be true or"),
     ])
     def test_every_construction_checks(self, change, message):
         with pytest.raises(ValueError, match=message):

@@ -273,6 +273,19 @@ class TestSparseBlock:
         with pytest.raises(ValueError, match="even"):
             SparseBlock(G, blk.t_box, blk.nt, blk.modes, values)
 
+    def test_accepts_lists(self):
+        blk = SparseBlock(G, 2 * np.pi, 8, [[1, 2, 3], [-1, -2, -3]],
+                          [0.5, 0.5])
+        assert isinstance(blk.modes, np.ndarray)
+        assert isinstance(blk.values, np.ndarray)
+        assert blk.l2() == self.block([[1, 2, 3], [-1, -2, -3]],
+                                      np.array([0.5, 0.5])).l2()
+
+    def test_rejects_non_finite_values(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                self.block([[1, 2, 3], [-1, -2, -3]], np.array([bad, bad]))
+
     def test_accepts_an_empty_block(self):
         empty = self.block(np.zeros((0, 3), dtype=int))
         assert empty.l2() == 0.0

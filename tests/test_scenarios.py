@@ -244,6 +244,11 @@ class TestPicardDemo:
         rep = run_picard_demo(cfg, find_window=True)
         assert rep.existence_window is not None
         assert rep.existence_window >= 0.05
+        # the keyword sets the config key, so the run records the search
+        assert rep.summary["config"]["picard_find_window"] is True
+        keyed = run_picard_demo(cfg.replace(out_dir=str(tmp_path / "key"),
+                                            picard_find_window=True))
+        assert keyed.existence_window == rep.existence_window
 
 
 class TestProbeDrivers:
