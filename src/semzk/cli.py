@@ -19,6 +19,7 @@ from . import __version__
 from .config import RunConfig
 from .dynamics import KINDS
 from .scenarios import (
+    _WINDOW_DOUBLINGS,
     run_instability,
     run_picard_demo,
     run_probe_bilinear,
@@ -59,6 +60,9 @@ def _picard_line(s: dict) -> str:
     line = f"{state} in {s['iterations']} sweeps"
     if s["existence_window"] is not None:
         line += f"; contraction holds out to T={s['existence_window']:g}"
+        if s["window_search_capped"]:
+            line += (" (the search stopped at its cap of "
+                     f"{_WINDOW_DOUBLINGS} doublings)")
     return line
 
 

@@ -151,35 +151,21 @@ def modulation_values(grid: Grid2D, t_box: float, nt: int) -> np.ndarray:
     return tau[None, None, :] - dispersion_values(grid)[:, :, None]
 
 
-@lru_cache(maxsize=256)
-def _frequency_weight_cached(grid: Grid2D, n: int) -> np.ndarray:
-    w = _shell(frequency_radius(grid), n)
-    w.setflags(write=False)
-    return w
-
-
 def frequency_weight(grid: Grid2D, n: int) -> np.ndarray:
     """Shell weight in |(xi, mu)|: the bump for n == 1, else annulus(r/n).
 
-    Returns a cached read-only array.
+    Returns a new (nx, ny) array in FFT ordering; nothing is kept.
     """
-    return _frequency_weight_cached(grid, _check_level(n))
-
-
-@lru_cache(maxsize=256)
-def _modulation_weight_cached(grid: Grid2D, t_box: float, nt: int,
-                              l: int) -> np.ndarray:
-    w = _shell(modulation_values(grid, t_box, nt), l)
-    w.setflags(write=False)
-    return w
+    return _shell(frequency_radius(grid), _check_level(n))
 
 
 def modulation_weight(grid: Grid2D, t_box: float, nt: int, l: int) -> np.ndarray:
-    """Shell weight in the modulation m = tau - dispersion, shape (nx, ny, nt).
+    """Shell weight in the modulation m = tau - dispersion.
 
-    Returns a cached read-only array.
+    Returns a new (nx, ny, nt) array in FFT ordering; nothing is kept, so
+    a caller holds at most the weights it still uses.
     """
-    return _modulation_weight_cached(grid, float(t_box), int(nt), _check_level(l))
+    return _shell(modulation_values(grid, t_box, nt), _check_level(l))
 
 
 @dataclass
@@ -252,17 +238,20 @@ def project_modulation(field: SpaceTimeField, l: int) -> SpaceTimeField:
 @lru_cache(maxsize=64)
 def _block_modes_cached(grid: Grid2D, t_box: float, nt: int, n: int,
                         l: int) -> np.ndarray:
-    wfreq = frequency_weight(grid, n)
-    ix, iy = np.nonzero(wfreq == 1.0)
-    jx = ((ix + grid.nx // 2) % grid.nx) - grid.nx // 2
-    jy = ((iy + grid.ny // 2) % grid.ny) - grid.ny // 2
-    spatial = (np.abs(jx) <= grid.nx // 2 - 1) & (np.abs(jy) <= grid.ny // 2 - 1)
-    jx, jy = jx[spatial], jy[spatial]
-    omega = dispersion_values(grid)[ix[spatial], iy[spatial]]
+    # Centered spatial lattice: row a holds jx = a - nx/2, column b holds
+    # jy = b - ny/2, so np.nonzero walks the plane in (jx, jy) order.  Row
+    # and column 0 are the Nyquist planes, which have no conjugate partner.
+    shift = np.fft.fftshift
+    plateau = shift(frequency_weight(grid, n)) == 1.0
+    plateau[0, :] = plateau[:, 0] = False
+    cx, cy = np.nonzero(plateau)
+    jx, jy = shift(grid.jx)[cx], shift(grid.jy)[cy]
+    omega = shift(dispersion_values(grid))[cx, cy]
     tau = tau_values(t_box, nt)
     # Candidate integer time frequencies: the modulation plateau requires
     # |tau - omega| <= 5/4 * l, so only a short window around each dispersion
-    # value can contribute.
+    # value can contribute.  Each row of jt ascends, so the kept modes come
+    # out in key order.
     scale = t_box / (2.0 * np.pi)
     lo = np.floor((omega - BUMP_PLATEAU * l) * scale).astype(np.int64) - 1
     width = int(np.ceil(2.0 * BUMP_PLATEAU * l * scale)) + 3
@@ -272,8 +261,6 @@ def _block_modes_cached(grid: Grid2D, t_box: float, nt: int, n: int,
     keep = valid & (_shell(m, l) == 1.0)
     rows, cols = np.nonzero(keep)
     modes = np.column_stack([jx[rows], jy[rows], jt[rows, cols]])
-    order = np.lexsort((modes[:, 2], modes[:, 1], modes[:, 0]))
-    modes = np.ascontiguousarray(modes[order])
     modes.setflags(write=False)
     return modes
 
@@ -283,9 +270,10 @@ def block_modes(grid: Grid2D, t_box: float, nt: int, n: int,
     """Integer lattice modes where both shell weights equal one.
 
     Returns a cached read-only (count, 3) array of centered indices
-    (jx, jy, jt), sorted lexicographically.  The spatial plateau is evaluated
-    on the grid's own frequency lattice and the modulation plateau on the
-    tau lattice of an nt-point time box, so the mode set matches the dense
+    (jx, jy, jt) in key order, the order a :class:`SparseBlock` keeps:
+    lexicographic in (jx, jy, jt).  The spatial plateau is evaluated on the
+    grid's own frequency lattice and the modulation plateau on the tau
+    lattice of an nt-point time box, so the mode set matches the dense
     weight arrays bit for bit.  Nyquist planes are excluded so every mode has
     its conjugate partner on the lattice; modes whose dispersion falls
     outside the representable tau range drop out naturally.
@@ -298,23 +286,24 @@ def block_modes(grid: Grid2D, t_box: float, nt: int, n: int,
 
 
 def _mode_keys(modes: np.ndarray, grid: Grid2D, nt: int) -> np.ndarray:
-    """One integer per centered mode, injective on the modes of an
-    (nx, ny, nt) lattice and on their negations (hence the strides n + 1)."""
+    """One integer per centered mode of an (nx, ny, nt) lattice, increasing
+    in the lexicographic order of (jx, jy, jt): the key order."""
     jx, jy, jt = (np.asarray(modes, dtype=np.int64)
                   + (grid.nx // 2, grid.ny // 2, nt // 2)).T
-    return (jx * (grid.ny + 1) + jy) * (nt + 1) + jt
+    return (jx * grid.ny + jy) * nt + jt
 
 
-def _conjugate_partner(modes: np.ndarray, grid: Grid2D, nt: int):
-    """Row of each mode's negation in the distinct `modes`, or None when some
-    negation is missing."""
-    modes = np.asarray(modes, dtype=np.int64)
-    key = _mode_keys(modes, grid, nt)
-    neg = _mode_keys(-modes, grid, nt)
-    order = np.argsort(key)
-    rows = np.searchsorted(key, neg, sorter=order)
-    partner = order[np.minimum(rows, key.size - 1)]
-    return partner if np.array_equal(key[partner], neg) else None
+def _conjugate_partner(modes: np.ndarray):
+    """Row of each mode's negation in distinct modes held in key order, or
+    None when some negation is missing.
+
+    Negation reverses the key order, so in a set closed under negation the
+    partner of row i is row count - 1 - i; that reversal is checked, not
+    assumed.
+    """
+    if not np.array_equal(modes[::-1], -modes):
+        return None
+    return np.arange(modes.shape[0])[::-1]
 
 
 @dataclass
@@ -326,7 +315,13 @@ class SparseBlock:
     coefficients, with ``c(-k) = c(k)``: every mode's negation is in the
     block and carries the same value, so the field is real and even under
     negation of space-time.  These are the blocks the bilinear probe
-    measures; construction rejects any other.  Compared to a dense
+    measures; construction rejects any other.
+
+    The modes are held in key order, lexicographic in (jx, jy, jt), the
+    order :func:`block_modes` returns: construction sorts modes and values
+    together once, and only when they come out of order.  Every later pass
+    reads that order: a mode's negation sits at the mirrored row, and the
+    rows of one jx are contiguous.  Compared to a dense
     :class:`SpaceTimeField`, this form stays cheap on fine lattices where a
     dyadic block touches only a tiny fraction of the modes.
     """
@@ -351,14 +346,18 @@ class SparseBlock:
         if np.any((self.modes < lo) | (self.modes >= lo + sizes)):
             raise ValueError("modes must lie in [-n/2, n/2) on every axis "
                              f"(n = {self.grid.nx}, {self.grid.ny}, {self.nt})")
-        key = np.sort(_mode_keys(self.modes, self.grid, self.nt))
+        key = _mode_keys(self.modes, self.grid, self.nt)
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key)
+            key = key[order]
+            self.modes, self.values = self.modes[order], self.values[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("modes must be unique")
         if not np.issubdtype(self.values.dtype, np.floating):
             raise ValueError(f"values must be real floats, got dtype {self.values.dtype}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite coefficients")
-        partner = _conjugate_partner(self.modes, self.grid, self.nt)
+        partner = _conjugate_partner(self.modes)
         if partner is None:
             raise ValueError("every mode's negation must be in the block")
         if not np.array_equal(self.values[partner], self.values):
@@ -404,7 +403,7 @@ def random_block_sparse(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,
             f"space-time lattice has no modes in the block n={n}, l={l}; "
             "increase the resolution or shrink the levels")
     mags = np.random.default_rng(seed).uniform(0.5, 1.5, modes.shape[0])
-    values = 0.5 * (mags + mags[_conjugate_partner(modes, grid, nt)])
+    values = 0.5 * (mags + mags[_conjugate_partner(modes)])
     volume = grid.lx * grid.ly * t_box
     values *= 1.0 / np.sqrt(volume * np.sum(values ** 2))
     return SparseBlock(grid, float(t_box), int(nt), modes, values)

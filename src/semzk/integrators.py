@@ -124,13 +124,18 @@ class PicardReport:
 #: nodes per call to amortize each transform's fixed cost on small grids,
 #: few enough that the kernel's buffers stay in cache on large ones.
 _NODE_BATCH_BYTES = 256 * 1024
+#: Most nodes in one batch: on small grids the kernel's buffers for a
+#: byte-filled batch (32 nodes at 32^2) outweigh the node stacks themselves.
+_NODE_BATCH_MAX = 8
 
 
 def _node_kernel(grid: Grid2D, eq: EquationKind, nodes: int) -> _Nonlinearity:
     """The kernel of ``eq`` batched over as many of ``nodes`` time nodes as
-    fit one real field stack of ``_NODE_BATCH_BYTES`` (at least one)."""
+    fit one real field stack of ``_NODE_BATCH_BYTES``, at least one and at
+    most ``_NODE_BATCH_MAX``."""
     per_node = np.dtype(float).itemsize * grid.nx * grid.ny
-    return _Nonlinearity(grid, eq, batch=max(1, min(nodes, _NODE_BATCH_BYTES // per_node)))
+    batch = min(nodes, _NODE_BATCH_MAX, _NODE_BATCH_BYTES // per_node)
+    return _Nonlinearity(grid, eq, batch=max(1, batch))
 
 
 def _trapezoid_slot(slot: np.ndarray, lower: np.ndarray, step: float) -> None:

@@ -105,37 +105,19 @@ class CoefficientBox:
 
 def _centered_box(coeffs: np.ndarray) -> CoefficientBox:
     """Re-center FFT-ordered coefficients and trim to the nonzero extent."""
-    start = tuple(-(n // 2) for n in coeffs.shape)
-    return _trim_box(CoefficientBox(np.fft.fftshift(coeffs), start))
-
-
-def _trim_box(box: CoefficientBox) -> CoefficientBox:
-    nz = np.nonzero(box.values)
+    centered = np.fft.fftshift(coeffs)
+    nz = np.nonzero(centered)
     if nz[0].size == 0:
         return CoefficientBox(np.zeros((1, 1, 1), dtype=complex), (0, 0, 0))
     slices = tuple(slice(int(a.min()), int(a.max()) + 1) for a in nz)
-    start = tuple(s0 + sl.start for s0, sl in zip(box.start, slices))
-    return CoefficientBox(np.ascontiguousarray(box.values[slices]), start)
+    start = tuple(sl.start - n // 2 for sl, n in zip(slices, coeffs.shape))
+    return CoefficientBox(np.ascontiguousarray(centered[slices]), start)
 
 
 def _convolve_boxes(a: CoefficientBox, b: CoefficientBox) -> CoefficientBox:
     vals = fftconvolve(a.values, b.values)
     start = tuple(x + y for x, y in zip(a.start, b.start))
     return CoefficientBox(vals, start)
-
-
-def _add_boxes(boxes) -> CoefficientBox:
-    starts = np.array([b.start for b in boxes])
-    stops = np.array([[s + n for s, n in zip(b.start, b.values.shape)]
-                      for b in boxes])
-    lo = starts.min(axis=0)
-    hi = stops.max(axis=0)
-    out = np.zeros(tuple(hi - lo), dtype=boxes[0].values.dtype)
-    for b in boxes:
-        sl = tuple(slice(s - o, s - o + n)
-                   for s, o, n in zip(b.start, lo, b.values.shape))
-        out[sl] += b.values
-    return CoefficientBox(out, tuple(int(v) for v in lo))
 
 
 def _check_compatible(f1, f2) -> None:
@@ -156,17 +138,14 @@ def product_l2(f1: SpaceTimeField, f2: SpaceTimeField) -> float:
     return math.sqrt(f1.grid.lx * f1.grid.ly * f1.t_box * total)
 
 
-def _x_groups(block: SparseBlock):
-    """Modes and values ordered by jx, with the row range of every jx.
+def _x_groups(modes: np.ndarray) -> np.ndarray:
+    """Row range of every jx in key-ordered modes.
 
     Rows with ``jx = lo + g`` are ``edges[g]:edges[g + 1]`` for each ``g``
     from ``lo`` to the largest jx; absent jx values give empty ranges.
     """
-    order = np.argsort(block.modes[:, 0], kind="stable")
-    modes = np.asarray(block.modes, dtype=np.intp)[order]
     jx = modes[:, 0]
-    edges = np.searchsorted(jx, np.arange(jx[0], jx[-1] + 2))
-    return modes, np.asarray(block.values)[order], edges
+    return np.searchsorted(jx, np.arange(jx[0], jx[-1] + 2))
 
 
 def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
@@ -179,9 +158,11 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     time: the rows with ``jx1 = a`` are paired with the rows with
     ``jx2 = X - a`` for every ``a``, the contributions are summed per
     in-plane mode ``(jy1 + jy2, jt1 + jt2)``, and the plane's squared modulus
-    is added to the total before the next plane.  Besides the sorted copies
-    of the inputs, memory is bounded by the mode pairs of the largest plane
-    and one ``span_y * span_t`` accumulator, not by the whole output lattice.
+    is added to the total before the next plane.  The blocks hold their
+    modes in key order, so each ``jx1 = a`` is a contiguous run of rows and
+    no input is copied; memory is bounded by the mode pairs of the largest
+    plane and one ``span_y * span_t`` accumulator, not by the whole output
+    lattice.
 
     Both blocks are real even fields, so the product's coefficients are
     real and obey ``C(-K) = C(K)``: plane ``-X`` has the squared sum of
@@ -191,8 +172,9 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     _check_compatible(b1, b2)
     if b1.modes.shape[0] == 0 or b2.modes.shape[0] == 0:
         return 0.0
-    m1, v1, edges1 = _x_groups(b1)
-    m2, v2, edges2 = _x_groups(b2)
+    m1, v1 = np.asarray(b1.modes, dtype=np.intp), b1.values
+    m2, v2 = np.asarray(b2.modes, dtype=np.intp), b2.values
+    edges1, edges2 = _x_groups(m1), _x_groups(m2)
     # Linearize the in-plane output pair (jy1+jy2, jt1+jt2) so the key of a
     # pair splits into a per-factor sum; the stride span[2] keeps it injective.
     lo1, lo2 = m1.min(axis=0), m2.min(axis=0)
@@ -279,16 +261,18 @@ def nonlinear_box(f: SpaceTimeField) -> CoefficientBox:
     symbols of the output lattice.
     """
     g = f.grid
-    m1 = make_multiplier(g, "m1").values[:, :, None]
-    m2 = make_multiplier(g, "m2").values[:, :, None]
-    c = f.coeffs
-    base = _centered_box(c)
-    c1 = _centered_box(c * m1)
-    c2 = _centered_box(c * m2)
-    out = _add_boxes([
-        _derivative_box(_convolve_boxes(base, c1), 0, g.lx),
-        _derivative_box(_convolve_boxes(base, c2), 1, g.ly),
-    ])
+    base = _centered_box(f.coeffs)
+    # The multipliers are cut on the coefficients' own centered box.
+    cut = tuple(slice(s + n // 2, s + n // 2 + k)
+                for s, n, k in zip(base.start, (g.nx, g.ny), base.values.shape))
+
+    def term(name: str, axis: int, length: float) -> CoefficientBox:
+        m = np.fft.fftshift(make_multiplier(g, name).values)[cut][:, :, None]
+        product = _convolve_boxes(base, CoefficientBox(base.values * m, base.start))
+        return _derivative_box(product, axis, length)
+
+    out = term("m1", 0, g.lx)
+    out.values += term("m2", 1, g.ly).values
     out.values *= 0.5
     return out
 

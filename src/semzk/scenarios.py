@@ -490,15 +490,21 @@ def _picard_data(cfg: RunConfig, grid: Grid2D) -> RealField:
     return RealField(grid, scale * raw.values)
 
 
+#: Most doublings of the horizon in the window search.
+_WINDOW_DOUBLINGS = 12
+
+
 def run_picard_demo(cfg: RunConfig, *,
                     find_window: bool = False) -> PicardDemoReport:
     """Run the fixed-point iteration and record its contraction history.
 
     With ``picard_find_window`` the horizon is doubled until the iteration
-    stops contracting, recording the last horizon at which every contraction
-    ratio stayed below one — an empirical local existence window.  The
-    ``find_window`` keyword sets that key, so the resolved config and the
-    summary record the search.
+    stops contracting, at most ``_WINDOW_DOUBLINGS`` (12) times, recording
+    the last horizon at which every contraction ratio stayed below one — an
+    empirical local existence window.  The summary's ``window_search_capped``
+    says whether the search stopped at that cap rather than at a loss of
+    contraction (None without a search).  The ``find_window`` keyword sets
+    that key, so the resolved config and the summary record the search.
     """
     if find_window:
         cfg = cfg.replace(picard_find_window=True)
@@ -513,11 +519,10 @@ def run_picard_demo(cfg: RunConfig, *,
         ratio = report.ratios[k - 1] if k >= 1 else ""
         rows.append([k, distance, ratio])
     run.csv("iterations.csv", ["iteration", "distance", "ratio"], rows)
-    window = None
+    window = capped = None
     if cfg.picard_find_window:
-        window = cfg.T
-        horizon = cfg.T
-        for _ in range(12):
+        window = horizon = cfg.T
+        for _ in range(_WINDOW_DOUBLINGS):
             horizon *= 2.0
             try:
                 _, rep = picard_solve(u0, equation, horizon,
@@ -528,6 +533,8 @@ def run_picard_demo(cfg: RunConfig, *,
             if not rep.converged or any(r >= 1.0 for r in rep.ratios):
                 break
             window = horizon
+        # the last doubling still contracted: the cap, not the flow, ended it
+        capped = window == horizon
     collector = DiagnosticsCollector(grid, cfg.norms)
     for k, (t, u) in enumerate(zip(path.times, path.fields)):
         collector(k, float(t), u)
@@ -535,7 +542,7 @@ def run_picard_demo(cfg: RunConfig, *,
     summary = run.summary(
         converged=report.converged, iterations=report.iterations,
         distances=list(report.distances), ratios=list(report.ratios),
-        existence_window=window)
+        existence_window=window, window_search_capped=capped)
     return PicardDemoReport(run.path, report, path, window, summary)
 
 

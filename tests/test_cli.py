@@ -160,6 +160,16 @@ SMALL_RUNS = {
 }
 
 
+def test_picard_line_names_the_window_search_cap(tmp_path, capsys):
+    # This config contracts at every doubling, so the search ends at its cap.
+    assert main(["picard", "--out", str(tmp_path / "run"),
+                 *SMALL_RUNS["picard"]]) == 0
+    assert ("contraction holds out to T=204.8 (the search stopped at its cap "
+            "of 12 doublings)") in capsys.readouterr().out
+    payload = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert payload["window_search_capped"] is True
+
+
 @pytest.mark.parametrize("command", list(SMALL_RUNS))
 def test_rerun_from_resolved_config(command, tmp_path, capsys):
     """Every subcommand reruns from its own resolved config: the same CSVs

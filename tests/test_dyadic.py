@@ -1,5 +1,7 @@
 """Smooth dyadic cutoffs, shell projections, and random blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,22 @@ def test_shells_widely_separated_are_disjoint():
     # adjacent shells genuinely overlap
     assert np.any(w[2] * w[1] > 0.0)
     assert np.any(w[4] * w[2] > 0.0)
+
+
+def test_dense_weights_retain_nothing():
+    # One (64, 64, 256) weight is 8 MiB; once the caller drops it, nothing of
+    # it may stay behind, however many boxes and levels were asked for.
+    grid = Grid2D(64, 64, 2 * np.pi, 2 * np.pi)
+    nbytes = grid.nx * grid.ny * 256 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        for t_box, l in ((1.0, 1), (2.0, 4), (2 * np.pi, 16)):
+            assert modulation_weight(grid, t_box, 256, l).nbytes == nbytes
+            frequency_weight(grid, l)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < nbytes
 
 
 def test_level_validation():
@@ -299,12 +317,11 @@ class TestSparseBlock:
 
     def test_conjugate_partner(self):
         blk = random_block_sparse(G, 2 * np.pi, 64, 2, 4, seed=3)
-        partner = _conjugate_partner(blk.modes, G, 64)
+        partner = _conjugate_partner(blk.modes)
         assert np.array_equal(blk.modes[partner], -blk.modes)
         assert np.array_equal(partner[partner], np.arange(partner.size))
-        # a mode at -n/2 has no negation on the lattice
-        modes = np.array([[0, 0, 0], [-16, 1, 2], [1, 2, 3], [-1, -2, -3]])
-        assert _conjugate_partner(modes, G, 8) is None
-        assert np.array_equal(_conjugate_partner(modes[[0, 2, 3]], G, 8),
-                              [0, 2, 1])
-        assert _conjugate_partner(np.zeros((0, 3), dtype=int), G, 8).size == 0
+        # modes in key order; a mode at -n/2 has no negation on the lattice
+        modes = np.array([[-16, 1, 2], [-1, -2, -3], [0, 0, 0], [1, 2, 3]])
+        assert _conjugate_partner(modes) is None
+        assert np.array_equal(_conjugate_partner(modes[1:]), [2, 1, 0])
+        assert _conjugate_partner(np.zeros((0, 3), dtype=int)).size == 0

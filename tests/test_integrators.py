@@ -201,19 +201,22 @@ def test_picard_memory_in_node_stacks():
     # phases, the iterate and the integrand buffer, which then takes the
     # next iterate while the iterate's buffer takes the difference for the
     # distance; the rest is the distance's real temporary and the output
-    # fields, built after the sweep's buffers are released (4.18 stacks).
-    g = Grid2D(128, 128, 2 * np.pi, 2 * np.pi)
-    u0 = smooth_field(g, 8, 0.1)
-    picard_solve(u0, SEM, 1e-3, nodes=5, tol=0.0, max_iter=1)  # cached tables
-    stack = 65 * g.nx * (g.ny // 2 + 1) * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        _, rep = picard_solve(u0, SEM, 0.01, nodes=65, tol=0.0, max_iter=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.iterations == 3
-    assert peak < 4.5 * stack
+    # fields, built after the sweep's buffers are released (4.18 stacks at
+    # 128^2).  On a small grid the batched kernel's buffers weigh more next
+    # to a stack; the batch cap of 8 nodes keeps 32^2 at 4.77 stacks.
+    for n, bound in ((128, 4.5), (32, 5.0)):
+        g = Grid2D(n, n, 2 * np.pi, 2 * np.pi)
+        u0 = smooth_field(g, 8, 0.1)
+        picard_solve(u0, SEM, 1e-3, nodes=5, tol=0.0, max_iter=1)  # cached tables
+        stack = 65 * g.nx * (g.ny // 2 + 1) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            _, rep = picard_solve(u0, SEM, 0.01, nodes=65, tol=0.0, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations == 3
+        assert peak < bound * stack, (n, peak / stack)
 
 
 def test_picard_divergence_detected():

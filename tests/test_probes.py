@@ -89,6 +89,19 @@ class TestProductNorm:
             assert sparse == pytest.approx(dense, rel=1e-12)
         assert sparse_product_l2(empty, b2) == 0.0
 
+    def test_permuted_block_is_held_in_key_order(self):
+        # A block keeps its modes in key order, lexicographic in (jx, jy, jt),
+        # whatever order it was given them in, and each value follows its mode.
+        b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
+        b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2))
+        assert np.array_equal(b1.modes, block_modes(G, TBOX, 512, 2, 4))
+        order = np.random.default_rng(7).permutation(b1.modes.shape[0])
+        permuted = SparseBlock(G, TBOX, 512, b1.modes[order], b1.values[order])
+        assert np.array_equal(permuted.modes, b1.modes)
+        assert np.array_equal(permuted.values, b1.values)
+        assert sparse_product_l2(permuted, b2) == sparse_product_l2(b1, b2)
+        assert sparse_product_l2(b2, permuted) == sparse_product_l2(b2, b1)
+
     def test_sparse_memory_bounded_by_plane(self):
         # The fine criterion-10 pair n=(1, 4), l=(8, 8): 17M mode pairs.
         # Accumulating one output x-plane at a time keeps the peak near the
@@ -123,7 +136,7 @@ class TestProductNorm:
         assert norm == pytest.approx(
             product_l2(b1.to_field(), b2.to_field()), rel=1e-12)
         # Dropping the partner of one mode leaves a block that is not even.
-        partner = _conjugate_partner(b1.modes, G, 512)[0]
+        partner = _conjugate_partner(b1.modes)[0]
         keep = np.arange(b1.modes.shape[0]) != partner
         with pytest.raises(ValueError, match="negation"):
             SparseBlock(b1.grid, b1.t_box, b1.nt, b1.modes[keep],

@@ -250,6 +250,25 @@ class TestPicardDemo:
                                             picard_find_window=True))
         assert keyed.existence_window == rep.existence_window
 
+    def test_window_search_reports_its_cap(self, tmp_path):
+        # Small data contract at every horizon the search tries, so it ends
+        # at its cap of 12 doublings and says so; at amplitude 1 contraction
+        # is lost first.  Without a search the flag is None.
+        kw = dict(nx=32, ny=16, lx=TWO_PI, T=0.05, picard_nodes=9)
+        capped = run_picard_demo(sim_config(
+            tmp_path / "capped", amplitude=0.01, picard_find_window=True, **kw))
+        assert capped.existence_window == 0.05 * 2**12
+        assert capped.summary["window_search_capped"] is True
+        payload = json.loads((tmp_path / "capped" / "summary.json").read_text())
+        assert payload["window_search_capped"] is True
+        lost = run_picard_demo(sim_config(
+            tmp_path / "lost", amplitude=1.0, picard_find_window=True, **kw))
+        assert 0.05 <= lost.existence_window < 0.05 * 2**12
+        assert lost.summary["window_search_capped"] is False
+        plain = run_picard_demo(sim_config(tmp_path / "plain", amplitude=0.01, **kw))
+        assert plain.summary["existence_window"] is None
+        assert plain.summary["window_search_capped"] is None
+
 
 class TestProbeDrivers:
     def test_linear_probe_writes_stability(self, tmp_path):
