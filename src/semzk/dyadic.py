@@ -73,29 +73,63 @@ _EDGE = BUMP_SUPPORT - BUMP_PLATEAU
 
 def smooth_step(t):
     """Monotone C^infinity ramp: 0 for t <= 0, 1 for t >= 1."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(arr)
-    out[arr >= 1.0] = 1.0
-    mid = (arr > 0.0) & (arr < 1.0)
-    tm = arr[mid]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = a / (a + b)
-    if np.asarray(t).shape == ():
-        return float(out[0])
-    return out
+    return _on_copy(_smooth_step_inplace, t)
 
 
 def bump(x):
     """Even C^infinity cutoff: 1 on the plateau, 0 beyond the support edge."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    return 1.0 - smooth_step((ax - BUMP_PLATEAU) / _EDGE)
+    return _on_copy(_bump_inplace, x)
 
 
 def annulus(x):
     """Ring profile bump(x) - bump(2x); the dyadic shells sum telescopically."""
-    x = np.asarray(x, dtype=float)
-    return bump(x) - bump(2.0 * x)
+    return _on_copy(_annulus_inplace, x)
+
+
+# The in-place forms below overwrite their float array argument with the
+# profile, so a weight costs its own array and the transition bands, not a
+# stack of full-size temporaries.  Each runs the same float operations, in
+# the same order, as the formulas in the docstrings above.
+
+def _on_copy(profile, x):
+    """`profile` evaluated on a float copy of x; a float for a scalar x."""
+    arr = np.array(x, dtype=float, ndmin=1)
+    profile(arr)
+    return float(arr[0]) if np.asarray(x).shape == () else arr
+
+
+def _smooth_step_inplace(t: np.ndarray) -> None:
+    """t <- smooth_step(t); exponentials only inside the ramp 0 < t < 1."""
+    mid = (t > 0.0) & (t < 1.0)
+    a = t[mid]
+    b = np.subtract(1.0, a)
+    np.exp(np.divide(-1.0, a, out=a), out=a)
+    np.exp(np.divide(-1.0, b, out=b), out=b)
+    np.divide(a, np.add(a, b, out=b), out=a)
+    np.greater_equal(t, 1.0, out=t)
+    t[mid] = a
+
+
+def _bump_inplace(x: np.ndarray) -> None:
+    """x <- bump(x)."""
+    np.abs(x, out=x)
+    np.subtract(x, BUMP_PLATEAU, out=x)
+    np.divide(x, _EDGE, out=x)
+    _smooth_step_inplace(x)
+    np.subtract(1.0, x, out=x)
+
+
+def _annulus_inplace(x: np.ndarray) -> None:
+    """x <- annulus(x).  bump(2x) is evaluated only below |x| = 4/5: from
+    there on 2|x| >= 8/5 rounds the ramp argument to at least one, so
+    bump(2x) is exactly zero and subtracting it changes nothing."""
+    np.abs(x, out=x)
+    inner = ~(x >= 0.5 * BUMP_SUPPORT)
+    ring = x[inner]
+    ring *= 2.0
+    _bump_inplace(ring)
+    _bump_inplace(x)
+    x[inner] -= ring
 
 
 def dyadic_levels(max_value: float) -> tuple:
@@ -124,10 +158,16 @@ def _check_nt(nt) -> None:
         raise ValueError("nt must be an even integer >= 4")
 
 
-def _shell(x, level: int):
+def _shell(x: np.ndarray, level: int) -> np.ndarray:
     """Weight of the dyadic shell `level` at x: the bump for level 1, else
-    the ring annulus(x / level)."""
-    return bump(x) if level == 1 else annulus(x / level)
+    the ring annulus(x / level).  Overwrites the float array x with the
+    weight and returns it."""
+    if level == 1:
+        _bump_inplace(x)
+    else:
+        np.divide(x, level, out=x)
+        _annulus_inplace(x)
+    return x
 
 
 def frequency_radius(grid: Grid2D) -> np.ndarray:

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.stats import linregress
 
 from .dyadic import SpaceTimeField, SparseBlock, random_block_sparse
 from .dynamics import _phase
@@ -115,6 +113,10 @@ def _centered_box(coeffs: np.ndarray) -> CoefficientBox:
 
 
 def _convolve_boxes(a: CoefficientBox, b: CoefficientBox) -> CoefficientBox:
+    # imported here: scipy.signal is only needed by the dense probes, and
+    # loading it with the module would cost every ``import semzk``
+    from scipy.signal import fftconvolve
+
     vals = fftconvolve(a.values, b.values)
     start = tuple(x + y for x, y in zip(a.start, b.start))
     return CoefficientBox(vals, start)
@@ -350,7 +352,9 @@ def fit_separated_exponent(trials):
             ys.append(math.log(t.ratio))
     if len(set(xs)) < 2:
         return None
-    return float(linregress(xs, ys).slope)
+    # the least-squares slope as scipy.stats.linregress forms it, bit for bit
+    ssxm, ssxym, _, _ = np.cov(xs, ys, bias=1).flat
+    return float(ssxym / ssxm)
 
 
 def probe_block_bilinear(grid: Grid2D, t_box: float, nt: int, *,

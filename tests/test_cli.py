@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semzk
 from semzk.cli import main
 from semzk.snapshots import read_snapshot, write_snapshot
 from semzk.spectral import Grid2D, RealField
@@ -189,3 +195,29 @@ def test_rerun_from_resolved_config(command, tmp_path, capsys):
     assert (a["config"].pop("out_dir"), b["config"].pop("out_dir")) \
         == (str(first), str(second))
     assert a == b
+
+
+def test_import_and_a_small_run_load_no_scipy(tmp_path):
+    """``import semzk`` and a small simulate run load numpy only: scipy is
+    imported by the dense probes on first use, never by the package itself,
+    whose every run would otherwise pay several times the time and memory
+    of importing numpy and semzk."""
+    script = textwrap.dedent("""
+        import sys
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+        import semzk, semzk.cli
+        print(scipy_modules())
+        code = semzk.cli.main(['simulate', 'nx=16', 'ny=16', 'T=0.01',
+                               'dt=0.01', '--out', sys.argv[1]])
+        print(code, scipy_modules())
+        """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(semzk.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+    assert (tmp_path / "run" / "summary.json").is_file()

@@ -124,6 +124,67 @@ def test_dense_weights_retain_nothing():
     assert held < nbytes
 
 
+def _reference_profiles():
+    """bump and annulus spelled out with full-size temporaries: the formulas
+    of the module docstring, in the operation order the in-place evaluation
+    has to reproduce."""
+    def step(t):
+        out = np.zeros_like(t)
+        out[t >= 1.0] = 1.0
+        mid = (t > 0.0) & (t < 1.0)
+        a = np.exp(-1.0 / t[mid])
+        b = np.exp(-1.0 / (1.0 - t[mid]))
+        out[mid] = a / (a + b)
+        return out
+
+    def ref_bump(x):
+        edge = BUMP_SUPPORT - BUMP_PLATEAU
+        return 1.0 - step((np.abs(x) - BUMP_PLATEAU) / edge)
+
+    return ref_bump, lambda x: ref_bump(x) - ref_bump(2.0 * x)
+
+
+def _reference_shell(x, level):
+    ref_bump, ref_annulus = _reference_profiles()
+    return ref_bump(x) if level == 1 else ref_annulus(x / level)
+
+
+def test_weights_match_the_reference_formulas():
+    grid = Grid2D(32, 16, 40.0, 6.0)
+    for n in (1, 2, 4, 8, 16):
+        assert np.array_equal(frequency_weight(grid, n),
+                              _reference_shell(frequency_radius(grid), n))
+    for t_box, l in ((2 * np.pi, 1), (2 * np.pi, 2), (1.0, 4), (10.0, 8)):
+        m = modulation_values(grid, t_box, 64)
+        assert np.array_equal(modulation_weight(grid, t_box, 64, l),
+                              _reference_shell(m, l))
+    # the ramp ends, the plateau edges and the inner cut at |x| = 4/5
+    x = np.concatenate([
+        np.linspace(-2.0, 2.0, 4001),
+        [0.625, 0.8, np.nextafter(0.8, 0.0), np.nextafter(0.8, 1.0), 1.25,
+         1.6, np.nextafter(1.6, 0.0), 0.0, -0.0, np.inf, -np.inf]])
+    x_before = x.copy()
+    ref_bump, ref_annulus = _reference_profiles()
+    assert np.array_equal(bump(x), ref_bump(x))
+    assert np.array_equal(annulus(x), ref_annulus(x))
+    assert np.array_equal(x, x_before)  # the public profiles copy their input
+    assert isinstance(bump(0.7), float) and isinstance(annulus(0.7), float)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_modulation_weight_peak_memory(l):
+    # One call holds the weight itself plus boolean masks and the transition
+    # bands; a full-size temporary per ramp or per bump would exceed 3x.
+    grid = Grid2D(64, 64, 2 * np.pi, 2 * np.pi)
+    tracemalloc.start()
+    try:
+        w = modulation_weight(grid, 2 * np.pi, 256, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * w.nbytes
+
+
 def test_level_validation():
     with pytest.raises(ValueError, match="power of two"):
         frequency_weight(G, 3)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
+from scipy.stats import linregress
 
 from semzk.dyadic import (
     SparseBlock,
@@ -234,6 +235,29 @@ class TestSeparatedFit:
         bound, separated = bilinear_bound(1, 1, 4, 1)
         trials += [BlockTrial(1, 1, 4, 1, 0, 0.1 * bound, bound, separated)]
         assert fit_separated_exponent(trials) is None
+
+    @staticmethod
+    def linregress_slope(trials):
+        points = [(math.log(max(t.n1, t.n2)), math.log(t.ratio))
+                  for t in trials
+                  if t.separated and max(t.n1, t.n2) == 4 * min(t.n1, t.n2)
+                  and t.product_norm > 0]
+        return linregress(*zip(*points)).slope
+
+    def test_slope_is_linregress_to_the_bit(self):
+        cases = [self.synthetic(slope) for slope in (-0.5, 0.0, 0.25)]
+        # two points: the fit through (log 4, .) and (log 8, .) alone
+        cases.append([t for t in self.synthetic(0.3) if t.seed == 0])
+        # a small coarse criterion-10 sweep: both gap-four pairs, two boxes
+        # in modulation, three seeds
+        cases.append(probe_block_bilinear(
+            Grid2D(32, 32, 2 * np.pi, 2 * np.pi), TBOX, 512,
+            n_pairs=((1, 4), (2, 8)), l_pairs=((1, 1), (2, 2)),
+            seeds=(0, 1, 2)).trials)
+        for trials in cases:
+            fitted = fit_separated_exponent(trials)
+            assert fitted == self.linregress_slope(trials)
+        assert len(cases[3]) == 2
 
 
 class TestBilinearProbe:
