@@ -225,15 +225,33 @@ def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
         _check_domain(grid, eq.soliton)
 
 
+#: Bytes of real samples that one transform call of the kernel spans, at
+#: least one field: enough fields, or nodes of a batch, per call to amortize
+#: each transform's fixed cost on small grids, few enough that the stack
+#: stays in cache on large ones.  Stacking three fields of 32 KiB (256x16)
+#: into one call cut their transform time by a fifth; stacking fields of
+#: 2 MiB (512^2) slowed the kernel by a tenth.
+_NODE_BATCH_BYTES = 256 * 1024
+
+
 class _Nonlinearity:
     """The dealiased N(u) of one equation on one grid, in conservative form,
     from half spectrum to half spectrum; the 1/2 of every flux rides on its
     transform's scale.
 
-    Built once per public call, it owns its work buffers, so evaluating it
-    allocates nothing of the field's size.  Its spectral side runs on the
-    ``band`` leading half-spectrum columns that hold a retained mode: the
-    rest of the input is dropped by the mask, and of the output is zero.
+    Built once per public call, it owns its work buffers.  Its spectral
+    side runs on the ``band`` leading half-spectrum columns that hold a
+    retained mode: the rest of the input is dropped by the mask, and of the
+    output is zero.  An evaluation transforms u, G1u and G2u to samples and
+    the two fluxes back, ``per_call`` fields to one transform call: as many
+    as fit ``_NODE_BATCH_BYTES`` of samples, at least one.  A stacked call
+    gives each field the bits of its own call.
+
+    Beyond its buffers, an evaluation allocates only transients, one at a
+    time: the x-pass intermediate of one inverse call, a band stack of that
+    call's fields (1.34 MiB at 512^2, within ``_NODE_BATCH_BYTES`` when
+    fields are stacked), numpy's iteration buffers for a product on the band
+    (``np.getbufsize()`` elements an operand), and a soliton profile.
 
     With ``batch`` it evaluates a stack of up to ``batch`` states in one
     call, each transform running once over the stack; its buffers then
@@ -252,12 +270,34 @@ class _Nonlinearity:
         self.m1, self.m2 = tab["m1"][:, :w], tab["m2"][:, :w]
         self.shape = (grid.nx, grid.ny)
         lead = () if batch is None else (batch,)
+        field_bytes = np.dtype(float).itemsize * (batch or 1) * grid.nx * grid.ny
+        self.per_call = k = max(1, _NODE_BATCH_BYTES // field_bytes)
         n_fields = {"linear": 0, "zk": 1, "sem": 3, "sem_on_soliton": 4}[eq.kind]
-        self.fields = [np.empty(lead + self.shape) for _ in range(n_fields)]
-        if n_fields:
-            self.ud = np.zeros(lead + (grid.nx, w), dtype=complex)
-            self.band_work = np.empty_like(self.ud)
-            self.spectrum = np.empty(lead + (grid.nx, _half_ncols(grid)), dtype=complex)
+        n_in, n_flux = min(n_fields, 3), min(n_fields, 2)
+        # ``fields`` holds u, G1u, G2u, and the fluxes in its last two rows.
+        # ``spectral`` holds ``ud``, the half spectrum of u kept zero outside
+        # the mask, then the band rows of the products that one call stacks
+        # with it, one at least for sem.  ``spectrum`` takes the fluxes'
+        # transforms, so no buffer serves both directions and ``ud`` is never
+        # zeroed again.
+        self.fields = np.empty((n_fields,) + lead + self.shape)
+        self.spectral = np.zeros((max(min(k, n_in), n_flux),) + lead + (grid.nx, w),
+                                 dtype=complex)
+        self.spectrum = np.empty((min(k, n_flux),) + lead + (grid.nx, _half_ncols(grid)),
+                                 dtype=complex)
+        self._profile_t = self._profile = None
+
+    def _soliton_profile(self, t) -> np.ndarray:
+        """The background at the time ``t``, one column per node; a scalar
+        time equal to the previous one reuses its profile (the stages of an
+        IFRK4 step repeat their times)."""
+        if isinstance(t, float) and t == self._profile_t:
+            return self._profile
+        p = self.eq.soliton
+        phi = soliton_shape(p.omega, _wrapped_offset(self.grid, p, t))[..., None]
+        if isinstance(t, float):
+            self._profile_t, self._profile = t, phi
+        return phi
 
     def __call__(self, uhat: np.ndarray, t, out: np.ndarray) -> np.ndarray:
         """Write the half spectrum of N(u(t)) into ``out`` and return it.
@@ -265,40 +305,59 @@ class _Nonlinearity:
         ``uhat`` is the half spectrum of u at the time ``t``; for a batched
         kernel it is a stack of ``m <= batch`` of them, ``t`` the array of
         their ``m`` times and ``out`` a stack of the same shape."""
-        kind, w, shape = self.eq.kind, self.band, self.shape
+        kind, w, shape, k = self.eq.kind, self.band, self.shape, self.per_call
         if kind == "linear":
             out[...] = 0.0
             return out
         out[..., w:] = 0.0
-        ud, work, spec, fields = self.ud, self.band_work, self.spectrum, self.fields
+        band, spec, fields = self.spectral, self.spectrum, self.fields
         if uhat.ndim == 3 and uhat.shape[0] < self.batch:
             m = uhat.shape[0]
-            ud, work, spec, fields = ud[:m], work[:m], spec[:m], [f[:m] for f in fields]
+            band, spec, fields = band[:, :m], spec[:, :m], fields[:, :m]
+        ud = band[0]
         np.copyto(ud, uhat[..., :w], where=self.mask)
-        u = _from_half(ud, shape, out=fields[0])
+        # u, G1u and G2u (fields a to b - 1 of each call), ``k`` to a call:
+        # the first call takes ``ud`` and the products after it, a later one
+        # its products in the rows after ``ud``
+        symbols = (None, self.m1, self.m2)[:min(len(fields), 3)]
+        for a in range(0, len(symbols), k):
+            b = min(a + k, len(symbols))
+            row = min(a, 1)
+            for i in range(max(a, 1), b):
+                np.multiply(ud, symbols[i], out=band[row + i - a])
+            if b - a == 1:
+                _from_half(band[row], shape, out=fields[a])
+            else:
+                _from_half(band[row:row + b - a], shape, out=fields[a:b])
+        u = fields[0]
         nhat = out[..., :w]
         if kind == "zk":
             np.multiply(u, u, out=u)
-            np.multiply(self.ddx, _to_half(u, 0.5, out=spec)[..., :w], out=nhat)
+            np.multiply(self.ddx, _to_half(u, 0.5, out=spec[0])[..., :w], out=nhat)
         else:
-            g1 = _from_half(np.multiply(ud, self.m1, out=work), shape, out=fields[1])
-            g2 = _from_half(np.multiply(ud, self.m2, out=work), shape, out=fields[2])
+            g1, g2 = fields[1], fields[2]
             if kind == "sem":
-                flux_x = np.multiply(u, g1, out=g1)
-                flux_y = np.multiply(u, g2, out=g2)
+                np.multiply(u, g1, out=g1)
+                np.multiply(u, g2, out=g2)
             else:
                 # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
-                p = self.eq.soliton
-                phi = soliton_shape(p.omega, _wrapped_offset(self.grid, p, t))[..., None]
-                flux_x = np.multiply(u, g1, out=fields[3])
+                phi = self._soliton_profile(t)
+                flux_y = np.multiply(u, g2, out=fields[3])
+                g2 *= phi
+                flux_y += g2
+                flux_x = np.multiply(u, g1, out=g2)
                 g1 += u
                 g1 *= phi
                 flux_x += g1
-                phi_g2 = np.multiply(g2, phi, out=g1)
-                flux_y = np.multiply(u, g2, out=g2)
-                flux_y += phi_g2
-            np.multiply(self.ddx, _to_half(flux_x, 0.5, out=spec)[..., :w], out=nhat)
-            nhat += np.multiply(self.ddy, _to_half(flux_y, 0.5, out=spec)[..., :w], out=work)
+            work = band[1]
+            if k > 1:
+                spec = _to_half(fields[-2:], 0.5, out=spec[:2])
+                np.multiply(self.ddx, spec[0, ..., :w], out=nhat)
+                nhat += np.multiply(self.ddy, spec[1, ..., :w], out=work)
+            else:
+                np.multiply(self.ddx, _to_half(fields[-2], 0.5, out=spec[0])[..., :w], out=nhat)
+                nhat += np.multiply(self.ddy, _to_half(fields[-1], 0.5, out=spec[0])[..., :w],
+                                    out=work)
         np.copyto(nhat, 0.0, where=self.outside)
         return out
 

@@ -17,10 +17,11 @@ Both evaluate the nonlinearity through the one conservative-form kernel in
 :mod:`semzk.spectral`), so their agreement is a genuine cross-check of the
 time discretizations, not of shared stepping code.  :func:`evolve` calls
 the kernel on one state per stage; a Picard sweep calls it on batches of
-consecutive time nodes, a few hundred KiB of samples each, so that every
-transform runs once per batch and not once per node.  :func:`duhamel_term`
-exposes the Duhamel integral of a given trajectory through the same
-quadrature as :func:`picard_solve`.
+consecutive time nodes, as many as fit the kernel's bound on the samples of
+one transform call (``_NODE_BATCH_BYTES`` in :mod:`semzk.dynamics`), so that
+every transform runs once per batch and not once per node.
+:func:`duhamel_term` exposes the Duhamel integral of a given trajectory
+through the same quadrature as :func:`picard_solve`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from semzk.dynamics import EquationKind, _check_equation, _Nonlinearity, _phase
+from semzk.dynamics import _NODE_BATCH_BYTES, EquationKind, _check_equation, _Nonlinearity, _phase
 from semzk.norms import _half_sobolev_weight
 from semzk.spectral import Grid2D, RealField, _from_half, _half_symbols, _to_half
 
@@ -120,10 +121,6 @@ class PicardReport:
 # Duhamel integral
 
 
-#: Bytes of one real field stack that a batched kernel call spans: enough
-#: nodes per call to amortize each transform's fixed cost on small grids,
-#: few enough that the kernel's buffers stay in cache on large ones.
-_NODE_BATCH_BYTES = 256 * 1024
 #: Most nodes in one batch: on small grids the kernel's buffers for a
 #: byte-filled batch (32 nodes at 32^2) outweigh the node stacks themselves.
 _NODE_BATCH_MAX = 8
@@ -237,7 +234,8 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     times = np.linspace(0.0, T, nodes)
     u0hat = _to_half(u0.values)
     phases = _phase(_half_symbols(grid)["omega"], times)
-    w2s = _half_sobolev_weight(grid, s)
+    # the H^s weight of each float of a half spectrum's real view
+    w2 = np.repeat(_half_sobolev_weight(grid, s).ravel(), 2)
     area = grid.lx * grid.ly
     kernel = _node_kernel(grid, eq, nodes)
 
@@ -253,7 +251,13 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
             np.subtract(u0hat, new, out=new)
             np.multiply(new, phases, out=new)
             np.subtract(new, current, out=current)
-            node_dist = np.sqrt(area * np.sum(w2s * np.abs(current) ** 2, axis=(1, 2)))
+            # the difference is discarded, so its real and imaginary parts
+            # are squared and weighted in place (``np.abs`` would build a
+            # real stack, and its ``** 2`` undo a square root)
+            terms = current.view(np.float64).reshape(nodes, -1)
+            np.multiply(terms, terms, out=terms)
+            terms *= w2
+            node_dist = np.sqrt(area * np.sum(terms, axis=1))
             # a non-finite iterate node gives a non-finite distance, and an
             # overflow can give one on a finite node
             bad = ~np.isfinite(node_dist)

@@ -1,9 +1,13 @@
 """Soliton profiles, propagator, nonlinearities, and the Poisson solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import semzk.dynamics as dynamics
 from semzk.dynamics import (
+    _NODE_BATCH_BYTES,
     LINEAR,
     SEM,
     ZK,
@@ -28,6 +32,8 @@ from semzk.norms import conserved_I1, conserved_I2
 from semzk.spectral import (
     Grid2D,
     RealField,
+    _from_half,
+    _half_symbols,
     _to_half,
     apply_multiplier,
     forward_transform,
@@ -268,33 +274,174 @@ def test_mean_mode_of_nonlinearity_is_zero():
         assert _Nonlinearity(g, eq)(uhat, 0.3, np.empty_like(uhat))[0, 0] == 0.0
 
 
-@pytest.mark.parametrize("eq", [LINEAR, ZK, SEM, sem_on_soliton(SolitonParams(1.0, 40.0))],
-                         ids=["linear", "zk", "sem", "sem_on_soliton"])
+def per_field_reference(grid, eq, uhat, t):
+    """N of one state with one transform call per field, in the order u,
+    G1u, G2u, flux_x, flux_y, spelled out without the kernel's buffers."""
+    out = np.zeros_like(uhat)
+    if eq.kind == "linear":
+        return out
+    tab = _half_symbols(grid)
+    mask = tab["mask"]
+    w = int(np.count_nonzero(mask.any(axis=0)))
+    mask, ddx, ddy = mask[:, :w], tab["ddx"][:, :w], tab["ddy"][:, :w]
+    shape = (grid.nx, grid.ny)
+    ud = np.where(mask, uhat[:, :w], 0.0)
+    u = _from_half(ud, shape)
+    if eq.kind == "zk":
+        nhat = ddx * _to_half(u * u, 0.5)[:, :w]
+    else:
+        g1 = _from_half(ud * tab["m1"][:, :w], shape)
+        g2 = _from_half(ud * tab["m2"][:, :w], shape)
+        flux_x, flux_y = u * g1, u * g2
+        if eq.kind == "sem_on_soliton":
+            p = eq.soliton
+            z = (grid.x - (p.x0 + p.omega * t) + 0.5 * grid.lx) % grid.lx - 0.5 * grid.lx
+            phi = soliton_shape(p.omega, z)[:, None]
+            flux_x = flux_x + (g1 + u) * phi
+            flux_y = flux_y + g2 * phi
+        nhat = ddx * _to_half(flux_x, 0.5)[:, :w] + ddy * _to_half(flux_y, 0.5)[:, :w]
+    out[:, :w] = np.where(mask, nhat, 0.0)
+    return out
+
+
+KERNEL_KINDS = [LINEAR, ZK, SEM, sem_on_soliton(SolitonParams(1.0, 40.0))]
+
+
+@pytest.mark.parametrize("eq", KERNEL_KINDS, ids=["linear", "zk", "sem", "sem_on_soliton"])
 def test_batched_kernel_matches_per_node_calls(eq):
-    # Seven nodes through a batch of four: one full batch and a partial
-    # last one.  Each node has its own state and time, so a batch that
-    # mixed up rows, or gave every node the first node's soliton profile,
-    # would differ from the node-by-node calls.
-    g = Grid2D(128, 8, 80.0, 2 * np.pi)
+    # Five nodes, unbatched and in batches of 1, 3 (a partial last batch of
+    # 2) and 8 (one partial batch), against the one-call-per-field
+    # reference node by node: on 128x8 the kernel stacks every field of a
+    # direction into one transform call, on 256^2 it makes one call per
+    # field.  Each node has its own state and time, so a batch that mixed
+    # up rows, or gave every node the first node's soliton profile, would
+    # differ from the reference.
     rng = np.random.default_rng(21)
-    uhats = _to_half(0.1 * rng.standard_normal((7, g.nx, g.ny)))
-    times = 0.4 + 0.3 * np.arange(7)
-    single = _Nonlinearity(g, eq)
-    expected = np.empty_like(uhats)
-    for j in range(7):
-        single(uhats[j], float(times[j]), expected[j])
-    batched = _Nonlinearity(g, eq, batch=4)
-    got = np.full_like(uhats, np.nan)
-    for j0 in (0, 4):
-        out = got[j0:j0 + 4]
-        assert batched(uhats[j0:j0 + 4], times[j0:j0 + 4], out) is out
-    assert np.array_equal(got, expected)
-    if eq.kind == "sem_on_soliton":
-        # the profile moves with each node's time: the same state at two
-        # times gives two different N
-        same = np.stack([uhats[0], uhats[0]])
-        pair = batched(same, times[:2], np.empty_like(same))
-        assert not np.array_equal(pair[0], pair[1])
+    for g, per_call in ((Grid2D(128, 8, 80.0, 2 * np.pi), 32), (Grid2D(256, 256, 80.0, 2 * np.pi), 1)):
+        uhats = _to_half(0.1 * rng.standard_normal((5, g.nx, g.ny)))
+        times = 0.4 + 0.3 * np.arange(5)
+        expected = np.stack([per_field_reference(g, eq, uhats[j], times[j]) for j in range(5)])
+        single = _Nonlinearity(g, eq)
+        assert single.per_call == per_call
+        got = np.full_like(uhats, np.nan)
+        for j in range(5):
+            single(uhats[j], float(times[j]), got[j])
+        assert np.array_equal(got, expected)
+        for batch in (1, 3, 8):
+            batched = _Nonlinearity(g, eq, batch=batch)
+            got = np.full_like(uhats, np.nan)
+            for j0 in range(0, 5, batch):
+                out = got[j0:j0 + batch]
+                assert batched(uhats[j0:j0 + batch], times[j0:j0 + batch], out) is out
+            assert np.array_equal(got, expected), (g.nx, batch)
+        if eq.kind == "sem_on_soliton":
+            # the profile moves with each node's time: the same state at two
+            # times gives two different N
+            same = np.stack([uhats[0], uhats[0]])
+            pair = batched(same, times[:2], np.empty_like(same))
+            assert not np.array_equal(pair[0], pair[1])
+
+
+def test_soliton_profile_reused_only_for_a_repeated_scalar_time(monkeypatch):
+    # The kernel keeps the profile of its last scalar time: calls at t1, t1,
+    # t2, t1 evaluate it three times and each gives the bits of a fresh
+    # kernel at its time.  Node times arrive as an array and never reuse it.
+    g = Grid2D(256, 16, 80.0, 2 * np.pi)
+    eq = KERNEL_KINDS[3]
+    uhat = _to_half(band_limited_field(g, 15, [(3, 1), (5, 2), (8, 0)], amplitude=0.1).values)
+    t1, t2 = 0.35, 0.4
+    fresh = {t: _Nonlinearity(g, eq)(uhat, t, np.empty_like(uhat)) for t in (t1, t2)}
+    evaluations = []
+
+    def counted(omega, z):
+        evaluations.append(np.shape(z))
+        return soliton_shape(omega, z)
+
+    monkeypatch.setattr(dynamics, "soliton_shape", counted)
+    kernel = _Nonlinearity(g, eq)
+    for t in (t1, t1, t2, t1):
+        assert np.array_equal(kernel(uhat, t, np.empty_like(uhat)), fresh[t])
+    assert len(evaluations) == 3
+    batched = _Nonlinearity(g, eq, batch=2)
+    batched(uhat[None], t1, np.empty_like(uhat[None]))
+    pair = np.stack([uhat, uhat])
+    for times in ([t2, t1], [t1, t1]):
+        got = batched(pair, np.array(times), np.empty_like(pair))
+        assert np.array_equal(got, np.stack([fresh[t] for t in times]))
+    assert evaluations[3:] == [(g.nx,), (2, g.nx), (2, g.nx)]
+    # an IFRK4 step's stages run at t, t + dt/2, t + dt/2 and t + dt
+    del evaluations[:]
+    u = RealField(g, _from_half(uhat))
+    ifrk4_step(u, eq, t1, 0.1)
+    assert evaluations.count((g.nx,)) == 3  # the others check the seam
+
+
+@pytest.mark.parametrize("grid, batch, calls", [
+    (Grid2D(256, 16, 80.0, 2 * np.pi), None, [("inverse", 3), ("forward", 2)]),
+    (Grid2D(512, 512, 80.0, 2 * np.pi), None, [("inverse", 1)] * 3 + [("forward", 1)] * 2),
+    (Grid2D(64, 64, 2 * np.pi, 2 * np.pi), 8, [("inverse", 1)] * 3 + [("forward", 1)] * 2),
+], ids=["256x16", "512^2", "64^2x8"])
+def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
+    # One transform call spans at most _NODE_BATCH_BYTES of real samples
+    # and at least one field: the three inverses and two forwards of sem at
+    # 256x16 (32 KiB a field) go through one call each way, while a field
+    # at 512^2 (2 MiB) and a full Picard batch at 64^2 (8 nodes, 256 KiB)
+    # each get a call of their own.
+    seen = []
+
+    def spy(direction, transform):
+        def call(a, *args, **kwargs):
+            field_ndim = 2 if batch is None else 3
+            seen.append((direction, a.shape[0] if a.ndim > field_ndim else 1))
+            return transform(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(dynamics, "_from_half", spy("inverse", _from_half))
+    monkeypatch.setattr(dynamics, "_to_half", spy("forward", _to_half))
+    lead = () if batch is None else (batch,)
+    uhat = _to_half(0.1 * np.random.default_rng(3).standard_normal(lead + (grid.nx, grid.ny)))
+    t = 0.2 if batch is None else np.linspace(0.0, 0.1, batch)
+    kernel = _Nonlinearity(grid, SEM, batch=batch)
+    assert kernel.per_call == max(1, _NODE_BATCH_BYTES // (8 * (batch or 1) * grid.nx * grid.ny))
+    kernel(uhat, t, np.empty_like(uhat))
+    assert seen == calls
+
+
+@pytest.mark.parametrize("grid, eq", [(Grid2D(512, 512, 80.0, 2 * np.pi), SEM),
+                                      (Grid2D(256, 16, 80.0, 2 * np.pi), KERNEL_KINDS[3])],
+                         ids=["512^2-sem", "256x16-sem_on_soliton"])
+def test_kernel_allocations(grid, eq):
+    # The kernel holds its work buffers: its fields, the band rows (``ud``
+    # and one work row per field it stacks beyond two) and one half spectrum
+    # per stacked flux.  An evaluation adds only transients: one inverse
+    # call's x-pass intermediate, a band stack of the call's fields, or
+    # numpy's iteration buffers for the band products.  With one field per
+    # call (512^2) that is the x-pass of one field, 1.34 MiB; stacked
+    # (256x16), it stays within the byte budget of one call.
+    uhat = _to_half(0.1 * np.random.default_rng(4).standard_normal((grid.nx, grid.ny)))
+    out = np.empty_like(uhat)
+    _Nonlinearity(grid, eq)(uhat, 0.3, out)  # cached tables
+    tracemalloc.start()
+    try:
+        kernel = _Nonlinearity(grid, eq)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kernel(uhat, 0.3, out)
+        kernel(uhat, 0.5, out)
+        transient = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    k, w = kernel.per_call, kernel.band
+    n_fields = 4 if eq.kind == "sem_on_soliton" else 3
+    field = 8 * grid.nx * grid.ny
+    band_row = 16 * grid.nx * w
+    buffers = (n_fields * field + max(min(k, 3), 2) * band_row + min(k, 2) * 16 * uhat.size
+               + grid.nx * w)  # the boolean complement of the mask
+    assert held <= buffers + 4096, held - buffers
+    if k == 1:
+        assert transient <= band_row + 8192, transient - band_row
+    else:
+        assert transient <= _NODE_BATCH_BYTES
 
 
 def test_linear_kind_has_zero_rhs():

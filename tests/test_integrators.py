@@ -200,11 +200,11 @@ def test_picard_memory_in_node_stacks():
     # A stack is one complex half spectrum per node.  The sweep holds the
     # phases, the iterate and the integrand buffer, which then takes the
     # next iterate while the iterate's buffer takes the difference for the
-    # distance; the rest is the distance's real temporary and the output
-    # fields, built after the sweep's buffers are released (4.18 stacks at
-    # 128^2).  On a small grid the batched kernel's buffers weigh more next
-    # to a stack; the batch cap of 8 nodes keeps 32^2 at 4.77 stacks.
-    for n, bound in ((128, 4.5), (32, 5.0)):
+    # distance, squared in place; the rest is the output fields, built after
+    # the sweep's buffers are released (4.02 stacks at 128^2).  On a small
+    # grid the batched kernel's buffers weigh more next to a stack; the
+    # batch cap of 8 nodes keeps 32^2 at 4.15 stacks.
+    for n, bound in ((128, 4.1), (32, 4.25)):
         g = Grid2D(n, n, 2 * np.pi, 2 * np.pi)
         u0 = smooth_field(g, 8, 0.1)
         picard_solve(u0, SEM, 1e-3, nodes=5, tol=0.0, max_iter=1)  # cached tables
