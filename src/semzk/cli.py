@@ -142,10 +142,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_info() -> int:
     import numpy
-    import scipy
     print(f"semzk {__version__}")
-    print(f"python {sys.version.split()[0]}, numpy {numpy.__version__}, "
-          f"scipy {scipy.__version__}")
+    print(f"python {sys.version.split()[0]}, numpy {numpy.__version__}")
     print(f"equations: {', '.join(KINDS)}")
     print("grids: nx, ny even and >= 8; two-thirds dealiasing; "
           "Nyquist rows zeroed by every multiplier")

@@ -319,8 +319,8 @@ def block_modes(grid: Grid2D, t_box: float, nt: int, n: int,
     outside the representable tau range drop out naturally.
     """
     _check_nt(nt)
-    if not t_box > 0.0:
-        raise ValueError("t_box must be positive")
+    if not (np.isfinite(t_box) and t_box > 0.0):
+        raise ValueError("t_box must be positive and finite")
     return _block_modes_cached(grid, float(t_box), int(nt),
                                _check_level(n), _check_level(l))
 

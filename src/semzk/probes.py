@@ -2,8 +2,8 @@
 
 Products of band-limited fields are evaluated through exact linear
 convolution of their Fourier coefficients: the coefficients are re-centered,
-trimmed to their bounding boxes, and convolved with
-:func:`scipy.signal.fftconvolve`, so the output lives on an enlarged
+trimmed to their bounding boxes, and convolved on zero-padded n-D transforms
+(``spectral._linear_convolve``), so the output lives on an enlarged
 ("unwrapped") integer lattice and no aliasing occurs in any axis.  Parseval
 then turns the convolved coefficients directly into the space-time L^2 norm
 of the product.
@@ -42,6 +42,7 @@ from .spectral import (
     SpectralField,
     _from_half,
     _half_symbols,
+    _linear_convolve,
     _to_half,
     inverse_transform,
     make_multiplier,
@@ -113,11 +114,7 @@ def _centered_box(coeffs: np.ndarray) -> CoefficientBox:
 
 
 def _convolve_boxes(a: CoefficientBox, b: CoefficientBox) -> CoefficientBox:
-    # imported here: scipy.signal is only needed by the dense probes, and
-    # loading it with the module would cost every ``import semzk``
-    from scipy.signal import fftconvolve
-
-    vals = fftconvolve(a.values, b.values)
+    vals = _linear_convolve(a.values, b.values)
     start = tuple(x + y for x, y in zip(a.start, b.start))
     return CoefficientBox(vals, start)
 
@@ -519,8 +516,10 @@ def probe_l4_estimate(f: SpaceTimeField) -> float:
     Uses the identity that the squared space-time L^4 norm of a real field
     equals the L^2 norm of its square.
     """
-    l4 = math.sqrt(product_l2(f, f))
-    return l4 / xsb_norm(f, 0.0, B_FOURTH)
+    denom = xsb_norm(f, 0.0, B_FOURTH)
+    if denom == 0.0:
+        raise ValueError("input field is identically zero")
+    return math.sqrt(product_l2(f, f)) / denom
 
 
 # ---------------------------------------------------------------------------

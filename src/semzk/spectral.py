@@ -13,10 +13,11 @@ Conventions used throughout the package:
   through one of two private pairs below: ``_to_coeffs``/``_to_values`` for
   full complex spectra (the public API and the space-time fields), and
   ``_to_half``/``_from_half`` for the real half spectra of shape
-  ``(..., nx, ny//2 + 1)`` that the solvers evolve.  Every symbol table
-  comes from the per-grid cache ``_symbols``, or its half-width
-  counterpart ``_half_symbols``; both evaluate the one formula of
-  ``_symbol_tables``.
+  ``(..., nx, ny//2 + 1)`` that the solvers evolve.  The one other
+  transform user, the linear convolution of the dense probes, is
+  ``_linear_convolve`` beside them.  Every symbol table comes from the
+  per-grid cache ``_symbols``, or its half-width counterpart
+  ``_half_symbols``; both evaluate the one formula of ``_symbol_tables``.
 * A half spectrum stores the columns ``k = 0 .. ny/2`` of a real field's
   spectrum; the columns ``k = -ny/2+1 .. -1`` are the conjugates of the
   stored ones.  A sum over the full spectrum of a quantity even under
@@ -33,6 +34,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -91,14 +93,20 @@ class Grid2D:
     ly: float
 
     def __post_init__(self) -> None:
-        for n, name in ((self.nx, "nx"), (self.ny, "ny")):
-            if not isinstance(n, int) or n < 8 or n % 2 != 0:
+        # numpy scalars are accepted and stored as Python numbers; a bool is
+        # neither a size nor a length
+        for name in ("nx", "ny"):
+            n = getattr(self, name)
+            if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                    or n < 8 or n % 2 != 0):
                 raise ValueError(f"{name} must be an even integer >= 8, got {n!r}")
-        for l, name in ((self.lx, "lx"), (self.ly, "ly")):
-            if not (isinstance(l, (int, float)) and math.isfinite(l) and l > 0):
+            object.__setattr__(self, name, int(n))
+        for name in ("lx", "ly"):
+            l = getattr(self, name)
+            if (isinstance(l, bool) or not isinstance(l, numbers.Real)
+                    or not (math.isfinite(l) and l > 0)):
                 raise ValueError(f"{name} must be a positive finite number, got {l!r}")
-        object.__setattr__(self, "lx", float(self.lx))
-        object.__setattr__(self, "ly", float(self.ly))
+            object.__setattr__(self, name, float(l))
 
     # -- physical-space coordinates -------------------------------------
     @property
@@ -326,6 +334,38 @@ def _from_half(coeffs: np.ndarray, shape: tuple[int, int] | None = None,
     ``norm="forward"`` leaves the inverse unscaled, which is the series
     convention."""
     return np.fft.irfftn(coeffs, s=shape, axes=(-2, -1), norm="forward", out=out)
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 5-smooth integer ``>= n``: an FFT length numpy
+    factors into radix-2, 3 and 5 passes alone."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def _linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The linear (unwrapped) convolution of two n-D arrays, of length
+    ``n1 + n2 - 1`` on each axis.
+
+    Each axis is zero-padded to the 5-smooth length of :func:`_fast_length`
+    at least ``n1 + n2 - 1``, so the circular convolution that the product
+    of the n-D transforms gives wraps nothing; the result is its leading
+    corner, a view of the padded buffer.
+    """
+    shape = tuple(n1 + n2 - 1 for n1, n2 in zip(a.shape, b.shape))
+    padded = tuple(_fast_length(n) for n in shape)
+    axes = tuple(range(len(shape)))
+    spec = np.fft.fftn(a, s=padded, axes=axes)
+    spec *= np.fft.fftn(b, s=padded, axes=axes)
+    np.fft.ifftn(spec, axes=axes, out=spec)
+    return spec[tuple(slice(0, n) for n in shape)]
 
 
 def forward_transform(f: RealField) -> SpectralField:

@@ -1,6 +1,7 @@
 """Smooth dyadic cutoffs, shell projections, and random blocks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from semzk.dyadic import (
     SparseBlock,
     _conjugate_partner,
     annulus,
+    block_modes,
     bump,
     dispersion_values,
     dyadic_levels,
@@ -190,6 +192,14 @@ def test_level_validation():
         frequency_weight(G, 3)
     with pytest.raises(ValueError, match="power of two"):
         modulation_weight(G, 2 * np.pi, 16, 0)
+
+
+@pytest.mark.parametrize("t_box", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_block_modes_rejects_a_bad_t_box(t_box):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_box must be positive and finite"):
+            block_modes(G, t_box, 32, 1, 1)
 
 
 def test_spacetime_field_validation_and_parseval():

@@ -392,6 +392,12 @@ class TestFourthPowerProbe:
         assert probe_l4_estimate(f) == pytest.approx(
             probe_l4_estimate(scaled), rel=1e-12)
 
+    def test_zero_input_rejected(self):
+        zero = SpaceTimeField(G, TBOX,
+                              np.zeros((G.nx, G.ny, NT), dtype=complex))
+        with pytest.raises(ValueError, match="identically zero"):
+            probe_l4_estimate(zero)
+
     def test_resonant_mode_hand_value(self):
         # For u = cos(theta) on the dispersion surface, |u^2| has L^2 norm
         # sqrt(V (1/4 + 1/8 + 1/8)) ... computed directly instead:

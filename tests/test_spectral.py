@@ -1,7 +1,11 @@
 """Grid, transform, multiplier, and dealiasing checks."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from semzk.spectral import (
     Grid2D,
@@ -12,6 +16,8 @@ from semzk.spectral import (
     forward_transform,
     inverse_transform,
     make_multiplier,
+    _fast_length,
+    _linear_convolve,
 )
 
 
@@ -39,6 +45,72 @@ def test_grid_validation():
         Grid2D(16, 16, -1.0, 1.0)
     with pytest.raises(ValueError):
         Grid2D(16, 16, 1.0, float("nan"))
+
+
+@pytest.mark.parametrize("n, length", [
+    (np.int64(32), 1.0),
+    (np.int32(32), np.float32(1.0)),
+    (np.uint16(32), np.float64(1.0)),
+    (32, np.int64(1)),
+    (32, Fraction(1)),
+])
+def test_grid_accepts_numpy_and_other_real_scalars(n, length):
+    g = Grid2D(n, n, length, length)
+    assert (type(g.nx), type(g.ny), type(g.lx), type(g.ly)) == (int, int, float, float)
+    assert g == Grid2D(32, 32, 1.0, 1.0)
+    assert hash(g) == hash(Grid2D(32, 32, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(nx=True), "nx"),
+    (dict(ny=np.float64(32.0)), "ny"),
+    (dict(nx=np.int64(31)), "nx"),
+    (dict(lx=True), "lx"),
+    (dict(ly=np.bool_(True)), "ly"),
+    (dict(lx=1.0 + 0j), "lx"),
+    (dict(ly=np.float32("inf")), "ly"),
+])
+def test_grid_rejects_bools_and_non_real_scalars(kwargs, name):
+    args = dict(nx=32, ny=32, lx=1.0, ly=1.0) | kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        Grid2D(**args)
+
+
+def test_fast_length_is_the_least_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    for n in range(1, 501):
+        m = _fast_length(n)
+        assert m >= n and smooth(m)
+        assert not any(smooth(k) for k in range(n, m))
+
+
+def brute_convolve(a, b):
+    out = np.zeros(tuple(p + q - 1 for p, q in zip(a.shape, b.shape)), complex)
+    for i in itertools.product(*map(range, a.shape)):
+        for j in itertools.product(*map(range, b.shape)):
+            out[tuple(p + q for p, q in zip(i, j))] += a[i] * b[j]
+    return out
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((3, 4, 5), (2, 3, 4)),
+    ((1, 5, 2), (4, 1, 7)),
+    ((5, 3, 6), (1, 1, 1)),
+])
+def test_linear_convolve_matches_brute_force_and_scipy(shape_a, shape_b):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+    b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+    out = _linear_convolve(a, b)
+    ref = brute_convolve(a, b)
+    assert out.shape == ref.shape
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(out - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(out - fftconvolve(a, b))) <= 1e-13 * scale
 
 
 def test_grid_wavenumbers():
