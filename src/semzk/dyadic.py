@@ -21,6 +21,8 @@ in FFT ordering; the time frequency on a box of length ``t_box`` is
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -153,6 +155,15 @@ def _check_level(n) -> int:
     return n
 
 
+def _check_t_box(t_box) -> float:
+    """``t_box`` as a float; raises unless it is a positive finite real
+    number (a bool is not a length)."""
+    if (isinstance(t_box, bool) or not isinstance(t_box, numbers.Real)
+            or not (math.isfinite(t_box) and t_box > 0)):
+        raise ValueError(f"t_box must be positive and finite, got {t_box!r}")
+    return float(t_box)
+
+
 def _check_nt(nt) -> None:
     if nt < 4 or nt % 2:
         raise ValueError("nt must be an even integer >= 4")
@@ -182,7 +193,7 @@ def dispersion_values(grid: Grid2D) -> np.ndarray:
 
 def tau_values(t_box: float, nt: int) -> np.ndarray:
     """Time frequencies 2*pi*fftfreq for an nt-point box of length t_box."""
-    return 2.0 * np.pi * np.fft.fftfreq(nt, d=t_box / nt)
+    return 2.0 * np.pi * np.fft.fftfreq(nt, d=_check_t_box(t_box) / nt)
 
 
 def modulation_values(grid: Grid2D, t_box: float, nt: int) -> np.ndarray:
@@ -221,8 +232,7 @@ class SpaceTimeField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_box) and self.t_box > 0):
-            raise ValueError("t_box must be positive and finite")
+        self.t_box = _check_t_box(self.t_box)
         c = np.ascontiguousarray(self.coeffs, dtype=complex)
         if c.ndim != 3 or c.shape[:2] != (self.grid.nx, self.grid.ny):
             raise ValueError(
@@ -260,7 +270,7 @@ def spacetime_from_snapshots(grid: Grid2D, t_box: float,
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 3 or frames.shape[:2] != (grid.nx, grid.ny):
         raise ValueError("frames must have shape (nx, ny, nt)")
-    return SpaceTimeField(grid, float(t_box), _to_coeffs(frames, axes=(0, 1, 2)))
+    return SpaceTimeField(grid, t_box, _to_coeffs(frames, axes=(0, 1, 2)))
 
 
 def project_frequency(field: SpaceTimeField, n: int) -> SpaceTimeField:
@@ -319,9 +329,7 @@ def block_modes(grid: Grid2D, t_box: float, nt: int, n: int,
     outside the representable tau range drop out naturally.
     """
     _check_nt(nt)
-    if not (np.isfinite(t_box) and t_box > 0.0):
-        raise ValueError("t_box must be positive and finite")
-    return _block_modes_cached(grid, float(t_box), int(nt),
+    return _block_modes_cached(grid, _check_t_box(t_box), int(nt),
                                _check_level(n), _check_level(l))
 
 
@@ -373,6 +381,7 @@ class SparseBlock:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self.t_box = _check_t_box(self.t_box)
         self.modes = np.asarray(self.modes)
         self.values = np.asarray(self.values)
         if self.modes.ndim != 2 or self.modes.shape[1] != 3:

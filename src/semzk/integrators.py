@@ -10,7 +10,9 @@ Two independent routes to the solution are provided on purpose:
 * :func:`evolve` marches with classical RK4 applied to the integrating-
   factor transform of the equation; the stiff linear phase ``exp(i t omega)``
   is applied exactly (unitarily), so only the nonlinearity is integrated
-  approximately and the scheme is globally fourth order.
+  approximately and the scheme is globally fourth order.  It starts at an
+  absolute time ``t0``, which a moving background reads, and every time it
+  hands out is absolute; :func:`ifrk4_step` is one step of the same march.
 
 Both evaluate the nonlinearity through the one conservative-form kernel in
 :mod:`semzk.dynamics` and carry the state as a real half spectrum (see
@@ -285,21 +287,14 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
 # integrating-factor RK4
 
 
-def _step_phases(grid: Grid2D, dt: float) -> tuple[np.ndarray, ...]:
-    """``E = exp(i dt/2 omega)``, ``E**2`` and their conjugates on the half
-    spectrum: the phases of one IFRK4 step of size ``dt``."""
-    E = _phase(_half_symbols(grid)["omega"], 0.5 * dt)
-    E2 = E * E
-    return E, E2, np.conj(E), np.conj(E2)
-
-
 def _ifrk4_hat(uhat: np.ndarray, kernel: _Nonlinearity, t: float, dt: float,
                phases: tuple[np.ndarray, ...], out: np.ndarray,
                acc: np.ndarray, k: np.ndarray) -> np.ndarray:
     """One IFRK4 step on the half spectrum, written into ``out``.
 
-    ``phases`` comes from :func:`_step_phases`; ``acc`` and ``k`` are work
-    buffers shaped like ``uhat``.  The stages ``k_i = -conj(phase) N(...)``
+    ``phases`` holds ``E = exp(i dt/2 omega)``, ``E**2`` and their
+    conjugates on the half spectrum; ``acc`` and ``k`` are work buffers
+    shaped like ``uhat``.  The stages ``k_i = -conj(phase) N(...)``
     are summed as they come, in the order ``k1 + 2 k2 + 2 k3 + k4``, and
     the arguments of stages 2-4 are built in ``out``.  The buffers hold
     ``-k_i``, so every minus sign rides on a scalar coefficient.
@@ -327,72 +322,26 @@ def _ifrk4_hat(uhat: np.ndarray, kernel: _Nonlinearity, t: float, dt: float,
     return np.multiply(E2, out, out=out)
 
 
-def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField:
-    """Advance one step of size ``dt`` from time ``t``.
-
-    The linear flow is applied through its exact unitary phase, so a linear-
-    only step reproduces the propagator to round-off; the nonlinearity sees
-    classical RK4 with stage times ``t, t+dt/2, t+dt/2, t+dt``.
-    """
-    if not (math.isfinite(dt) and dt != 0.0):
-        raise ValueError("step size must be finite and nonzero")
-    grid = u.grid
-    _check_equation(grid, eq)
-    uhat = _to_half(u.values)
-    work = [np.empty_like(uhat) for _ in range(3)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        new = _ifrk4_hat(uhat, _Nonlinearity(grid, eq), t, dt, _step_phases(grid, dt), *work)
-        vals = _from_half(new)
-    if not np.all(np.isfinite(vals)):
-        raise RuntimeError(f"step diverged at t = {t:.6g}; last finite L2 norm "
-                           f"{u.l2():.3e}; reduce dt")
-    return RealField(grid, vals)
-
-
-def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
-           callbacks: Sequence[Callable[[int, float, RealField], None]] = (),
-           callback_stride: int = 1) -> TrajectoryPath:
-    """March from ``u0`` over ``[0, T]`` with IFRK4 steps of size about ``dt``.
-
-    The step count is ``round(T/dt)`` (at least one) and the step is adjusted
-    to divide ``T`` exactly.  ``T`` may be negative (backwards flow).  The
-    returned trajectory holds the endpoints only: ``u0`` at time 0 and the
-    final state at ``T``, in increasing-time order (a single node when
-    ``T == 0``), so memory stays at a few fields however long the run.
-    Intermediate states go to the callbacks, which receive
-    ``(step_index, time, field)`` at every ``callback_stride``-th step (a
-    stride below 1 raises ``ValueError`` before the first step) plus
-    both endpoints and must not mutate the field.
-    """
-    if not math.isfinite(T):
-        raise ValueError("horizon T must be finite")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive and finite")
-    if callback_stride < 1:
-        raise ValueError(f"callback_stride must be at least 1, got {callback_stride!r}")
+def _ifrk4_march(u0: RealField, eq: EquationKind, t0: float, dt: float,
+                 n_steps: int, callbacks=(), callback_stride: int = 1) -> RealField:
+    """``n_steps`` IFRK4 steps of signed size ``dt`` from ``u0`` at time
+    ``t0``; the callbacks get ``(step, t0 + step dt, field)`` at step 0,
+    every ``callback_stride``-th step and the last, whose field is returned."""
     grid = u0.grid
-    _check_equation(grid, eq)
-    first = u0.copy()
-    if T == 0.0:
-        for cb in callbacks:
-            cb(0, 0.0, first)
-        return TrajectoryPath(grid, np.array([0.0]), [first])
-
-    n_steps = max(1, int(round(abs(T) / dt)))
-    dt_eff = T / n_steps
     tab = _half_symbols(grid)
-    phases = _step_phases(grid, dt_eff)
+    E = _phase(tab["omega"], 0.5 * dt)
+    E2 = E * E
+    phases = (E, E2, np.conj(E), np.conj(E2))
     kernel = _Nonlinearity(grid, eq)
-
     # two state buffers, alternated, and the step's two work buffers
     uhat = _to_half(u0.values)
     new, acc, k = (np.empty_like(uhat) for _ in range(3))
     for cb in callbacks:
-        cb(0, 0.0, u0)
+        cb(0, t0, u0)
     for i in range(n_steps):
-        t = i * dt_eff
+        t = t0 + i * dt
         with np.errstate(over="ignore", invalid="ignore"):
-            _ifrk4_hat(uhat, kernel, t, dt_eff, phases, new, acc, k)
+            _ifrk4_hat(uhat, kernel, t, dt, phases, new, acc, k)
         if not np.all(np.isfinite(new.view(np.float64))):
             l2 = math.sqrt(grid.lx * grid.ly * np.sum(tab["columns"] * np.abs(uhat) ** 2))
             raise RuntimeError(
@@ -403,9 +352,62 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
         if step == n_steps or (callbacks and step % callback_stride == 0):
             last = RealField(grid, _from_half(uhat))
             for cb in callbacks:
-                cb(step, step * dt_eff, last)
+                cb(step, t0 + step * dt, last)
+    return last
 
-    t_last = n_steps * dt_eff
+
+def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField:
+    """Advance one step of size ``dt`` from time ``t``: one step of the
+    :func:`evolve` march.
+
+    The linear flow is applied through its exact unitary phase, so a linear-
+    only step reproduces the propagator to round-off; the nonlinearity sees
+    classical RK4 with stage times ``t, t+dt/2, t+dt/2, t+dt``.
+    """
+    if not (math.isfinite(t) and math.isfinite(dt) and dt != 0.0):
+        raise ValueError("start time must be finite, step size finite and nonzero")
+    _check_equation(u.grid, eq)
+    return _ifrk4_march(u, eq, t, dt, 1)
+
+
+def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
+           t0: float = 0.0,
+           callbacks: Sequence[Callable[[int, float, RealField], None]] = (),
+           callback_stride: int = 1) -> TrajectoryPath:
+    """March from ``u0`` at time ``t0`` over ``[t0, t0 + T]`` with IFRK4
+    steps of size about ``dt``.
+
+    The step count is ``round(T/dt)`` (at least one) and the step is adjusted
+    to divide ``T`` exactly.  ``T`` may be negative (backwards flow).  Every
+    time is absolute: the kernel's stage times, the callbacks', the
+    divergence message's and the returned trajectory's.  That trajectory
+    holds the endpoints only: ``u0`` at ``t0`` and the final state, in
+    increasing-time order (a single node when ``T == 0``), so memory stays at
+    a few fields however long the run.  Intermediate states go to the
+    callbacks, which receive ``(step_index, time, field)`` at every
+    ``callback_stride``-th step (a stride that is not an integer >= 1 raises
+    ``ValueError`` before the first step) plus both endpoints and must not
+    mutate the field.
+    """
+    if not (math.isfinite(T) and math.isfinite(t0)):
+        raise ValueError("horizon T and start time t0 must be finite")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if (isinstance(callback_stride, bool) or not isinstance(callback_stride, numbers.Integral)
+            or callback_stride < 1):
+        raise ValueError(f"callback_stride must be an integer >= 1, got {callback_stride!r}")
+    grid = u0.grid
+    _check_equation(grid, eq)
+    first = u0.copy()
+    if T == 0.0:
+        for cb in callbacks:
+            cb(0, t0, first)
+        return TrajectoryPath(grid, np.array([t0]), [first])
+
+    n_steps = max(1, int(round(abs(T) / dt)))
+    dt_eff = T / n_steps
+    last = _ifrk4_march(u0, eq, t0, dt_eff, n_steps, callbacks, callback_stride)
+    t_last = t0 + n_steps * dt_eff
     if T < 0:  # store in increasing-time order
-        return TrajectoryPath(grid, np.array([t_last, 0.0]), [last, first])
-    return TrajectoryPath(grid, np.array([0.0, t_last]), [first, last])
+        return TrajectoryPath(grid, np.array([t_last, t0]), [last, first])
+    return TrajectoryPath(grid, np.array([t0, t_last]), [first, last])

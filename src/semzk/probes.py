@@ -420,7 +420,7 @@ def random_bandlimited_spacetime(grid: Grid2D, t_box: float, nt: int, seed, *,
     if 2 * max_mode >= min(grid.nx, grid.ny) or 2 * max_tmode >= nt:
         raise ValueError("lattice too coarse for the requested mode range")
     c = _random_hermitian(seed, (grid.nx, grid.ny, nt), (max_mode, max_mode, max_tmode))
-    return SpaceTimeField(grid, float(t_box), c)
+    return SpaceTimeField(grid, t_box, c)
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,8 @@ class DiagnosticsCollector:
     (they are evaluated snapshot by snapshot).
     """
 
-    def __init__(self, grid: Grid2D, norm_labels=(), time_offset: float = 0.0):
+    def __init__(self, grid: Grid2D, norm_labels=()):
         self.grid = grid
-        self.time_offset = float(time_offset)
         self.descriptors = _snapshot_descriptors(norm_labels)
         self.labels = [desc.label for desc in self.descriptors]
         self.records: list[DiagnosticsRecord] = []
@@ -164,7 +163,7 @@ class DiagnosticsCollector:
             for desc in self.descriptors:
                 extra[desc.label] = mixed_norm(slice_path, desc)
         self.records.append(DiagnosticsRecord(
-            self.time_offset + time, conserved_I1(u), conserved_I2(u), extra))
+            time, conserved_I1(u), conserved_I2(u), extra))
 
     def norm_keys(self) -> list[str]:
         return ["H1"] + self.labels
@@ -173,40 +172,37 @@ class DiagnosticsCollector:
 class _SnapshotWriter:
     """Writes interior checkpoints every ``stride`` steps (0 disables)."""
 
-    def __init__(self, directory: Path, stride: int, equation: str,
-                 time_offset: float = 0.0):
+    def __init__(self, directory: Path, stride: int, equation: str):
         self.directory = directory
         self.stride = stride
         self.equation = equation
-        self.time_offset = float(time_offset)
 
     def __call__(self, step: int, time: float, u: RealField) -> None:
         if self.stride and step and step % self.stride == 0:
             write_snapshot(self.directory / f"state_{step:06d}.snap", u,
-                           time=self.time_offset + time,
-                           equation=self.equation)
+                           time=time, equation=self.equation)
 
 
 def _march(cfg: RunConfig, u0: RealField, equation: EquationKind, *,
-           t_start: float = 0.0, callbacks=()):
-    """Evolve ``u0`` over the configured schedule into a fresh run directory.
+           t_start: float = 0.0):
+    """Evolve ``u0`` from the global time ``t_start`` over the configured
+    schedule into a fresh run directory.
 
     The diagnostics collector and the interior-snapshot writer run as
-    callbacks every ``diagnostic_stride`` steps, after the extra
-    ``callbacks``; the initial and final snapshots, ``diagnostics.csv`` and
-    the heatmaps follow.  Every recorded time is offset by the global start
-    time ``t_start``.  Returns the :class:`_RunDir`, the endpoint
-    trajectory, the diagnostics records and the final global time.
+    callbacks every ``diagnostic_stride`` steps; the initial and final
+    snapshots, ``diagnostics.csv`` and the heatmaps follow.  Every recorded
+    time is the march's own, which starts at ``t_start``.  Returns the
+    :class:`_RunDir`, the endpoint trajectory, the diagnostics records and
+    the final global time.
     """
     run = _RunDir(cfg)
-    collector = DiagnosticsCollector(cfg.grid(), cfg.norms,
-                                     time_offset=t_start)
+    collector = DiagnosticsCollector(cfg.grid(), cfg.norms)
     snapper = _SnapshotWriter(run.path / "snapshots", cfg.snapshot_stride,
-                              equation.kind, time_offset=t_start)
-    path = evolve(u0, equation, cfg.T, cfg.dt,
-                  callbacks=[*callbacks, collector, snapper],
+                              equation.kind)
+    path = evolve(u0, equation, cfg.T, cfg.dt, t0=t_start,
+                  callbacks=[collector, snapper],
                   callback_stride=cfg.diagnostic_stride)
-    t_final = t_start + float(path.times[-1])
+    t_final = float(path.times[-1])
     run.trajectory(u0, t_start, path.fields[-1], t_final, collector)
     return run, path, collector.records, t_final
 
@@ -254,8 +250,9 @@ def initial_state(cfg: RunConfig) -> tuple[RealField, float]:
 
     For the perturbation equation the state is the perturbation itself (the
     background soliton lives inside the equation).  Restarting from a
-    snapshot resumes the stored time; the soliton-frame adjustment for a
-    moving background is handled by the caller through the crest position.
+    snapshot resumes the stored time, from which the march restarts: the
+    moving background is evaluated at that absolute time, with the
+    configured crest position.
     """
     grid = cfg.grid()
     if cfg.initial == "snapshot":
@@ -298,13 +295,8 @@ class SimulationReport:
 def run_simulation(cfg: RunConfig) -> SimulationReport:
     """Evolve the configured equation and write the standard artifacts."""
     u0, t_start = initial_state(cfg)
-    if cfg.equation == "sem_on_soliton" and t_start != 0.0:
-        # The background crest has traveled; restart in the shifted frame.
-        shifted = cfg.replace(x0=cfg.x0 + cfg.omega * t_start)
-        equation = sem_on_soliton(_soliton_params(shifted))
-    else:
-        equation = _equation_for(cfg)
-    run, path, records, t_final = _march(cfg, u0, equation, t_start=t_start)
+    run, path, records, t_final = _march(cfg, u0, _equation_for(cfg),
+                                         t_start=t_start)
     first, last = records[0], records[-1]
     summary = run.summary(
         equation=cfg.equation, t_start=t_start, t_final=t_final,
@@ -425,15 +417,9 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
     v0 = perturbation_field(grid, cfg)
     phi_norm = math.sqrt(conserved_I2(soliton_profile(grid, params)))
     v0_norm = math.sqrt(conserved_I2(v0))
-    times, norms = [], []
-
-    def track(step: int, time: float, u: RealField) -> None:
-        times.append(time)
-        norms.append(math.sqrt(conserved_I2(u)))
-
-    run = _march(cfg, v0, equation, callbacks=[track])[0]
-    t_arr = np.array(times)
-    n_arr = np.array(norms)
+    run, _, records, _ = _march(cfg, v0, equation)
+    t_arr = np.array([rec.time for rec in records])
+    n_arr = np.array([math.sqrt(rec.i2) for rec in records])
     flags: list[str] = []
     low = cfg.window_low * v0_norm
     high = cfg.window_high * phi_norm

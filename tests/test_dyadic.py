@@ -202,6 +202,48 @@ def test_block_modes_rejects_a_bad_t_box(t_box):
             block_modes(G, t_box, 32, 1, 1)
 
 
+def _set_t_box(field, t_box):
+    field.t_box = t_box
+    return field
+
+
+T_BOX_USERS = {
+    "tau_values": lambda t_box: tau_values(t_box, 16),
+    "modulation_values": lambda t_box: modulation_values(G, t_box, 16),
+    "modulation_weight": lambda t_box: modulation_weight(G, t_box, 16, 1),
+    "project_modulation": lambda t_box: project_modulation(
+        _set_t_box(SpaceTimeField(G, 1.0, np.zeros((G.nx, G.ny, 16))), t_box), 1),
+    "SpaceTimeField": lambda t_box: SpaceTimeField(G, t_box, np.zeros((G.nx, G.ny, 16))),
+    "spacetime_from_snapshots": lambda t_box: spacetime_from_snapshots(
+        G, t_box, np.zeros((G.nx, G.ny, 16))),
+    "block_modes": lambda t_box: block_modes(G, t_box, 32, 1, 1),
+    "SparseBlock": lambda t_box: SparseBlock(G, t_box, 16, np.zeros((0, 3), dtype=int),
+                                             np.zeros(0)),
+    "random_block_sparse": lambda t_box: random_block_sparse(G, t_box, 32, 1, 1, seed=0),
+}
+
+
+@pytest.mark.parametrize("t_box", [True, False, 0.0, -1.0, np.inf, -np.inf, np.nan,
+                                   "1.0", 1j], ids=repr)
+@pytest.mark.parametrize("user", sorted(T_BOX_USERS))
+def test_every_t_box_goes_through_one_check(user, t_box):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_box must be positive and finite"):
+            T_BOX_USERS[user](t_box)
+
+
+@pytest.mark.parametrize("t_box", [2, np.float32(2.0), np.int64(2), np.float64(2.0)],
+                         ids=repr)
+def test_t_box_scalars_are_stored_as_floats(t_box):
+    field = SpaceTimeField(G, t_box, np.zeros((G.nx, G.ny, 16)))
+    assert type(field.t_box) is float and field.t_box == 2.0
+    assert np.array_equal(tau_values(t_box, 16), tau_values(2.0, 16))
+    assert np.array_equal(block_modes(G, t_box, 32, 1, 1), block_modes(G, 2.0, 32, 1, 1))
+    block = random_block_sparse(G, t_box, 32, 1, 1, seed=0)
+    assert type(block.t_box) is float
+
+
 def test_spacetime_field_validation_and_parseval():
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((G.nx, G.ny, 16))

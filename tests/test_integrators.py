@@ -433,10 +433,77 @@ def test_evolve_validates_args():
         evolve(u0, ZK, 1.0, -0.1)
     with pytest.raises(ValueError):
         evolve(u0, ZK, float("inf"), 0.1)
-    # a stride below 1 is refused before the first step
+    for t0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t0"):
+            evolve(u0, ZK, 0.1, 0.01, t0=t0)
+    # a stride that is not an integer >= 1 is refused before the first step
     calls = []
-    for stride in (0, -1):
+    for stride in (0, -1, 2.5, 1.0, True):
         with pytest.raises(ValueError, match="callback_stride"):
             evolve(u0, SEM, 0.04, 0.01, callbacks=[lambda *args: calls.append(args)],
                    callback_stride=stride)
     assert calls == []
+    evolve(u0, SEM, 0.04, 0.01, callbacks=[lambda *args: calls.append(args)],
+           callback_stride=np.int64(2))
+    assert [args[0] for args in calls] == [0, 2, 4]
+
+
+# ---------------------------------------------------------------------------
+# one clock: evolve's start time, and ifrk4_step as one step of the march
+
+SOLITON_GRID = Grid2D(128, 8, 80.0, 2 * np.pi)
+CLOCK_EQUATIONS = {"zk": ZK, "sem": SEM,
+                   "sem_on_soliton": sem_on_soliton(SolitonParams(omega=1.0, x0=40.0))}
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, -2.5, 1e3])
+def test_evolve_from_t0_reports_absolute_times(s):
+    u0 = smooth_field(SMALL, 17, 0.1)
+    T, dt = 0.1, 0.003
+    n = round(T / dt)
+    dt_eff = T / n
+    seen = []
+    path = evolve(u0, ZK, T, dt, t0=s, callbacks=[lambda i, t, f: seen.append((i, t))],
+                  callback_stride=7)
+    assert path.times[0] == s
+    assert path.times[-1] == s + n * dt_eff
+    assert path.times[-1] == pytest.approx(s + T)
+    assert [i for i, _ in seen] == [0, 7, 14, 21, 28, 33]
+    assert all(t == s + i * dt_eff for i, t in seen)
+    back = evolve(u0, ZK, -T, dt, t0=s)
+    assert back.times[-1] == s
+    assert back.times[0] == pytest.approx(s - T)
+    single = evolve(u0, ZK, 0.0, dt, t0=s, callbacks=[lambda i, t, f: seen.append((i, t))])
+    assert single.times.tolist() == [s]
+    assert seen[-1] == (0, s)
+
+
+@pytest.mark.parametrize("name", sorted(CLOCK_EQUATIONS))
+@pytest.mark.parametrize("t", [0.0, 0.3, 7.25])
+@pytest.mark.parametrize("dt", [0.01, -0.02])
+def test_ifrk4_step_is_one_step_of_evolve(name, t, dt):
+    eq = CLOCK_EQUATIONS[name]
+    grid = SOLITON_GRID
+    u = smooth_field(grid, 18, 1e-3)
+    path = evolve(u, eq, dt, abs(dt), t0=t)
+    marched = path.fields[0 if dt < 0 else -1]
+    assert np.array_equal(ifrk4_step(u, eq, t, dt).values, marched.values)
+
+
+def test_ifrk4_step_far_from_the_origin_of_time():
+    # t + dt == t in floating point here; a step still runs
+    u = smooth_field(SMALL, 19, 0.1)
+    out = ifrk4_step(u, ZK, 1e16, 0.01)
+    assert np.all(np.isfinite(out.values))
+    assert np.array_equal(out.values, ifrk4_step(u, ZK, 0.0, 0.01).values)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="start time"):
+            ifrk4_step(u, ZK, t, 0.01)
+
+
+def test_divergence_names_the_absolute_time():
+    big = smooth_field(SMALL, 9, 1e6)
+    with pytest.raises(RuntimeError, match="diverged") as err:
+        evolve(big, ZK, 25.0, 0.5, t0=100.0)
+    t = float(re.search(r"\(t = ([^)]*)\)", str(err.value)).group(1))
+    assert t >= 100.0

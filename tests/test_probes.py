@@ -272,6 +272,14 @@ class TestBilinearProbe:
         assert rep1.separated_count == 4
         assert len(rep1.trials) == 8
 
+    @pytest.mark.parametrize("t_box", [True, 0.0, math.nan])
+    def test_rejects_a_bad_t_box(self, t_box):
+        with pytest.raises(ValueError, match="t_box must be positive and finite"):
+            probe_block_bilinear(G, t_box, 256, n_pairs=((1, 1),), l_pairs=((1, 1),),
+                                 seeds=(0,))
+        with pytest.raises(ValueError, match="t_box must be positive and finite"):
+            random_bandlimited_spacetime(G, t_box, 32, seed=0)
+
     def test_coarse_trials_obey_the_counting_bound(self):
         # Cauchy-Schwarz over the N(K) mode pairs that land on one output
         # mode K gives |u1 u2| <= sqrt(max_K N(K) / volume) for unit blocks.

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from semzk.config import RunConfig
+from semzk.dynamics import SolitonParams, sem_on_soliton
+from semzk.integrators import evolve
 from semzk.norms import conserved_I1, conserved_I2
 from semzk.scenarios import (
     DiagnosticsCollector,
@@ -88,6 +90,26 @@ class TestRunSimulation:
         assert second.summary["t_final"] == pytest.approx(0.1)
         # the recomputed step size differs by at most one ulp
         assert np.max(np.abs(second.final.values - full.final.values)) < 1e-12
+
+    def test_moving_background_restart_marches_from_the_stored_time(self, tmp_path):
+        # the restart leg is evolve from the snapshot's time with the
+        # configured crest: no shifted frame, every recorded time absolute
+        kw = dict(equation="sem_on_soliton", perturbation_amplitude=1e-4,
+                  snapshot_stride=2)
+        run_simulation(sim_config(tmp_path / "first", **kw))
+        snap = read_snapshot(tmp_path / "first" / "snapshots" / "final.snap")
+        second = run_simulation(sim_config(
+            tmp_path / "second", initial="snapshot",
+            initial_path=str(tmp_path / "first" / "snapshots" / "final.snap"), **kw))
+        eq = sem_on_soliton(SolitonParams(omega=4.0, x0=10.0))
+        marched = evolve(snap.field(), eq, 0.05, 0.01, t0=snap.time)
+        assert np.array_equal(second.final.values, marched.fields[-1].values)
+        assert second.summary["t_start"] == snap.time
+        assert second.summary["t_final"] == marched.times[-1]
+        assert [r.time for r in second.diagnostics] == [
+            snap.time + step * 0.01 for step in range(6)]
+        interior = read_snapshot(tmp_path / "second" / "snapshots" / "state_000002.snap")
+        assert interior.time == snap.time + 2 * 0.01
 
     def test_snapshot_restart_validates_grid(self, tmp_path):
         other = Grid2D(32, 8, 40.0, TWO_PI)
@@ -182,6 +204,11 @@ class TestInstability:
             rows = list(csv.reader(fh))
         assert rows[0] == ["time", "norm"]
         assert len(rows) > 2
+        # the growth norms are the diagnostics' I2, one row per record
+        with open(tmp_path / "run" / "diagnostics.csv", newline="") as fh:
+            diag = list(csv.DictReader(fh))
+        assert rep.times.tolist() == [float(r["time"]) for r in diag]
+        assert rep.norms.tolist() == [math.sqrt(float(r["I2"])) for r in diag]
 
     def test_saturated_run_flags_nonlinear_regime(self, tmp_path):
         cfg = sim_config(tmp_path / "run", equation="sem_on_soliton",
