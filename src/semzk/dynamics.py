@@ -242,7 +242,8 @@ class _Nonlinearity:
     Built once per public call, it owns its work buffers.  Its spectral
     side runs on the ``band`` leading half-spectrum columns that hold a
     retained mode: the rest of the input is dropped by the mask, and of the
-    output is zero.  An evaluation transforms u, G1u and G2u to samples and
+    output is zero.  So it takes, and fills, either whole half spectra or
+    their ``band`` columns alone, which the IFRK4 march keeps contiguous.  An evaluation transforms u, G1u and G2u to samples and
     the two fluxes back, ``per_call`` fields to one transform call: as many
     as fit ``_NODE_BATCH_BYTES`` of samples, at least one.  A stacked call
     gives each field the bits of its own call.

@@ -36,8 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from semzk.dynamics import _NODE_BATCH_BYTES, EquationKind, _check_equation, _Nonlinearity, _phase
-from semzk.norms import _half_sobolev_weight
-from semzk.spectral import Grid2D, RealField, _from_half, _half_symbols, _to_half
+from semzk.norms import _half_sobolev_weight, conserved_I2
+from semzk.spectral import Grid2D, RealField, _from_half, _half_of, _half_symbols, _to_half
 
 __all__ = [
     "TrajectoryPath",
@@ -326,31 +326,53 @@ def _ifrk4_march(u0: RealField, eq: EquationKind, t0: float, dt: float,
                  n_steps: int, callbacks=(), callback_stride: int = 1) -> RealField:
     """``n_steps`` IFRK4 steps of signed size ``dt`` from ``u0`` at time
     ``t0``; the callbacks get ``(step, t0 + step dt, field)`` at step 0,
-    every ``callback_stride``-th step and the last, whose field is returned."""
+    every ``callback_stride``-th step and the last, whose field is returned.
+
+    The march starts from the half spectrum ``u0`` holds, or else from that
+    of its samples, and hands out fields that hold a copy of the state's
+    half spectrum and make samples only when ``values`` is read (at step 0
+    also ``u0``'s samples, when it has them).  The state is kept in two
+    pieces: the kernel's ``band`` leading columns, contiguous, on which the
+    RK4 stages run, and the columns past them, which hold no retained mode,
+    so the nonlinearity is zero there and a step only turns them by
+    ``E**2`` -- to the bit what a full-width step gives them.
+    """
     grid = u0.grid
+    kernel = _Nonlinearity(grid, eq)
+    w = kernel.band
     tab = _half_symbols(grid)
     E = _phase(tab["omega"], 0.5 * dt)
     E2 = E * E
+    turn = E2[:, w:].copy()
+    E, E2 = E[:, :w].copy(), E2[:, :w].copy()
     phases = (E, E2, np.conj(E), np.conj(E2))
-    kernel = _Nonlinearity(grid, eq)
-    # two state buffers, alternated, and the step's two work buffers
-    uhat = _to_half(u0.values)
-    new, acc, k = (np.empty_like(uhat) for _ in range(3))
+    spectrum = _half_of(u0)
+    # two band buffers, alternated, the step's two work buffers, and the rest
+    band, tail = np.array(spectrum[:, :w]), np.array(spectrum[:, w:])
+    new, acc, k = (np.empty_like(band) for _ in range(3))
+
+    def state() -> np.ndarray:
+        full = np.empty(spectrum.shape, dtype=complex)
+        full[:, :w], full[:, w:] = band, tail
+        return full
+
+    first = u0 if u0._half is not None else RealField._of_half(grid, spectrum, u0.values)
     for cb in callbacks:
-        cb(0, t0, u0)
+        cb(0, t0, first)
     for i in range(n_steps):
         t = t0 + i * dt
         with np.errstate(over="ignore", invalid="ignore"):
-            _ifrk4_hat(uhat, kernel, t, dt, phases, new, acc, k)
+            _ifrk4_hat(band, kernel, t, dt, phases, new, acc, k)
         if not np.all(np.isfinite(new.view(np.float64))):
-            l2 = math.sqrt(grid.lx * grid.ly * np.sum(tab["columns"] * np.abs(uhat) ** 2))
+            l2 = math.sqrt(conserved_I2(RealField._of_half(grid, state())))
             raise RuntimeError(
                 f"step diverged at step {i + 1} of {n_steps} (t = {t:.6g}); last finite "
                 f"L2 norm {l2:.3e}; reduce dt")
-        uhat, new = new, uhat
+        np.multiply(turn, tail, out=tail)
+        band, new = new, band
         step = i + 1
         if step == n_steps or (callbacks and step % callback_stride == 0):
-            last = RealField(grid, _from_half(uhat))
+            last = RealField._of_half(grid, state())
             for cb in callbacks:
                 cb(step, t0 + step * dt, last)
     return last
@@ -387,7 +409,15 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
     callbacks, which receive ``(step_index, time, field)`` at every
     ``callback_stride``-th step (a stride that is not an integer >= 1 raises
     ``ValueError`` before the first step) plus both endpoints and must not
-    mutate the field.
+    mutate the field.  Past step 0 that field, like the final endpoint,
+    holds a copy of the march's half spectrum, which the callback may keep:
+    it makes its samples only when ``values`` is read, and the norms and
+    :func:`semzk.snapshots.write_snapshot` read the spectrum itself.  A
+    ``u0`` that holds a half spectrum (a field from an earlier march, or
+    from a version-2 snapshot) is marched from that spectrum, so a restart
+    continues the uninterrupted march to the bit when the step agrees and
+    the equation does not read the time.  A horizon too small to move
+    ``t0`` in floating point raises ``ValueError`` before the first step.
     """
     if not (math.isfinite(T) and math.isfinite(t0)):
         raise ValueError("horizon T and start time t0 must be finite")
@@ -406,8 +436,11 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
 
     n_steps = max(1, int(round(abs(T) / dt)))
     dt_eff = T / n_steps
-    last = _ifrk4_march(u0, eq, t0, dt_eff, n_steps, callbacks, callback_stride)
     t_last = t0 + n_steps * dt_eff
+    if t_last == t0:
+        raise ValueError(f"horizon T = {T!r} does not move the start time t0 = {t0!r} "
+                         "in floating point; the trajectory would have no length")
+    last = _ifrk4_march(u0, eq, t0, dt_eff, n_steps, callbacks, callback_stride)
     if T < 0:  # store in increasing-time order
         return TrajectoryPath(grid, np.array([t_last, t0]), [last, first])
     return TrajectoryPath(grid, np.array([t0, t_last]), [first, last])

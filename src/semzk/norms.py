@@ -1,8 +1,12 @@
 """Conserved quantities, Sobolev norms, and mixed space-time norms.
 
 The two conserved integrals of the flow are the plain integral ``I1`` and the
-squared L2 mass ``I2``; both are computed by the (spectrally exact) periodic
-trapezoid rule.  Sobolev weights use the bracket ``<r> = 1 + |r|``.
+squared L2 mass ``I2``.  On samples both are computed by the (spectrally
+exact) periodic trapezoid rule; a field that holds its half spectrum (the
+solvers hand out such fields) gives ``I1`` from its mean mode and ``I2`` by
+Parseval, which agree with the samples' values to round-off.  Sobolev
+weights use the bracket ``<r> = 1 + |r|``, and a Sobolev norm reads a held
+half spectrum as it is.
 
 Mixed norms such as ``L^inf_x L^2_y L^2_T`` are evaluated by reducing one
 axis at a time, innermost (last listed) first: finite exponents use weighted
@@ -24,9 +28,9 @@ from semzk.spectral import (
     RealField,
     SpectralField,
     _half_ncols,
+    _half_of,
     _half_symbols,
     _readonly,
-    _to_half,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -46,13 +50,27 @@ _ALLOWED_EXPONENTS = (1.0, 2.0, 3.0, 4.0, math.inf)
 
 
 def conserved_I1(u: RealField) -> float:
-    """Integral of ``u`` over the periodic box."""
-    return float(np.sum(u.values) * u.grid.dx * u.grid.dy)
+    """Integral of ``u`` over the periodic box: the area times the mean mode
+    of a held half spectrum, else the rectangle rule on the samples."""
+    g = u.grid
+    if u._half is not None:
+        return float(g.lx * g.ly * u._half[0, 0].real)
+    return float(np.sum(u.values) * g.dx * g.dy)
 
 
 def conserved_I2(u: RealField) -> float:
-    """Integral of ``u^2`` over the periodic box (the squared L2 norm)."""
-    return float(np.sum(u.values**2) * u.grid.dx * u.grid.dy)
+    """Integral of ``u^2`` over the periodic box (the squared L2 norm): by
+    Parseval on a held half spectrum, else by the rectangle rule."""
+    g = u.grid
+    half = u._half
+    if half is not None:
+        # |c|^2 summed down each column, then weighted by the column's
+        # multiplicity; einsum's own loop, where ``np.vdot`` would start
+        # BLAS threads
+        parts = half.view(np.float64)
+        columns = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
+        return float(g.lx * g.ly * np.sum(_half_symbols(g)["columns"] * columns))
+    return float(np.sum(u.values**2) * g.dx * g.dy)
 
 
 def _hs_weight(xi: np.ndarray, mu: np.ndarray, s: float) -> np.ndarray:
@@ -78,11 +96,12 @@ def _half_sobolev_weight(grid: Grid2D, s: float) -> np.ndarray:
 def sobolev_norm(u: RealField | SpectralField, s: float = 1.0) -> float:
     """H^s norm with weight ``(1 + |(xi, mu)|)^s`` on each mode.
 
-    ``s = 0`` reproduces the L2 norm exactly.
+    ``s = 0`` reproduces the L2 norm exactly.  A real field is read through
+    its half spectrum, the held one when it has one.
     """
     g = u.grid
     if isinstance(u, RealField):
-        w, coeffs = _half_sobolev_weight(g, s), _to_half(u.values)
+        w, coeffs = _half_sobolev_weight(g, s), _half_of(u)
     else:
         w, coeffs = _sobolev_weight(g, s), u.coeffs
     return float(np.sqrt(g.lx * g.ly * np.sum(w * np.abs(coeffs) ** 2)))

@@ -23,7 +23,9 @@ Conventions used throughout the package:
   stored ones.  A sum over the full spectrum of a quantity even under
   ``(j, k) -> (-j, -k)`` is therefore a sum over the half spectrum with the
   column multiplicities ``_half_symbols(grid)["columns"]``: 1 for ``k = 0``
-  and the Nyquist column, 2 for every other column.
+  and the Nyquist column, 2 for every other column.  A :class:`RealField`
+  the solvers hand out holds its half spectrum and makes its samples only
+  when they are read.
 * Wavenumbers are ``xi_j = 2*pi*j/lx`` and ``mu_k = 2*pi*k/ly`` with integer
   indices ``j in [-nx/2, nx/2)`` stored in FFT order.
 * The unpaired Nyquist rows (``j == -nx/2`` or ``k == -ny/2``) carry no
@@ -178,27 +180,58 @@ class Grid2D:
         return keep_x[:, None] & keep_y[None, :]
 
 
-def _validate_values(values: np.ndarray, grid: Grid2D, dtype, what: str) -> np.ndarray:
+def _validate_values(values: np.ndarray, grid: Grid2D, dtype, what: str,
+                     shape: tuple[int, int] | None = None) -> np.ndarray:
+    """``values`` as a contiguous finite array of ``dtype`` and ``shape``,
+    by default the grid's sample shape."""
     arr = np.ascontiguousarray(values, dtype=dtype)
-    if arr.shape != (grid.nx, grid.ny):
-        raise ValueError(f"{what} shape {arr.shape} does not match grid ({grid.nx}, {grid.ny})")
+    shape = shape or (grid.nx, grid.ny)
+    if arr.shape != shape:
+        raise ValueError(f"{what} shape {arr.shape} does not match grid {shape}")
     if not np.all(np.isfinite(arr.view(np.float64) if dtype is np.complex128 else arr)):
         raise ValueError("non-finite field")
     return arr
 
 
-@dataclass
 class RealField:
-    """Real scalar field sampled on a :class:`Grid2D` (values shape ``(nx, ny)``)."""
+    """Real scalar field sampled on a :class:`Grid2D` (values shape ``(nx, ny)``).
 
-    grid: Grid2D
-    values: np.ndarray
+    A field the solvers hand out holds its real half spectrum instead (see
+    :meth:`_of_half`) and makes its samples on the first read of ``values``;
+    the norms of :mod:`semzk.norms` and the snapshot writer read that
+    spectrum directly.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = _validate_values(self.values, self.grid, np.float64, "field")
+    def __init__(self, grid: Grid2D, values: np.ndarray):
+        self.grid = grid
+        self._values = _validate_values(values, grid, np.float64, "field")
+        self._half = None
+
+    @classmethod
+    def _of_half(cls, grid: Grid2D, half: np.ndarray,
+                 values: np.ndarray | None = None) -> "RealField":
+        """The field whose half spectrum is ``half``, which it keeps (so the
+        caller must not write into it), with its samples ``values`` when
+        they are already known.  Nothing is validated."""
+        f = cls.__new__(cls)
+        f.grid, f._values, f._half = grid, values, half
+        return f
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _from_half(self._half)
+        return self._values
+
+    def __repr__(self) -> str:
+        held = "values" if self._half is None else "half spectrum"
+        return f"RealField(grid={self.grid!r}, holds {held})"
 
     def copy(self) -> "RealField":
-        return RealField(self.grid, self.values.copy())
+        if self._half is None:
+            return RealField(self.grid, self._values.copy())
+        values = None if self._values is None else self._values.copy()
+        return RealField._of_half(self.grid, self._half.copy(), values)
 
     def l2(self) -> float:
         """Physical-quadrature L2 norm, ``sqrt(sum u^2 dx dy)``."""
@@ -334,6 +367,12 @@ def _from_half(coeffs: np.ndarray, shape: tuple[int, int] | None = None,
     ``norm="forward"`` leaves the inverse unscaled, which is the series
     convention."""
     return np.fft.irfftn(coeffs, s=shape, axes=(-2, -1), norm="forward", out=out)
+
+
+def _half_of(u: RealField) -> np.ndarray:
+    """The half spectrum of ``u``: the one it holds, which must not be
+    written into, or else a fresh transform of its samples."""
+    return _to_half(u.values) if u._half is None else u._half
 
 
 def _fast_length(n: int) -> int:

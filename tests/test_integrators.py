@@ -30,9 +30,11 @@ from semzk.integrators import (
     picard_solve,
 )
 from semzk.norms import conserved_I1, conserved_I2, sobolev_norm
+from semzk.scenarios import DiagnosticsCollector
 from semzk.spectral import (
     Grid2D,
     RealField,
+    _from_half,
     _half_symbols,
     _to_half,
     forward_transform,
@@ -507,3 +509,114 @@ def test_divergence_names_the_absolute_time():
         evolve(big, ZK, 25.0, 0.5, t0=100.0)
     t = float(re.search(r"\(t = ([^)]*)\)", str(err.value)).group(1))
     assert t >= 100.0
+
+
+def test_evolve_refuses_a_horizon_that_does_not_move_t0():
+    # t0 + T rounds to t0: refused before the first step, naming both
+    u = smooth_field(SMALL, 19, 0.1)
+    calls = []
+    with pytest.raises(ValueError, match=r"T = 0\.01 .* t0 = 1e\+16"):
+        evolve(u, ZK, 0.01, 0.01, t0=1e16, callbacks=[lambda *args: calls.append(args)])
+    assert calls == []
+    # a horizon that does move it still runs, and ends where it says
+    path = evolve(u, ZK, 4.0, 2.0, t0=1e16)
+    assert path.times.tolist() == [1e16, 1e16 + 4.0]
+
+
+# ---------------------------------------------------------------------------
+# the march keeps its half spectrum: a band state, and samples on request
+
+MARCH_CASES = {
+    "zk-256x16": (Grid2D(256, 16, 80.0, 36.0), ZK),
+    "sem-256x16": (Grid2D(256, 16, 80.0, 36.0), SEM),
+    "sem_on_soliton-256x16": (Grid2D(256, 16, 80.0, 36.0),
+                              sem_on_soliton(SolitonParams(omega=1.0, x0=20.0))),
+    "zk-96": (Grid2D(96, 96, 2 * np.pi, 2 * np.pi), ZK),
+    "sem-96": (Grid2D(96, 96, 2 * np.pi, 2 * np.pi), SEM),
+}
+
+
+def full_width_march(u0, eq, T, n_steps):
+    """The IFRK4 loop on whole half spectra, as the march ran before it
+    split its state into the band and the columns past it."""
+    grid = u0.grid
+    dt = T / n_steps
+    E = _phase(_half_symbols(grid)["omega"], 0.5 * dt)
+    E2 = E * E
+    phases = (E, E2, np.conj(E), np.conj(E2))
+    kernel = _Nonlinearity(grid, eq)
+    uhat = _to_half(u0.values)
+    new, acc, k = (np.empty_like(uhat) for _ in range(3))
+    for i in range(n_steps):
+        integrators._ifrk4_hat(uhat, kernel, i * dt, dt, phases, new, acc, k)
+        uhat, new = new, uhat
+    return uhat
+
+
+@pytest.mark.parametrize("case", sorted(MARCH_CASES))
+def test_band_march_matches_the_full_width_march(case):
+    grid, eq = MARCH_CASES[case]
+    # every column of the half spectrum carries energy, the ones past the
+    # band too, so the split state is exercised on both sides
+    u0 = RealField(grid, 1e-3 * np.random.default_rng(4).standard_normal((grid.nx, grid.ny)))
+    last = evolve(u0, eq, 0.2, 0.01).fields[-1]
+    reference = full_width_march(u0, eq, 0.2, 20)
+    assert np.array_equal(last._half, reference)
+    assert np.array_equal(last.values, _from_half(reference))
+
+
+def test_samples_are_made_only_on_request(monkeypatch):
+    grid = Grid2D(64, 64, 2 * np.pi, 2 * np.pi)
+    u0 = smooth_field(grid, 21, 0.1)
+    collector = DiagnosticsCollector(grid)
+    inside = [False]
+    counts = {"kernel": 0, "irfftn": 0, "rfftn": 0}
+
+    def counted(name):
+        original = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            if not inside[0]:
+                counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, call)
+
+    kernel_call = _Nonlinearity.__call__
+
+    def kernel(self, *args):
+        counts["kernel"] += 1
+        inside[0] = True
+        try:
+            return kernel_call(self, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(_Nonlinearity, "__call__", kernel)
+    for name in ("irfftn", "rfftn"):
+        counted(name)
+    path = evolve(u0, SEM, 0.05, 0.01, callbacks=[collector])
+    # four kernel evaluations a step; outside them one forward transform of
+    # the samples of u0, and no transform at all for the six callbacks
+    assert counts == {"kernel": 20, "irfftn": 0, "rfftn": 1}
+    assert len(collector.records) == 6
+    last = path.fields[-1]
+    last.values
+    last.values
+    assert counts == {"kernel": 20, "irfftn": 1, "rfftn": 1}
+
+
+@pytest.mark.parametrize("grid", [Grid2D(32, 32, 2 * np.pi, 2 * np.pi),
+                                  Grid2D(96, 96, 2 * np.pi, 2 * np.pi),
+                                  Grid2D(256, 16, 80.0, 36.0)],
+                         ids=["32", "96", "256x16"])
+def test_spectral_diagnostics_match_the_samples(grid):
+    u0 = smooth_field(grid, 22, 0.5)
+    # a mean, so that I1 is not round-off
+    u0 = RealField(grid, u0.values + 0.3)
+    marched = evolve(u0, SEM, 0.05, 0.01).fields[-1]
+    for held in (RealField._of_half(grid, _to_half(u0.values)), marched):
+        samples = RealField(grid, held.values.copy())
+        assert held._half is not None and samples._half is None
+        for norm in (conserved_I1, conserved_I2, lambda u: sobolev_norm(u, 1.0)):
+            assert norm(held) == pytest.approx(norm(samples), rel=1e-14, abs=0.0)

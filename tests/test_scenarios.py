@@ -91,6 +91,31 @@ class TestRunSimulation:
         # the recomputed step size differs by at most one ulp
         assert np.max(np.abs(second.final.values - full.final.values)) < 1e-12
 
+    @pytest.mark.parametrize("equation", ["zk", "sem"])
+    def test_restart_continues_the_march_to_the_bit(self, tmp_path, equation):
+        # the legs' steps agree with the whole run's, and neither equation
+        # reads the time, so the restart from the stored half spectrum
+        # continues the uninterrupted march exactly
+        kw = dict(equation=equation, ny=16, amplitude=0.1, seed=3)
+        assert 0.05 / 5 == 0.1 / 10
+        full = run_simulation(sim_config(tmp_path / "full", T=0.1,
+                                         initial="random", **kw))
+        first = run_simulation(sim_config(tmp_path / "first", T=0.05,
+                                          initial="random", **kw))
+        second = run_simulation(sim_config(
+            tmp_path / "second", T=0.05, initial="snapshot",
+            initial_path=str(tmp_path / "first" / "snapshots" / "final.snap"),
+            **kw))
+        assert np.array_equal(second.final.values, full.final.values)
+        ends = [read_snapshot(tmp_path / run / "snapshots" / "final.snap")
+                for run in ("full", "second")]
+        assert [snap.version for snap in ends] == [2, 2]
+        assert np.array_equal(ends[0].payload, ends[1].payload)
+        assert ends[0].time == ends[1].time
+        # the restart's first diagnostics row is the first leg's last one
+        assert second.diagnostics[0] == first.diagnostics[-1]
+        assert second.diagnostics[-1].i2 == full.diagnostics[-1].i2
+
     def test_moving_background_restart_marches_from_the_stored_time(self, tmp_path):
         # the restart leg is evolve from the snapshot's time with the
         # configured crest: no shifted frame, every recorded time absolute

@@ -1,15 +1,22 @@
 """Checkpoint round trips and corruption handling."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from semzk.config import RunConfig
+from semzk.dynamics import SEM
+from semzk.integrators import evolve
+from semzk.scenarios import run_simulation
 from semzk.snapshots import (
     EQUATION_TAGS,
     MAGIC,
     read_snapshot,
     write_snapshot,
 )
-from semzk.spectral import Grid2D, RealField
+from semzk.spectral import Grid2D, RealField, _from_half
 
 G = Grid2D(16, 8, 3.0, 2.0)
 
@@ -96,3 +103,93 @@ def test_trailing_data_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing data"):
         read_snapshot(path)
+
+
+# ---------------------------------------------------------------------------
+# format versions: samples (1) and half spectrum (2)
+
+
+HEADER_FORMAT = "<6sIIIdddB"
+HEADER_BYTES = struct.calcsize(HEADER_FORMAT)
+
+
+def pack_version_1(path, field, *, time, equation="sem"):
+    """A version-1 file packed by hand from the layout, not by the writer."""
+    g = field.grid
+    header = struct.pack(HEADER_FORMAT, MAGIC, 1, g.nx, g.ny, g.lx, g.ly, time,
+                         EQUATION_TAGS[equation])
+    path.write_bytes(header + field.values.astype("<f8").tobytes())
+
+
+def marched_field(seed=0):
+    """A field that holds its half spectrum, as the solvers hand out."""
+    return evolve(sample_field(seed), SEM, 0.02, 0.01).fields[-1]
+
+
+def test_plain_field_is_written_as_samples(tmp_path):
+    path = tmp_path / "state.snap"
+    write_snapshot(path, sample_field(), time=0.0)
+    snap = read_snapshot(path)
+    assert snap.version == 1
+    assert path.stat().st_size == HEADER_BYTES + 8 * G.nx * G.ny
+    assert snap.field()._half is None
+
+
+def test_hand_packed_version_1_loads(tmp_path):
+    values = sample_field(4).values
+    path = tmp_path / "old.snap"
+    pack_version_1(path, sample_field(4), time=0.75)
+    snap = read_snapshot(path)
+    assert (snap.version, snap.time, snap.equation) == (1, 0.75, "sem")
+    assert np.array_equal(snap.values, values)
+    assert np.array_equal(snap.field().values, values)
+
+
+def test_restart_from_version_1_runs(tmp_path):
+    grid = Grid2D(16, 16, 2 * math.pi, 2 * math.pi)
+    u0 = RealField(grid, 0.1 * np.random.default_rng(5).standard_normal((16, 16)))
+    path = tmp_path / "old.snap"
+    pack_version_1(path, u0, time=0.5)
+    rep = run_simulation(RunConfig(
+        equation="sem", nx=16, ny=16, lx=grid.lx, ly=grid.ly, T=0.03, dt=0.01,
+        initial="snapshot", initial_path=str(path), out_dir=str(tmp_path / "run")))
+    assert rep.summary["t_start"] == 0.5
+    marched = evolve(u0, SEM, 0.03, 0.01, t0=0.5).fields[-1]
+    assert np.array_equal(rep.final.values, marched.values)
+    # the run's own final snapshot is a version-2 file
+    assert read_snapshot(tmp_path / "run" / "snapshots" / "final.snap").version == 2
+
+
+def test_half_spectrum_round_trip_bit_exact(tmp_path):
+    field = marched_field(6)
+    path = tmp_path / "state.snap"
+    write_snapshot(path, field, time=0.02, equation="sem")
+    snap = read_snapshot(path)
+    assert snap.version == 2
+    assert path.stat().st_size == HEADER_BYTES + 16 * G.nx * (G.ny // 2 + 1)
+    assert snap.payload.dtype == np.complex128
+    assert np.array_equal(snap.payload, field._half)
+    loaded = snap.field()
+    assert np.array_equal(loaded._half, field._half)
+    assert loaded._half is not snap.payload
+    assert np.array_equal(loaded.values, _from_half(snap.payload))
+    assert np.array_equal(snap.values, loaded.values)
+    # and the loaded field writes the same bytes again
+    again = tmp_path / "again.snap"
+    write_snapshot(again, loaded, time=0.02, equation="sem")
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_half_spectrum_length_and_values_checked(tmp_path):
+    path = tmp_path / "state.snap"
+    write_snapshot(path, marched_field(7), time=0.0)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match="truncated"):
+        read_snapshot(path)
+    path.write_bytes(raw + b"\x00" * 16)
+    with pytest.raises(ValueError, match="trailing data"):
+        read_snapshot(path)
+    path.write_bytes(raw[:-8] + struct.pack("<d", math.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        read_snapshot(path).field()
