@@ -18,6 +18,7 @@ import math
 import tomllib
 from dataclasses import dataclass, fields, replace
 
+from .dyadic import _check_nt
 from .dynamics import KINDS as EQUATION_KINDS
 from .norms import _snapshot_descriptors
 from .spectral import Grid2D
@@ -190,10 +191,11 @@ class RunConfig:
         if self.snapshot_stride and self.snapshot_stride % self.diagnostic_stride:
             raise ValueError(
                 "snapshot_stride must be a multiple of diagnostic_stride")
+        if self.seed < 0:
+            raise ValueError("config field seed must be nonnegative")
         if self.perturbation_wavenumber < 0:
             raise ValueError("perturbation_wavenumber must be nonnegative")
-        if self.nt < 4 or self.nt % 2:
-            raise ValueError("nt must be an even integer >= 4")
+        _check_nt(self.nt)
         for name in ("probe_seeds", "probe_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be at least 1")

@@ -21,7 +21,6 @@ in FFT ordering; the time frequency on a box of length ``t_box`` is
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,6 +31,8 @@ from .spectral import (
     Grid2D,
     _HERMITIAN_TOL,
     _conjugate_flip,
+    _integer,
+    _real,
     _to_coeffs,
     _to_values,
 )
@@ -140,33 +141,24 @@ def dyadic_levels(max_value: float) -> tuple:
     The returned top level N satisfies ``max_value <= 5N/4`` so the telescoped
     sum of all shell weights equals one on [0, max_value].
     """
-    if not np.isfinite(max_value) or max_value <= 0:
-        raise ValueError("max_value must be positive and finite")
+    max_value = _real("max_value", max_value, positive=True)
     levels = [1]
     while levels[-1] * BUMP_PLATEAU < max_value:
         levels.append(2 * levels[-1])
     return tuple(levels)
 
 
-def _check_level(n) -> int:
-    n = int(n)
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"dyadic level must be a positive power of two, got {n}")
-    return n
+def _check_level(name: str, n) -> int:
+    if isinstance(n, numbers.Integral) and (n < 1 or n & (n - 1)):
+        raise ValueError(f"{name} must be a power of two >= 1, got {n!r}")
+    return _integer(name, n, 1)
 
 
-def _check_t_box(t_box) -> float:
-    """``t_box`` as a float; raises unless it is a positive finite real
-    number (a bool is not a length)."""
-    if (isinstance(t_box, bool) or not isinstance(t_box, numbers.Real)
-            or not (math.isfinite(t_box) and t_box > 0)):
-        raise ValueError(f"t_box must be positive and finite, got {t_box!r}")
-    return float(t_box)
-
-
-def _check_nt(nt) -> None:
-    if nt < 4 or nt % 2:
-        raise ValueError("nt must be an even integer >= 4")
+def _check_nt(nt) -> int:
+    nt = _integer("nt", nt, 4)
+    if nt % 2:
+        raise ValueError(f"nt must be even, got {nt!r}")
+    return nt
 
 
 def _shell(x: np.ndarray, level: int) -> np.ndarray:
@@ -193,7 +185,8 @@ def dispersion_values(grid: Grid2D) -> np.ndarray:
 
 def tau_values(t_box: float, nt: int) -> np.ndarray:
     """Time frequencies 2*pi*fftfreq for an nt-point box of length t_box."""
-    return 2.0 * np.pi * np.fft.fftfreq(nt, d=_check_t_box(t_box) / nt)
+    nt = _check_nt(nt)
+    return 2.0 * np.pi * np.fft.fftfreq(nt, d=_real("t_box", t_box, positive=True) / nt)
 
 
 def modulation_values(grid: Grid2D, t_box: float, nt: int) -> np.ndarray:
@@ -207,7 +200,7 @@ def frequency_weight(grid: Grid2D, n: int) -> np.ndarray:
 
     Returns a new (nx, ny) array in FFT ordering; nothing is kept.
     """
-    return _shell(frequency_radius(grid), _check_level(n))
+    return _shell(frequency_radius(grid), _check_level("n", n))
 
 
 def modulation_weight(grid: Grid2D, t_box: float, nt: int, l: int) -> np.ndarray:
@@ -216,7 +209,7 @@ def modulation_weight(grid: Grid2D, t_box: float, nt: int, l: int) -> np.ndarray
     Returns a new (nx, ny, nt) array in FFT ordering; nothing is kept, so
     a caller holds at most the weights it still uses.
     """
-    return _shell(modulation_values(grid, t_box, nt), _check_level(l))
+    return _shell(modulation_values(grid, t_box, nt), _check_level("l", l))
 
 
 @dataclass
@@ -232,7 +225,7 @@ class SpaceTimeField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.t_box = _check_t_box(self.t_box)
+        self.t_box = _real("t_box", self.t_box, positive=True)
         c = np.ascontiguousarray(self.coeffs, dtype=complex)
         if c.ndim != 3 or c.shape[:2] != (self.grid.nx, self.grid.ny):
             raise ValueError(
@@ -328,9 +321,8 @@ def block_modes(grid: Grid2D, t_box: float, nt: int, n: int,
     its conjugate partner on the lattice; modes whose dispersion falls
     outside the representable tau range drop out naturally.
     """
-    _check_nt(nt)
-    return _block_modes_cached(grid, _check_t_box(t_box), int(nt),
-                               _check_level(n), _check_level(l))
+    return _block_modes_cached(grid, _real("t_box", t_box, positive=True), _check_nt(nt),
+                               _check_level("n", n), _check_level("l", l))
 
 
 def _mode_keys(modes: np.ndarray, grid: Grid2D, nt: int) -> np.ndarray:
@@ -381,7 +373,8 @@ class SparseBlock:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.t_box = _check_t_box(self.t_box)
+        self.t_box = _real("t_box", self.t_box, positive=True)
+        self.nt = _check_nt(self.nt)
         self.modes = np.asarray(self.modes)
         self.values = np.asarray(self.values)
         if self.modes.ndim != 2 or self.modes.shape[1] != 3:
@@ -455,7 +448,7 @@ def random_block_sparse(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,
     values = 0.5 * (mags + mags[_conjugate_partner(modes)])
     volume = grid.lx * grid.ly * t_box
     values *= 1.0 / np.sqrt(volume * np.sum(values ** 2))
-    return SparseBlock(grid, float(t_box), int(nt), modes, values)
+    return SparseBlock(grid, t_box, nt, modes, values)
 
 
 def random_block(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,

@@ -48,6 +48,7 @@ from semzk.spectral import (
     _from_half,
     _half_ncols,
     _half_symbols,
+    _real,
     _symbols,
     _to_half,
 )
@@ -87,10 +88,8 @@ class SolitonParams:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"soliton speed must be positive and finite, got {self.omega!r}")
-        if not math.isfinite(self.x0):
-            raise ValueError("soliton crest position must be finite")
+        object.__setattr__(self, "omega", _real("omega", self.omega, positive=True))
+        object.__setattr__(self, "x0", _real("x0", self.x0))
 
 
 #: the admissible right-hand sides
@@ -215,8 +214,7 @@ def propagator_apply(F: SpectralField, t: float) -> SpectralField:
     preserves conjugate symmetry, and satisfies ``U(s)U(t) = U(s+t)`` and
     ``U(0) = Id``.
     """
-    if not math.isfinite(t):
-        raise ValueError("propagator time must be finite")
+    t = _real("t", t)
     return SpectralField(F.grid, F.coeffs * _phase(_symbols(F.grid)["omega"], t))
 
 
@@ -243,10 +241,12 @@ class _Nonlinearity:
     side runs on the ``band`` leading half-spectrum columns that hold a
     retained mode: the rest of the input is dropped by the mask, and of the
     output is zero.  So it takes, and fills, either whole half spectra or
-    their ``band`` columns alone, which the IFRK4 march keeps contiguous.  An evaluation transforms u, G1u and G2u to samples and
-    the two fluxes back, ``per_call`` fields to one transform call: as many
-    as fit ``_NODE_BATCH_BYTES`` of samples, at least one.  A stacked call
-    gives each field the bits of its own call.
+    their ``band`` columns alone, which the IFRK4 march keeps contiguous.
+
+    An evaluation transforms u, G1u and G2u to samples and the two fluxes
+    back, ``per_call`` fields to one transform call: as many as fit
+    ``_NODE_BATCH_BYTES`` of samples, at least one.  A stacked call gives
+    each field the bits of its own call.
 
     Beyond its buffers, an evaluation allocates only transients, one at a
     time: the x-pass intermediate of one inverse call, a band stack of that

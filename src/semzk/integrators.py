@@ -29,7 +29,6 @@ through the same quadrature as :func:`picard_solve`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -37,7 +36,8 @@ import numpy as np
 
 from semzk.dynamics import _NODE_BATCH_BYTES, EquationKind, _check_equation, _Nonlinearity, _phase
 from semzk.norms import _half_sobolev_weight, conserved_I2
-from semzk.spectral import Grid2D, RealField, _from_half, _half_of, _half_symbols, _to_half
+from semzk.spectral import (Grid2D, RealField, _from_half, _half_of, _half_symbols, _integer,
+                            _real, _to_half)
 
 __all__ = [
     "TrajectoryPath",
@@ -153,33 +153,26 @@ def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
     ``phases`` the matching ``exp(i t omega)``; ``nhat``, shaped like
     ``uhats``, receives the integrand and is returned holding the integral.
     ``kernel`` is batched (see :func:`_node_kernel`): the nodes go through it
-    ``kernel.batch`` at a time, and each batch is turned by ``conj(phases)``
-    and into its trapezoid intervals while it is fresh.  The integral is the
-    cumulative composite trapezoid rule, with the operations and
-    per-interval steps ``np.diff(times)`` of
-    ``scipy.integrate.cumulative_trapezoid``, so it matches that function to
-    the bit without its three temporary node stacks.  Multiplying node ``j``
-    by ``phases[j]`` gives the Duhamel term ``integral U(t_j - t') N dt'``.
+    ``kernel.batch`` at a time, and each batch is turned by ``conj(phases)``.
+    One pass over all nodes then sums the integrand by the cumulative
+    composite trapezoid rule, with the operations and per-interval steps
+    ``np.diff(times)`` of ``scipy.integrate.cumulative_trapezoid``, so it
+    matches that function to the bit without its three temporary node
+    stacks.  Multiplying node ``j`` by ``phases[j]`` gives the Duhamel term
+    ``integral U(t_j - t') N dt'``.
     """
-    steps = np.diff(times)
-    # ``below`` keeps the integrand of the node under the batch, whose slot
-    # already holds its interval; ``top`` saves the batch's top one for the next
-    below, top = np.empty_like(nhat[0]), np.empty_like(nhat[0])
     for j0 in range(0, times.size, kernel.batch):
         j1 = min(j0 + kernel.batch, times.size)
         block = nhat[j0:j1]
         kernel(uhats[j0:j1], times[j0:j1], block)
         np.multiply(np.conj(phases[j0:j1]), block, out=block)
-        np.copyto(top, block[-1])
-        # interval j-1 goes into slot j from the top down, so the lower
-        # node it reads is still the integrand
-        for j in range(j1 - 1, j0, -1):
-            _trapezoid_slot(nhat[j], nhat[j - 1], steps[j - 1])
-        if j0:
-            _trapezoid_slot(nhat[j0], below, steps[j0 - 1])
-        below, top = top, below
-    # then the slots are summed from the bottom (``np.add.accumulate`` over
-    # the node axis gives the same bits but ran 2.5-3x slower at 64^2-128^2)
+    # interval j-1 goes into slot j from the top down, so the lower node it
+    # reads is still the integrand; then the slots are summed from the bottom
+    # (``np.add.accumulate`` over the node axis gives the same bits but ran
+    # 2.5-3x slower at 64^2-128^2)
+    steps = np.diff(times)
+    for j in range(times.size - 1, 0, -1):
+        _trapezoid_slot(nhat[j], nhat[j - 1], steps[j - 1])
     nhat[0] = 0.0
     for j in range(1, times.size):
         np.add(nhat[j - 1], nhat[j], out=nhat[j])
@@ -220,21 +213,20 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     composite-trapezoid quadrature on the node lattice.  Iteration stops when
     the sup-in-time H^s distance between sweeps drops below ``tol``.
 
-    Returns the final trajectory and a :class:`PicardReport`; raises
-    ``RuntimeError`` if a sweep gives a non-finite iterate or H^s distance,
-    naming the sweep, the first node whose distance is non-finite and its
-    time, and the last finite distance.
+    Returns the final trajectory and a :class:`PicardReport`.  The
+    trajectory's fields hold the final iterate's half spectra, views of one
+    node stack, and make their samples only when ``values`` is read (see
+    :class:`~semzk.spectral.RealField`).  Raises ``RuntimeError`` if a sweep
+    gives a non-finite iterate or H^s distance, naming the sweep, the first
+    node whose distance is non-finite and its time, and the last finite
+    distance.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("picard_solve needs a positive horizon T")
-    if not isinstance(nodes, numbers.Integral) or nodes < 2:
-        raise ValueError(f"picard_solve needs an integer number of time nodes >= 2, got {nodes!r}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"picard_solve needs an integer max_iter >= 1, got {max_iter!r}")
+    T = _real("T", T, positive=True)
+    nodes, max_iter = _integer("nodes", nodes, 2), _integer("max_iter", max_iter, 1)
     grid = u0.grid
     _check_equation(grid, eq)
     times = np.linspace(0.0, T, nodes)
-    u0hat = _to_half(u0.values)
+    u0hat = _half_of(u0)
     phases = _phase(_half_symbols(grid)["omega"], times)
     # the H^s weight of each float of a half spectrum's real view
     w2 = np.repeat(_half_sobolev_weight(grid, s).ravel(), 2)
@@ -278,8 +270,7 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
         if dist <= tol:
             report.converged = True
             break
-    del spare, phases, kernel
-    fields = [RealField(grid, values) for values in _from_half(current)]
+    fields = [RealField._of_half(grid, node) for node in current]
     return TrajectoryPath(grid, times, fields), report
 
 
@@ -386,8 +377,9 @@ def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField
     only step reproduces the propagator to round-off; the nonlinearity sees
     classical RK4 with stage times ``t, t+dt/2, t+dt/2, t+dt``.
     """
-    if not (math.isfinite(t) and math.isfinite(dt) and dt != 0.0):
-        raise ValueError("start time must be finite, step size finite and nonzero")
+    t, dt = _real("start time t", t), _real("dt", dt)
+    if dt == 0.0:
+        raise ValueError(f"dt must be nonzero, got {dt!r}")
     _check_equation(u.grid, eq)
     return _ifrk4_march(u, eq, t, dt, 1)
 
@@ -419,13 +411,8 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
     the equation does not read the time.  A horizon too small to move
     ``t0`` in floating point raises ``ValueError`` before the first step.
     """
-    if not (math.isfinite(T) and math.isfinite(t0)):
-        raise ValueError("horizon T and start time t0 must be finite")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive and finite")
-    if (isinstance(callback_stride, bool) or not isinstance(callback_stride, numbers.Integral)
-            or callback_stride < 1):
-        raise ValueError(f"callback_stride must be an integer >= 1, got {callback_stride!r}")
+    T, t0, dt = _real("T", T), _real("t0", t0), _real("dt", dt, positive=True)
+    callback_stride = _integer("callback_stride", callback_stride, 1)
     grid = u0.grid
     _check_equation(grid, eq)
     first = u0.copy()

@@ -42,7 +42,9 @@ from .spectral import (
     SpectralField,
     _from_half,
     _half_symbols,
+    _integer,
     _linear_convolve,
+    _real,
     _to_half,
     inverse_transform,
     make_multiplier,
@@ -417,6 +419,7 @@ def random_bandlimited_spacetime(grid: Grid2D, t_box: float, nt: int, seed, *,
     on the seed and the cutoffs, so the same seed on a finer lattice yields
     the identical trigonometric polynomial.
     """
+    max_mode, max_tmode = _integer("max_mode", max_mode, 0), _integer("max_tmode", max_tmode, 0)
     if 2 * max_mode >= min(grid.nx, grid.ny) or 2 * max_tmode >= nt:
         raise ValueError("lattice too coarse for the requested mode range")
     c = _random_hermitian(seed, (grid.nx, grid.ny, nt), (max_mode, max_mode, max_tmode))
@@ -435,6 +438,7 @@ def random_low_mode_field(grid: Grid2D, seed, *, max_mode: int = 4,
     function evaluated on a finer grid returns the identical trigonometric
     polynomial; this makes refinement studies meaningful.
     """
+    max_mode = _integer("max_mode", max_mode, 0)
     if 2 * max_mode >= min(grid.nx, grid.ny):
         raise ValueError("grid too coarse for the requested mode range")
     c = _random_hermitian(seed, (grid.nx, grid.ny), (max_mode, max_mode), skip_zero=True)
@@ -481,10 +485,7 @@ def probe_linear_estimates(grid: Grid2D, *, horizon: float = 1.0,
     * sup-in-x L^2(y, T) norm of the solution gradient against the same,
     * L^2(x) sup(y, T) norm of the solution against the H^s norm of the data.
     """
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be positive and finite")
-    if n_nodes < 2:
-        raise ValueError("need at least two time nodes")
+    horizon, n_nodes = _real("horizon", horizon, positive=True), _integer("n_nodes", n_nodes, 2)
     u0 = random_low_mode_field(grid, seed, max_mode=max_mode)
     times = np.linspace(0.0, horizon, n_nodes)
     path_u, path_ux, path_uy = _free_flow(u0, times)

@@ -25,6 +25,7 @@ from .config import RunConfig
 from .dynamics import (
     EquationKind,
     SolitonParams,
+    _check_equation,
     _wrapped_offset,
     sem_on_soliton,
     soliton_profile,
@@ -193,8 +194,10 @@ def _march(cfg: RunConfig, u0: RealField, equation: EquationKind, *,
     snapshots, ``diagnostics.csv`` and the heatmaps follow.  Every recorded
     time is the march's own, which starts at ``t_start``.  Returns the
     :class:`_RunDir`, the endpoint trajectory, the diagnostics records and
-    the final global time.
+    the final global time.  An equation the grid cannot carry (a soliton
+    box too short) raises before the run directory is made.
     """
+    _check_equation(u0.grid, equation)
     run = _RunDir(cfg)
     collector = DiagnosticsCollector(cfg.grid(), cfg.norms)
     snapper = _SnapshotWriter(run.path / "snapshots", cfg.snapshot_stride,

@@ -73,6 +73,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real(name: str, value, *, positive: bool = False) -> float:
+    """``value`` as a float, if it is a finite (and ``positive``) real and
+    no bool; else a ``ValueError`` that names the argument ``name``.  (numpy
+    registers its scalars with :mod:`numbers`, but not ``np.bool_``.)"""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if isinstance(value, bool) or not math.isfinite(x) or (positive and x <= 0):
+        what = "positive and finite" if positive else "a finite real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return x
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer ``>= least`` and no bool;
+    else a ``ValueError`` that names the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform periodic grid on ``[0, lx) x [0, ly)``.
@@ -95,20 +117,13 @@ class Grid2D:
     ly: float
 
     def __post_init__(self) -> None:
-        # numpy scalars are accepted and stored as Python numbers; a bool is
-        # neither a size nor a length
         for name in ("nx", "ny"):
-            n = getattr(self, name)
-            if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-                    or n < 8 or n % 2 != 0):
-                raise ValueError(f"{name} must be an even integer >= 8, got {n!r}")
-            object.__setattr__(self, name, int(n))
+            n = _integer(name, getattr(self, name), 8)
+            if n % 2:
+                raise ValueError(f"{name} must be even, got {n!r}")
+            object.__setattr__(self, name, n)
         for name in ("lx", "ly"):
-            l = getattr(self, name)
-            if (isinstance(l, bool) or not isinstance(l, numbers.Real)
-                    or not (math.isfinite(l) and l > 0)):
-                raise ValueError(f"{name} must be a positive finite number, got {l!r}")
-            object.__setattr__(self, name, float(l))
+            object.__setattr__(self, name, _real(name, getattr(self, name), positive=True))
 
     # -- physical-space coordinates -------------------------------------
     @property

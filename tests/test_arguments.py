@@ -1,0 +1,169 @@
+"""One rule for every scalar argument of the public API.
+
+A count is an integer, a real is a finite real number, and a bool (numpy's
+included) is neither; numpy scalars are accepted and stored as Python
+numbers.  Every refusal is a ``ValueError`` whose message starts with the
+argument's name.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from semzk.config import RunConfig
+from semzk.dyadic import (
+    SpaceTimeField,
+    SparseBlock,
+    block_modes,
+    dyadic_levels,
+    frequency_weight,
+    modulation_weight,
+    tau_values,
+)
+from semzk.dynamics import SEM, SolitonParams, propagator_apply
+from semzk.integrators import evolve, ifrk4_step, picard_solve
+from semzk.probes import (
+    probe_linear_estimates,
+    random_bandlimited_spacetime,
+    random_low_mode_field,
+)
+from semzk.spectral import Grid2D, SpectralField
+
+TWO_PI = 2 * np.pi
+G = Grid2D(16, 16, TWO_PI, TWO_PI)
+U = random_low_mode_field(G, 1, max_mode=2, amplitude=0.01)
+F = SpectralField(G, np.zeros((G.nx, G.ny), dtype=complex))
+COEFFS = np.zeros((G.nx, G.ny, 16))
+NO_MODES = np.zeros((0, 3), dtype=int)
+
+# entry point -> (argument name, whether it is a count, the call with one
+# argument replaced by the value)
+SITES = {
+    "Grid2D nx": ("nx", True, lambda v: Grid2D(v, 16, 1.0, 1.0)),
+    "Grid2D ly": ("ly", False, lambda v: Grid2D(16, 16, 1.0, v)),
+    "SolitonParams omega": ("omega", False, lambda v: SolitonParams(v)),
+    "SolitonParams x0": ("x0", False, lambda v: SolitonParams(1.0, v)),
+    "propagator_apply t": ("t", False, lambda v: propagator_apply(F, v)),
+    "dyadic_levels": ("max_value", False, lambda v: dyadic_levels(v)),
+    "tau_values t_box": ("t_box", False, lambda v: tau_values(v, 16)),
+    "tau_values nt": ("nt", True, lambda v: tau_values(1.0, v)),
+    "SpaceTimeField t_box": ("t_box", False, lambda v: SpaceTimeField(G, v, COEFFS)),
+    "SparseBlock nt": ("nt", True, lambda v: SparseBlock(G, 1.0, v, NO_MODES, np.zeros(0))),
+    "frequency_weight": ("n", True, lambda v: frequency_weight(G, v)),
+    "modulation_weight": ("l", True, lambda v: modulation_weight(G, TWO_PI, 16, v)),
+    "block_modes nt": ("nt", True, lambda v: block_modes(G, TWO_PI, v, 2, 1)),
+    "block_modes n": ("n", True, lambda v: block_modes(G, TWO_PI, 64, v, 1)),
+    "block_modes l": ("l", True, lambda v: block_modes(G, TWO_PI, 64, 2, v)),
+    "evolve T": ("T", False, lambda v: evolve(U, SEM, v, 0.5)),
+    "evolve dt": ("dt", False, lambda v: evolve(U, SEM, 2.0, v)),
+    "evolve t0": ("t0", False, lambda v: evolve(U, SEM, 0.01, 0.01, t0=v)),
+    "evolve callback_stride": ("callback_stride", True,
+                               lambda v: evolve(U, SEM, 0.01, 0.01, callback_stride=v)),
+    "ifrk4_step t": ("start time t", False, lambda v: ifrk4_step(U, SEM, v, 0.01)),
+    "ifrk4_step dt": ("dt", False, lambda v: ifrk4_step(U, SEM, 0.0, v)),
+    "picard_solve T": ("T", False, lambda v: picard_solve(U, SEM, v, nodes=3)),
+    "picard_solve nodes": ("nodes", True, lambda v: picard_solve(U, SEM, 0.01, nodes=v)),
+    "picard_solve max_iter": ("max_iter", True,
+                              lambda v: picard_solve(U, SEM, 0.01, nodes=3, max_iter=v)),
+    "probe_linear_estimates horizon": ("horizon", False,
+                                       lambda v: probe_linear_estimates(G, horizon=v)),
+    "probe_linear_estimates n_nodes": ("n_nodes", True,
+                                       lambda v: probe_linear_estimates(G, n_nodes=v)),
+    "random_low_mode_field": ("max_mode", True,
+                              lambda v: random_low_mode_field(G, 1, max_mode=v)),
+    "random_bandlimited_spacetime max_mode": (
+        "max_mode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_mode=v)),
+    "random_bandlimited_spacetime max_tmode": (
+        "max_tmode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_tmode=v)),
+    # the config's annotation-typed loop names the key
+    "RunConfig nt": ("config key 'nt'", True, lambda v: RunConfig(nt=v)),
+}
+
+# a bool, a non-integral count and a non-finite real, for every site
+BAD = {"True": True, "np.True_": np.bool_(True), "2.5": 2.5, "nan": math.nan,
+       "-inf": -math.inf}
+# and what a count refuses beyond those: a float that is whole, a string
+BAD_COUNT = {"4.0": 4.0, "'4'": "4"}
+
+
+def _cases():
+    for site, (name, count, _) in SITES.items():
+        values = BAD | BAD_COUNT if count else BAD
+        for label, value in values.items():
+            if label == "2.5" and not count:
+                continue  # a real may be non-integral
+            yield pytest.param(site, value, id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize("site, value", list(_cases()))
+def test_every_scalar_argument_goes_through_one_check(site, value):
+    name, _, call = SITES[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(value)
+
+
+def test_a_real_that_overflows_a_float_is_not_finite():
+    with pytest.raises(ValueError, match="^omega must be positive and finite"):
+        SolitonParams(10**400)
+
+
+def test_levels_and_counts_name_their_rule():
+    with pytest.raises(ValueError, match="^n must be a power of two >= 1, got 3$"):
+        frequency_weight(G, 3)
+    with pytest.raises(ValueError, match="^nt must be even, got 17$"):
+        tau_values(1.0, 17)
+    with pytest.raises(ValueError, match="^dt must be nonzero"):
+        ifrk4_step(U, SEM, 0.0, 0.0)
+    # the config shares the space-time lattice's rule for nt
+    for nt in (2, 5):
+        with pytest.raises(ValueError, match="^nt must be"):
+            RunConfig(nt=nt)
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    p = SolitonParams(np.float32(2.0), np.int64(3))
+    assert (type(p.omega), type(p.x0)) == (float, float)
+    assert p == SolitonParams(2.0, 3.0)
+    block = SparseBlock(G, np.float64(1.0), np.int64(16), NO_MODES, np.zeros(0))
+    assert (type(block.t_box), type(block.nt)) == (float, int)
+    assert np.array_equal(block_modes(G, np.float64(TWO_PI), np.int64(64), np.int64(2),
+                                      np.uint8(1)), block_modes(G, TWO_PI, 64, 2, 1))
+    assert np.array_equal(frequency_weight(G, np.int32(4)), frequency_weight(G, 4))
+    assert dyadic_levels(np.float32(10.0)) == dyadic_levels(10.0)
+    marched = evolve(U, SEM, np.float64(0.02), np.float32(0.01), t0=np.int64(1),
+                     callback_stride=np.int16(1))
+    assert marched.times.tolist() == evolve(U, SEM, 0.02, 0.01, t0=1.0).times.tolist()
+    path, report = picard_solve(U, SEM, np.float64(0.01), nodes=np.int64(5),
+                                max_iter=np.uint32(3))
+    same, again = picard_solve(U, SEM, 0.01, nodes=5, max_iter=3)
+    assert report.distances == again.distances
+    assert np.array_equal(path.fields[-1].values, same.fields[-1].values)
+    params = probe_linear_estimates(G, horizon=np.float32(0.5), n_nodes=np.int64(5)).params
+    assert (type(params["horizon"]), type(params["n_nodes"])) == (float, int)
+
+
+# calls that ran with other arguments than the ones given, or failed with
+# numpy's TypeError, before the one check
+ONCE_ACCEPTED = {
+    "evolve dt=True": lambda: evolve(U, SEM, 2.0, True),
+    "evolve T=True": lambda: evolve(U, SEM, True, 0.5),
+    "ifrk4_step dt=True": lambda: ifrk4_step(U, SEM, 0.0, True),
+    "picard_solve T=True": lambda: picard_solve(U, SEM, True, nodes=3),
+    "picard_solve max_iter=True": lambda: picard_solve(U, SEM, 0.01, max_iter=True),
+    "SolitonParams(True)": lambda: SolitonParams(True),
+    "propagator_apply t=True": lambda: propagator_apply(F, True),
+    "frequency_weight 2.5": lambda: frequency_weight(G, 2.5),
+    "frequency_weight '2'": lambda: frequency_weight(G, "2"),
+    "block_modes l=True": lambda: block_modes(G, TWO_PI, 64, 2, True),
+    "block_modes nt=64.0": lambda: block_modes(G, TWO_PI, 64.0, 2, 1),
+    "probe_linear_estimates n_nodes=2.5": lambda: probe_linear_estimates(G, n_nodes=2.5),
+    "random_low_mode_field max_mode=2.5": lambda: random_low_mode_field(G, 1, max_mode=2.5),
+}
+
+
+@pytest.mark.parametrize("call", list(ONCE_ACCEPTED.values()), ids=list(ONCE_ACCEPTED))
+def test_calls_once_accepted_are_refused(call):
+    with pytest.raises(ValueError, match=r"^[\w ]+ must be"):
+        call()

@@ -61,6 +61,12 @@ class TestInfoAndUsage:
         assert "T must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "initial=random", "seed=-1", "--out", str(out)]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "--config", "/no/such/file.toml"]) == 2
         err = capsys.readouterr().err
@@ -104,6 +110,20 @@ class TestRuntimeFailures:
                      "T=0.02", "dt=0.01"])
         assert code == 1
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "instability", "soliton-bench",
+                                         "picard"])
+    def test_soliton_box_too_short_writes_nothing(self, command, tmp_path, capsys):
+        # the sech^2 profile has not decayed at the seam of a 10-long box
+        # (ny = 16 leaves room for Picard's random data)
+        out = tmp_path / command
+        equation = "sem" if command == "soliton-bench" else "sem_on_soliton"
+        code = main([command, "--out", str(out), f"equation={equation}", "nx=64",
+                     "ny=16", "lx=10", "omega=1", "T=0.01", "dt=0.01",
+                     "picard_nodes=3"])
+        assert code == 1
+        assert "domain too small for soliton" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEndToEnd:
@@ -164,6 +184,18 @@ SMALL_RUNS = {
     "probe-nonlinear": ["equation=linear", "nx=16", "ny=16", f"lx={TWO_PI}",
                         f"ly={TWO_PI}", "nt=32", "probe_trials=2"],
 }
+
+
+def test_simulate_restarts_from_the_picard_endpoint(tmp_path, capsys):
+    # Picard's final snapshot holds the half spectrum at t = T
+    picard = tmp_path / "picard"
+    assert main(["picard", "--out", str(picard), *SMALL_RUNS["picard"]]) == 0
+    assert read_snapshot(picard / "snapshots" / "final.snap").version == 2
+    out = tmp_path / "restart"
+    assert main(["simulate", "nx=32", "ny=16", f"lx={TWO_PI}", "initial=snapshot",
+                 f"initial_path={picard}/snapshots/final.snap", "T=0.01", "dt=0.01",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["t_start"] == 0.05
 
 
 def test_picard_line_names_the_window_search_cap(tmp_path, capsys):

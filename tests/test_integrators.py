@@ -221,6 +221,22 @@ def test_picard_memory_in_node_stacks():
         assert peak < bound * stack, (n, peak / stack)
 
 
+def test_picard_fields_hold_the_final_iterate():
+    # every node holds its half spectrum, a view of one node stack, and its
+    # samples are those of one stacked inverse of that stack, bit for bit;
+    # node 0 holds u0's own half spectrum, also when u0 holds one itself
+    u0 = smooth_field(SMALL, 7, 0.5)
+    held = RealField._of_half(SMALL, _to_half(u0.values))
+    for start in (u0, held):
+        path, rep = picard_solve(start, SEM, 0.05, nodes=9)
+        assert rep.converged
+        halves = [f._half for f in path.fields]
+        assert all(h is not None and h.base is halves[0].base for h in halves)
+        stack = np.stack(halves)
+        assert np.array_equal(stack[0], _to_half(u0.values))
+        assert np.array_equal(np.stack([f.values for f in path.fields]), _from_half(stack))
+
+
 def test_picard_divergence_detected():
     big = smooth_field(SMALL, 4, 300.0)
     with pytest.raises(RuntimeError, match="diverged"):

@@ -302,6 +302,29 @@ class TestPicardDemo:
                                             picard_find_window=True))
         assert keyed.existence_window == rep.existence_window
 
+    def test_diagnostics_read_the_held_spectra(self, tmp_path, monkeypatch):
+        # the collector reads each node's half spectrum: no forward transform
+        calls, inside = [], []
+        rfftn = np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn",
+                            lambda *args, **kw: calls.append(1) or rfftn(*args, **kw))
+        collect = DiagnosticsCollector.__call__
+
+        def counted(self, *args):
+            before = len(calls)
+            collect(self, *args)
+            inside.append(len(calls) - before)
+
+        monkeypatch.setattr(DiagnosticsCollector, "__call__", counted)
+        cfg = sim_config(tmp_path / "run", nx=32, ny=16, lx=TWO_PI,
+                         amplitude=0.01, T=0.05, picard_nodes=9)
+        rep = run_picard_demo(cfg)
+        assert calls and inside == [0] * 9
+        # so the final snapshot holds the half spectrum too
+        snap = read_snapshot(tmp_path / "run" / "snapshots" / "final.snap")
+        assert snap.version == 2
+        assert np.array_equal(snap.values, rep.path.fields[-1].values)
+
     def test_window_search_reports_its_cap(self, tmp_path):
         # Small data contract at every horizon the search tries, so it ends
         # at its cap of 12 doublings and says so; at amplitude 1 contraction
