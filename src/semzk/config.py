@@ -14,14 +14,13 @@ format; re-running it reproduces the run bit for bit.
 
 from __future__ import annotations
 
-import math
 import tomllib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .dyadic import _check_nt
 from .dynamics import KINDS as EQUATION_KINDS
 from .norms import _snapshot_descriptors
-from .spectral import Grid2D
+from .spectral import Grid2D, _integer, _real
 
 __all__ = [
     "parse_toml_text",
@@ -36,15 +35,21 @@ __all__ = [
 PERTURBATION_SHAPES = ("sinusoidal-in-y", "localized-gaussian")
 INITIAL_KINDS = ("soliton", "random", "snapshot")
 
-# the type each field annotation admits, and how an error names it
-_FIELD_KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
-                "str": (str, "a string"), "bool": (bool, "true or false"),
+# the type each non-numeric field annotation admits, and how an error names it
+_FIELD_KINDS = {"str": (str, "a string"), "bool": (bool, "true or false"),
                 "tuple": (tuple, "an array of strings")}
 
 # A TOML basic string must escape the quote, the backslash and the control
 # characters but tab; tab is escaped too, so no written value holds one.
 _ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"',
             **{c: f"\\u{c:04X}" for c in (*range(0x20), 0x7F)}}
+
+
+def _key(default, **bound):
+    """A numeric key's default and its bound: the keywords its annotation's
+    rule (``_real``: ``positive``, ``nonnegative``; ``_integer``: ``least``)
+    takes."""
+    return field(default=default, metadata={"bound": bound})
 
 
 def _arrays_as_tuples(value):
@@ -107,63 +112,67 @@ class RunConfig:
     descriptors (without a time axis) appended as diagnostics columns.
 
     ``__post_init__``, which every way of building a config runs, is the one
-    place it is checked.  Each field is typed by its annotation (an int or a
-    numpy float becomes a float, a string or list for `norms` a tuple, and a
-    bool is neither an integer nor a number); any failure is a ``ValueError``.
+    place it is checked; any failure is a ``ValueError``.  A numeric key
+    declares its bound beside its default and goes through the API's one
+    scalar rule (``spectral._real`` for a float, ``spectral._integer`` for
+    an int): numpy scalars are stored as Python numbers, a bool is neither,
+    and the message starts with the key's name.  `nx` and `ny` follow
+    `Grid2D`'s rule and `nt` the space-time lattice's (even, and at least 8
+    or 4).  A string or a list for `norms` becomes a tuple.
     """
 
     equation: str = "zk"
-    nx: int = 256
+    nx: int = 256  # Grid2D's rule
     ny: int = 32
-    lx: float = 80.0
-    ly: float = 6.283185307179586
-    T: float = 1.0
-    dt: float = 0.002
+    lx: float = _key(80.0, positive=True)
+    ly: float = _key(6.283185307179586, positive=True)
+    T: float = _key(1.0, nonnegative=True)
+    dt: float = _key(0.002, positive=True)
     initial: str = "soliton"
     initial_path: str = ""
-    amplitude: float = 0.01
-    omega: float = 1.0
-    x0: float = 20.0
+    amplitude: float = _key(0.01, nonnegative=True)
+    omega: float = _key(1.0, positive=True)
+    x0: float = _key(20.0)
     perturbation_shape: str = "sinusoidal-in-y"
-    perturbation_amplitude: float = 0.0
-    perturbation_wavenumber: int = 1
-    window_low: float = 3.0
-    window_high: float = 0.1
-    diagnostic_stride: int = 10
-    snapshot_stride: int = 0
+    perturbation_amplitude: float = _key(0.0, nonnegative=True)
+    perturbation_wavenumber: int = _key(1, least=0)
+    window_low: float = _key(3.0, positive=True)
+    window_high: float = _key(0.1, positive=True)
+    diagnostic_stride: int = _key(10, least=1)
+    snapshot_stride: int = _key(0, least=0)
     out_dir: str = "runs/run"
-    seed: int = 0
+    seed: int = _key(0, least=0)
     norms: tuple = ()
     heatmaps: bool = False
-    t_box: float = 6.283185307179586
-    nt: int = 256
-    probe_seeds: int = 10
-    probe_trials: int = 30
-    probe_nodes: int = 65
-    picard_nodes: int = 65
-    picard_tol: float = 1e-8
+    t_box: float = _key(6.283185307179586, positive=True)
+    nt: int = 256  # dyadic._check_nt
+    probe_seeds: int = _key(10, least=1)
+    probe_trials: int = _key(30, least=1)
+    probe_nodes: int = _key(65, least=2)
+    picard_nodes: int = _key(65, least=2)
+    picard_tol: float = _key(1e-8, positive=True)
     picard_find_window: bool = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                try:
-                    value = float(value)
-                except OverflowError:  # an integer beyond the float range
-                    value = math.inf
-            if f.type == "tuple" and isinstance(value, (str, list)):
-                value = (value,) if isinstance(value, str) else tuple(value)
-            kind, expected = _FIELD_KINDS[f.type]
-            if (not isinstance(value, kind)
-                    or (isinstance(value, bool) and f.type != "bool")
-                    or (f.type == "tuple"
-                        and not all(isinstance(e, str) for e in value))):
-                raise ValueError(f"config key {f.name!r} must be {expected}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"config field {f.name} must be finite")
+            if "bound" in f.metadata:
+                rule = _real if f.type == "float" else _integer
+                value = rule(f.name, value, **f.metadata["bound"])
+            elif f.type in _FIELD_KINDS:
+                if f.type == "tuple" and isinstance(value, (str, list)):
+                    value = (value,) if isinstance(value, str) else tuple(value)
+                kind, expected = _FIELD_KINDS[f.type]
+                if not isinstance(value, kind) or (
+                        f.type == "tuple" and not all(isinstance(e, str) for e in value)):
+                    raise ValueError(f"config key {f.name!r} must be {expected}")
             object.__setattr__(self, f.name, value)
+        # nx, ny and nt declare no bound: the grid's rule and the lattice's
+        # check them and store them as ints
+        grid = self.grid()
+        object.__setattr__(self, "nx", grid.nx)
+        object.__setattr__(self, "ny", grid.ny)
+        object.__setattr__(self, "nt", _check_nt(self.nt))
         _snapshot_descriptors(self.norms)
         if self.equation not in EQUATION_KINDS:
             raise ValueError(f"unknown equation kind {self.equation!r}")
@@ -176,33 +185,9 @@ class RunConfig:
         if self.perturbation_shape not in PERTURBATION_SHAPES:
             raise ValueError(
                 f"unknown perturbation shape {self.perturbation_shape!r}")
-        for name in ("lx", "ly", "dt", "omega", "window_low", "window_high",
-                     "t_box", "picard_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"config field {name} must be positive")
-        if self.T < 0:
-            raise ValueError("config field T must be nonnegative")
-        if self.amplitude < 0 or self.perturbation_amplitude < 0:
-            raise ValueError("amplitudes must be nonnegative")
-        if self.diagnostic_stride < 1:
-            raise ValueError("diagnostic_stride must be at least 1")
-        if self.snapshot_stride < 0:
-            raise ValueError("snapshot_stride must be nonnegative")
         if self.snapshot_stride and self.snapshot_stride % self.diagnostic_stride:
             raise ValueError(
                 "snapshot_stride must be a multiple of diagnostic_stride")
-        if self.seed < 0:
-            raise ValueError("config field seed must be nonnegative")
-        if self.perturbation_wavenumber < 0:
-            raise ValueError("perturbation_wavenumber must be nonnegative")
-        _check_nt(self.nt)
-        for name in ("probe_seeds", "probe_trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"config field {name} must be at least 1")
-        for name in ("probe_nodes", "picard_nodes"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"config field {name} must be at least 2")
-        self.grid()  # reject impossible grid dimensions up front
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":

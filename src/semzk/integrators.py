@@ -211,7 +211,8 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     Starting from the free evolution ``U(t) u0``, each sweep replaces the
     trajectory by ``U(t) u0 - integral_0^t U(t-t') N(u(t')) dt'`` with
     composite-trapezoid quadrature on the node lattice.  Iteration stops when
-    the sup-in-time H^s distance between sweeps drops below ``tol``.
+    the sup-in-time H^s distance between sweeps drops to ``tol`` (``tol = 0``
+    runs all ``max_iter`` sweeps unless two are equal).
 
     Returns the final trajectory and a :class:`PicardReport`.  The
     trajectory's fields hold the final iterate's half spectra, views of one
@@ -223,6 +224,7 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     """
     T = _real("T", T, positive=True)
     nodes, max_iter = _integer("nodes", nodes, 2), _integer("max_iter", max_iter, 1)
+    tol, s = _real("tol", tol, nonnegative=True), _real("s", s)
     grid = u0.grid
     _check_equation(grid, eq)
     times = np.linspace(0.0, T, nodes)

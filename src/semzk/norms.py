@@ -31,6 +31,7 @@ from semzk.spectral import (
     _half_of,
     _half_symbols,
     _readonly,
+    _real,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -99,7 +100,7 @@ def sobolev_norm(u: RealField | SpectralField, s: float = 1.0) -> float:
     ``s = 0`` reproduces the L2 norm exactly.  A real field is read through
     its half spectrum, the held one when it has one.
     """
-    g = u.grid
+    g, s = u.grid, _real("s", s)
     if isinstance(u, RealField):
         w, coeffs = _half_sobolev_weight(g, s), _half_of(u)
     else:

@@ -439,6 +439,7 @@ def random_low_mode_field(grid: Grid2D, seed, *, max_mode: int = 4,
     polynomial; this makes refinement studies meaningful.
     """
     max_mode = _integer("max_mode", max_mode, 0)
+    amplitude = _real("amplitude", amplitude, nonnegative=True)
     if 2 * max_mode >= min(grid.nx, grid.ny):
         raise ValueError("grid too coarse for the requested mode range")
     c = _random_hermitian(seed, (grid.nx, grid.ny), (max_mode, max_mode), skip_zero=True)

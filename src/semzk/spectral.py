@@ -73,16 +73,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _real(name: str, value, *, positive: bool = False) -> float:
-    """``value`` as a float, if it is a finite (and ``positive``) real and
-    no bool; else a ``ValueError`` that names the argument ``name``.  (numpy
-    registers its scalars with :mod:`numbers`, but not ``np.bool_``.)"""
+def _real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
+    """``value`` as a float, if it is a finite (and ``positive``, or
+    ``nonnegative``) real and no bool; else a ``ValueError`` that names the
+    argument ``name``.  (numpy registers its scalars with :mod:`numbers`,
+    but not ``np.bool_``.)"""
     try:
         x = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:  # an integer beyond the float range
         x = math.inf
-    if isinstance(value, bool) or not math.isfinite(x) or (positive and x <= 0):
-        what = "positive and finite" if positive else "a finite real number"
+    if (isinstance(value, bool) or not math.isfinite(x) or (positive and x <= 0)
+            or (nonnegative and x < 0)):
+        what = ("positive and finite" if positive else "nonnegative and finite"
+                if nonnegative else "a finite real number")
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return x
 

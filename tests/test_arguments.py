@@ -8,6 +8,7 @@ argument's name.
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from semzk.dyadic import (
 )
 from semzk.dynamics import SEM, SolitonParams, propagator_apply
 from semzk.integrators import evolve, ifrk4_step, picard_solve
+from semzk.norms import sobolev_norm
 from semzk.probes import (
     probe_linear_estimates,
     random_bandlimited_spacetime,
@@ -67,19 +69,26 @@ SITES = {
     "picard_solve nodes": ("nodes", True, lambda v: picard_solve(U, SEM, 0.01, nodes=v)),
     "picard_solve max_iter": ("max_iter", True,
                               lambda v: picard_solve(U, SEM, 0.01, nodes=3, max_iter=v)),
+    "picard_solve tol": ("tol", False, lambda v: picard_solve(U, SEM, 0.01, nodes=3, tol=v)),
+    "picard_solve s": ("s", False, lambda v: picard_solve(U, SEM, 0.01, nodes=3, s=v)),
+    "sobolev_norm s": ("s", False, lambda v: sobolev_norm(U, v)),
     "probe_linear_estimates horizon": ("horizon", False,
                                        lambda v: probe_linear_estimates(G, horizon=v)),
     "probe_linear_estimates n_nodes": ("n_nodes", True,
                                        lambda v: probe_linear_estimates(G, n_nodes=v)),
     "random_low_mode_field": ("max_mode", True,
                               lambda v: random_low_mode_field(G, 1, max_mode=v)),
+    "random_low_mode_field amplitude": ("amplitude", False,
+                                        lambda v: random_low_mode_field(G, 1, amplitude=v)),
     "random_bandlimited_spacetime max_mode": (
         "max_mode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_mode=v)),
     "random_bandlimited_spacetime max_tmode": (
         "max_tmode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_tmode=v)),
-    # the config's annotation-typed loop names the key
-    "RunConfig nt": ("config key 'nt'", True, lambda v: RunConfig(nt=v)),
 }
+# every numeric config key, a count if its annotation is int
+SITES |= {f"RunConfig {f.name}": (f.name, f.type == "int",
+                                  lambda v, name=f.name: RunConfig(**{name: v}))
+          for f in fields(RunConfig) if f.type in ("int", "float")}
 
 # a bool, a non-integral count and a non-finite real, for every site
 BAD = {"True": True, "np.True_": np.bool_(True), "2.5": 2.5, "nan": math.nan,
@@ -142,6 +151,9 @@ def test_numpy_scalars_are_stored_as_python_numbers():
     assert np.array_equal(path.fields[-1].values, same.fields[-1].values)
     params = probe_linear_estimates(G, horizon=np.float32(0.5), n_nodes=np.int64(5)).params
     assert (type(params["horizon"]), type(params["n_nodes"])) == (float, int)
+    cfg = RunConfig(nt=np.int64(8), seed=np.int64(3), dt=np.float32(0.5))
+    assert (type(cfg.nt), type(cfg.seed), type(cfg.dt)) == (int, int, float)
+    assert cfg.resolved_text() == RunConfig(nt=8, seed=3, dt=0.5).resolved_text()
 
 
 # calls that ran with other arguments than the ones given, or failed with
@@ -160,6 +172,14 @@ ONCE_ACCEPTED = {
     "block_modes nt=64.0": lambda: block_modes(G, TWO_PI, 64.0, 2, 1),
     "probe_linear_estimates n_nodes=2.5": lambda: probe_linear_estimates(G, n_nodes=2.5),
     "random_low_mode_field max_mode=2.5": lambda: random_low_mode_field(G, 1, max_mode=2.5),
+    "picard_solve tol=True": lambda: picard_solve(U, SEM, 0.01, nodes=3, tol=True),
+    "picard_solve tol=nan": lambda: picard_solve(U, SEM, 0.01, nodes=3, tol=math.nan),
+    "picard_solve tol=-1.0": lambda: picard_solve(U, SEM, 0.01, nodes=3, tol=-1.0),
+    # a RuntimeError (divergence at sweep 1) before the one check
+    "picard_solve s=nan": lambda: picard_solve(U, SEM, 0.01, nodes=3, s=math.nan),
+    "sobolev_norm(u, True)": lambda: sobolev_norm(U, True),
+    "random_low_mode_field amplitude=True": lambda: random_low_mode_field(G, 1, amplitude=True),
+    "random_low_mode_field amplitude=-1.0": lambda: random_low_mode_field(G, 1, amplitude=-1.0),
 }
 
 

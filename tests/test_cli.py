@@ -58,13 +58,13 @@ class TestInfoAndUsage:
     def test_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
         out = tmp_path / "huge"
         assert main(["simulate", "T=" + "9" * 400, "--out", str(out)]) == 2
-        assert "T must be finite" in capsys.readouterr().err
+        assert "T must be nonnegative and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "initial=random", "seed=-1", "--out", str(out)]) == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_exits_two(self, capsys):

@@ -29,6 +29,7 @@ from semzk.dynamics import (
 )
 from semzk.integrators import ifrk4_step
 from semzk.norms import conserved_I1, conserved_I2
+from semzk.probes import random_low_mode_field
 from semzk.spectral import (
     Grid2D,
     RealField,
@@ -261,6 +262,22 @@ def test_highest_kept_mode_does_not_alias(n, eq):
     u = RealField(g, np.cos(K * X + K * Y))
     out = forward_transform(nonlinear_rhs(u, eq)).coeffs
     assert np.max(np.abs(out[keep])) <= 1e-12 * K
+
+
+@pytest.mark.parametrize("grid", [Grid2D(96, 96, 2 * np.pi, 2 * np.pi),
+                                  Grid2D(256, 16, 80.0, 36.0),
+                                  Grid2D(64, 48, 2 * np.pi, 2 * np.pi)],
+                         ids=["96x96", "256x16", "64x48"])
+@pytest.mark.parametrize("eq", [ZK, SEM], ids=["zk", "sem"])
+def test_nonlinearity_is_orthogonal_to_its_field(grid, eq):
+    # <u, N(u)> = 0 is what conserves I2; on band-limited data the
+    # dealiased kernel keeps it to rounding
+    for seed in range(3):
+        u = random_low_mode_field(grid, seed)
+        n = nonlinear_rhs(u, eq)
+        cosine = abs(np.vdot(u.values, n.values)) / (np.linalg.norm(u.values)
+                                                    * np.linalg.norm(n.values))
+        assert cosine <= 1e-15
 
 
 def test_mean_mode_of_nonlinearity_is_zero():
