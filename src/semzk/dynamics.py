@@ -31,7 +31,9 @@ dy(Phi G2u)]``.  The identities are exact for trigonometric polynomials, so
 they hold on the retained band; the mean mode of every ``N`` is zero by
 construction, which makes ``I1`` conservation structural.  The flux products
 are formed pointwise in physical space from two-thirds dealiased factors and
-the result is dealiased again, so the retained band is alias-free.
+the result is dealiased again, so the retained band is alias-free.  The
+kernel's background is fixed: the marches evolve ``sem_on_soliton`` in its
+crest frame ``w(x, t) = u(x + ct, t)``, whose dispersion is ``omega + c xi``.
 """
 
 from __future__ import annotations
@@ -163,10 +165,9 @@ def _check_domain(grid: Grid2D, p: SolitonParams) -> None:
             f"(lx = {grid.lx:g}, omega = {p.omega:g}); need the tail below {SEAM_TOLERANCE:g}")
 
 
-def _wrapped_offset(grid: Grid2D, p: SolitonParams, t) -> np.ndarray:
-    # distance from the crest, wrapped to [-lx/2, lx/2); one row per time
-    # when ``t`` is an array
-    d = grid.x - (p.x0 + p.omega * np.asarray(t, dtype=float)[..., None])
+def _wrapped_offset(grid: Grid2D, p: SolitonParams, t: float) -> np.ndarray:
+    # distance from the crest at the time ``t``, wrapped to [-lx/2, lx/2)
+    d = grid.x - (p.x0 + p.omega * _real("t", t))
     return (d + 0.5 * grid.lx) % grid.lx - 0.5 * grid.lx
 
 
@@ -190,7 +191,7 @@ def potential_profile(grid: Grid2D, p: SolitonParams, t: float = 0.0) -> RealFie
     The crest offset is *not* wrapped, so the samples trace the genuine tanh
     ramp across the box.  Diagnostics only -- never Fourier-transform this.
     """
-    z = grid.x - (p.x0 + p.omega * t)
+    z = grid.x - (p.x0 + p.omega * _real("t", t))
     col = potential_shape(p.omega, z)
     return RealField(grid, np.repeat(np.asarray(col)[:, None], grid.ny, axis=1))
 
@@ -237,11 +238,12 @@ class _Nonlinearity:
     from half spectrum to half spectrum; the 1/2 of every flux rides on its
     transform's scale.
 
-    Built once per public call, it owns its work buffers.  Its spectral
-    side runs on the ``band`` leading half-spectrum columns that hold a
-    retained mode: the rest of the input is dropped by the mask, and of the
-    output is zero.  So it takes, and fills, either whole half spectra or
-    their ``band`` columns alone, which the IFRK4 march keeps contiguous.
+    Built once per public call, it owns its work buffers and a fixed soliton
+    background, the profile at its time ``t``.  Its spectral side runs on
+    the ``band`` leading half-spectrum columns that hold a retained mode: the
+    rest of the input is dropped by the mask, and of the output is zero.  So
+    it takes, and fills, either whole half spectra or their ``band`` columns
+    alone, which the IFRK4 march keeps contiguous.
 
     An evaluation transforms u, G1u and G2u to samples and the two fluxes
     back, ``per_call`` fields to one transform call: as many as fit
@@ -251,8 +253,8 @@ class _Nonlinearity:
     Beyond its buffers, an evaluation allocates only transients, one at a
     time: the x-pass intermediate of one inverse call, a band stack of that
     call's fields (1.34 MiB at 512^2, within ``_NODE_BATCH_BYTES`` when
-    fields are stacked), numpy's iteration buffers for a product on the band
-    (``np.getbufsize()`` elements an operand), and a soliton profile.
+    fields are stacked) and numpy's iteration buffers for a product on the
+    band (``np.getbufsize()`` elements an operand).
 
     With ``batch`` it evaluates a stack of up to ``batch`` states in one
     call, each transform running once over the stack; its buffers then
@@ -261,7 +263,7 @@ class _Nonlinearity:
     takes one state.
     """
 
-    def __init__(self, grid: Grid2D, eq: EquationKind, batch: int | None = None):
+    def __init__(self, grid: Grid2D, eq: EquationKind, batch: int | None = None, t: float = 0.0):
         self.grid, self.eq, self.batch = grid, eq, batch
         tab = _half_symbols(grid)
         self.band = w = int(np.count_nonzero(tab["mask"].any(axis=0)))
@@ -286,26 +288,28 @@ class _Nonlinearity:
                                  dtype=complex)
         self.spectrum = np.empty((min(k, n_flux),) + lead + (grid.nx, _half_ncols(grid)),
                                  dtype=complex)
-        self._profile_t = self._profile = None
+        if eq.kind == "sem_on_soliton":
+            p = eq.soliton
+            self.phi = soliton_shape(p.omega, _wrapped_offset(grid, p, t))[:, None]
 
-    def _soliton_profile(self, t) -> np.ndarray:
-        """The background at the time ``t``, one column per node; a scalar
-        time equal to the previous one reuses its profile (the stages of an
-        IFRK4 step repeat their times)."""
-        if isinstance(t, float) and t == self._profile_t:
-            return self._profile
-        p = self.eq.soliton
-        phi = soliton_shape(p.omega, _wrapped_offset(self.grid, p, t))[..., None]
-        if isinstance(t, float):
-            self._profile_t, self._profile = t, phi
-        return phi
+    @property
+    def omega(self) -> np.ndarray:
+        """The dispersion of the kernel's frame, on the half spectrum."""
+        tab = _half_symbols(self.grid)
+        if self.eq.kind != "sem_on_soliton":
+            return tab["omega"]
+        return tab["omega"] + self.eq.soliton.omega * tab["ddx"].imag
 
-    def __call__(self, uhat: np.ndarray, t, out: np.ndarray) -> np.ndarray:
-        """Write the half spectrum of N(u(t)) into ``out`` and return it.
+    def to_lab(self, half: np.ndarray, tau) -> np.ndarray:
+        """The frame's half spectra ``half`` at the times ``tau`` in the lab
+        frame: shifted by ``c tau`` for ``sem_on_soliton``, else ``half``."""
+        if self.eq.kind != "sem_on_soliton":
+            return half
+        return half * _phase(-self.eq.soliton.omega * _half_symbols(self.grid)["ddx"].imag, tau)
 
-        ``uhat`` is the half spectrum of u at the time ``t``; for a batched
-        kernel it is a stack of ``m <= batch`` of them, ``t`` the array of
-        their ``m`` times and ``out`` a stack of the same shape."""
+    def __call__(self, uhat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the half spectrum of N(u) into ``out`` and return it; for a
+        batched kernel ``uhat`` and ``out`` are stacks of ``m <= batch``."""
         kind, w, shape, k = self.eq.kind, self.band, self.shape, self.per_call
         if kind == "linear":
             out[...] = 0.0
@@ -342,7 +346,7 @@ class _Nonlinearity:
                 np.multiply(u, g2, out=g2)
             else:
                 # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
-                phi = self._soliton_profile(t)
+                phi = self.phi
                 flux_y = np.multiply(u, g2, out=fields[3])
                 g2 *= phi
                 flux_y += g2
@@ -374,7 +378,8 @@ def background_terms(u: RealField, p: SolitonParams, t: float) -> RealField:
 
 
 def nonlinear_rhs(u: RealField, eq: EquationKind, t: float = 0.0) -> RealField:
-    """Full nonlinearity ``N(u)`` for the given equation (zero for linear).
+    """Full nonlinearity ``N(u)`` for the given equation (zero for linear),
+    with the soliton background of ``sem_on_soliton`` at the time ``t``.
 
     For ``sem`` and y-independent mean-zero fields ``G1 u = u`` exactly on
     the lattice, so ``N`` reduces to ``u u_x`` (the one-dimensional KdV
@@ -382,9 +387,9 @@ def nonlinear_rhs(u: RealField, eq: EquationKind, t: float = 0.0) -> RealField:
     """
     g = u.grid
     _check_equation(g, eq)
-    kernel = _Nonlinearity(g, eq)
+    kernel = _Nonlinearity(g, eq, t=_real("t", t))
     uhat = _to_half(u.values)
-    return RealField(g, _from_half(kernel(uhat, t, np.empty_like(uhat))))
+    return RealField(g, _from_half(kernel(uhat, np.empty_like(uhat))))
 
 
 def solve_potential(u: RealField) -> RealField:

@@ -11,19 +11,20 @@ Two independent routes to the solution are provided on purpose:
   factor transform of the equation; the stiff linear phase ``exp(i t omega)``
   is applied exactly (unitarily), so only the nonlinearity is integrated
   approximately and the scheme is globally fourth order.  It starts at an
-  absolute time ``t0``, which a moving background reads, and every time it
-  hands out is absolute; :func:`ifrk4_step` is one step of the same march.
+  absolute time ``t0``, and every time it hands out is absolute;
+  :func:`ifrk4_step` is one step of the same march.
 
 Both evaluate the nonlinearity through the one conservative-form kernel in
 :mod:`semzk.dynamics` and carry the state as a real half spectrum (see
-:mod:`semzk.spectral`), so their agreement is a genuine cross-check of the
-time discretizations, not of shared stepping code.  :func:`evolve` calls
-the kernel on one state per stage; a Picard sweep calls it on batches of
-consecutive time nodes, as many as fit the kernel's bound on the samples of
-one transform call (``_NODE_BATCH_BYTES`` in :mod:`semzk.dynamics`), so that
-every transform runs once per batch and not once per node.
-:func:`duhamel_term` exposes the Duhamel integral of a given trajectory
-through the same quadrature as :func:`picard_solve`.
+:mod:`semzk.spectral`), ``sem_on_soliton``'s in its crest frame anchored at
+time 0 (they hand out lab-frame fields), so their agreement is a genuine
+cross-check of the time discretizations, not of shared stepping code.
+:func:`evolve` calls the kernel on one state per stage; a Picard sweep
+calls it on batches of consecutive time nodes, as many as fit the kernel's
+bound on the samples of one transform call (``_NODE_BATCH_BYTES`` in
+:mod:`semzk.dynamics`), so that every transform runs once per batch and not
+once per node.  :func:`duhamel_term` exposes the Duhamel integral of a
+given trajectory through the same quadrature as :func:`picard_solve`.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import numpy as np
 
 from semzk.dynamics import _NODE_BATCH_BYTES, EquationKind, _check_equation, _Nonlinearity, _phase
 from semzk.norms import _half_sobolev_weight, conserved_I2
-from semzk.spectral import (Grid2D, RealField, _from_half, _half_of, _half_symbols, _integer,
-                            _real, _to_half)
+from semzk.spectral import Grid2D, RealField, _from_half, _half_of, _integer, _real, _to_half
 
 __all__ = [
     "TrajectoryPath",
@@ -149,9 +149,9 @@ def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
                  kernel: _Nonlinearity, nhat: np.ndarray) -> np.ndarray:
     """``integral_{t_0}^{t_j} U(-t') N(u(t')) dt'`` at every node ``t_j``.
 
-    ``uhats`` holds the half spectra of ``u`` on the node lattice ``times`` and
-    ``phases`` the matching ``exp(i t omega)``; ``nhat``, shaped like
-    ``uhats``, receives the integrand and is returned holding the integral.
+    ``uhats`` holds the kernel frame's half spectra of ``u`` on the node
+    lattice ``times`` and ``phases`` the matching ``exp(i t kernel.omega)``;
+    ``nhat``, shaped like ``uhats``, receives the integrand and the integral.
     ``kernel`` is batched (see :func:`_node_kernel`): the nodes go through it
     ``kernel.batch`` at a time, and each batch is turned by ``conj(phases)``.
     One pass over all nodes then sums the integrand by the cumulative
@@ -164,7 +164,7 @@ def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
     for j0 in range(0, times.size, kernel.batch):
         j1 = min(j0 + kernel.batch, times.size)
         block = nhat[j0:j1]
-        kernel(uhats[j0:j1], times[j0:j1], block)
+        kernel(uhats[j0:j1], block)
         np.multiply(np.conj(phases[j0:j1]), block, out=block)
     # interval j-1 goes into slot j from the top down, so the lower node it
     # reads is still the integrand; then the slots are summed from the bottom
@@ -192,11 +192,11 @@ def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
     _check_equation(grid, eq)
     i = path.node_index(t)
     times = path.times[:i + 1]
-    uhats = _to_half(np.stack([f.values for f in path.fields[:i + 1]]))
-    phases = _phase(_half_symbols(grid)["omega"], times)
-    integ = _duhamel_hat(uhats, times, phases, _node_kernel(grid, eq, times.size),
-                         np.empty_like(uhats))
-    return RealField(grid, _from_half(phases[-1] * integ[-1]))
+    kernel = _node_kernel(grid, eq, times.size)
+    uhats = kernel.to_lab(_to_half(np.stack([f.values for f in path.fields[:i + 1]])), -times)
+    phases = _phase(kernel.omega, times)
+    integ = _duhamel_hat(uhats, times, phases, kernel, np.empty_like(uhats))
+    return RealField(grid, _from_half(kernel.to_lab(phases[-1] * integ[-1], times[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +228,12 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     grid = u0.grid
     _check_equation(grid, eq)
     times = np.linspace(0.0, T, nodes)
-    u0hat = _half_of(u0)
-    phases = _phase(_half_symbols(grid)["omega"], times)
+    u0hat = _half_of(u0)  # the kernel's frame is the lab frame at time 0
+    kernel = _node_kernel(grid, eq, nodes)
+    phases = _phase(kernel.omega, times)
     # the H^s weight of each float of a half spectrum's real view
     w2 = np.repeat(_half_sobolev_weight(grid, s).ravel(), 2)
     area = grid.lx * grid.ly
-    kernel = _node_kernel(grid, eq, nodes)
 
     # Two node stacks swap roles every sweep: the iterate, and the buffer
     # that takes the integrand, then the next iterate in place, while the
@@ -272,7 +272,7 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
         if dist <= tol:
             report.converged = True
             break
-    fields = [RealField._of_half(grid, node) for node in current]
+    fields = [RealField._of_half(grid, node) for node in kernel.to_lab(current, times)]
     return TrajectoryPath(grid, times, fields), report
 
 
@@ -280,12 +280,12 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
 # integrating-factor RK4
 
 
-def _ifrk4_hat(uhat: np.ndarray, kernel: _Nonlinearity, t: float, dt: float,
+def _ifrk4_hat(uhat: np.ndarray, kernel: _Nonlinearity, dt: float,
                phases: tuple[np.ndarray, ...], out: np.ndarray,
                acc: np.ndarray, k: np.ndarray) -> np.ndarray:
     """One IFRK4 step on the half spectrum, written into ``out``.
 
-    ``phases`` holds ``E = exp(i dt/2 omega)``, ``E**2`` and their
+    ``phases`` holds ``E = exp(i dt/2 kernel.omega)``, ``E**2`` and their
     conjugates on the half spectrum; ``acc`` and ``k`` are work buffers
     shaped like ``uhat``.  The stages ``k_i = -conj(phase) N(...)``
     are summed as they come, in the order ``k1 + 2 k2 + 2 k3 + k4``, and
@@ -295,20 +295,20 @@ def _ifrk4_hat(uhat: np.ndarray, kernel: _Nonlinearity, t: float, dt: float,
     E, E2, cE, cE2 = phases
     h = 0.5 * dt
 
-    def stage(k_prev, coef, phase, tt, back):
+    def stage(k_prev, coef, phase, back):
         """``-k_i`` into ``k`` from the argument ``phase (uhat + coef k_prev)``."""
         np.multiply(coef, k_prev, out=out)
         np.add(out, uhat, out=out)
         np.multiply(phase, out, out=out)
-        kernel(out, tt, k)
+        kernel(out, k)
         np.multiply(back, k, out=k)
 
-    kernel(uhat, t, acc)
-    stage(acc, -h, E, t + h, cE)
+    kernel(uhat, acc)
+    stage(acc, -h, E, cE)
     acc += np.multiply(2.0, k, out=out)
-    stage(k, -h, E, t + h, cE)
+    stage(k, -h, E, cE)
     acc += np.multiply(2.0, k, out=out)
-    stage(k, -dt, E2, t + dt, cE2)
+    stage(k, -dt, E2, cE2)
     acc += k
     np.multiply(-(dt / 6.0), acc, out=out)
     out += uhat
@@ -328,20 +328,21 @@ def _ifrk4_march(u0: RealField, eq: EquationKind, t0: float, dt: float,
     pieces: the kernel's ``band`` leading columns, contiguous, on which the
     RK4 stages run, and the columns past them, which hold no retained mode,
     so the nonlinearity is zero there and a step only turns them by
-    ``E**2`` -- to the bit what a full-width step gives them.
+    ``E**2`` -- to the bit what a full-width step gives them.  The state is
+    in the kernel's frame, turned in at ``-t0`` and out at each field's time.
     """
     grid = u0.grid
     kernel = _Nonlinearity(grid, eq)
     w = kernel.band
-    tab = _half_symbols(grid)
-    E = _phase(tab["omega"], 0.5 * dt)
+    E = _phase(kernel.omega, 0.5 * dt)
     E2 = E * E
     turn = E2[:, w:].copy()
     E, E2 = E[:, :w].copy(), E2[:, :w].copy()
     phases = (E, E2, np.conj(E), np.conj(E2))
     spectrum = _half_of(u0)
+    held = kernel.to_lab(spectrum, -t0)
     # two band buffers, alternated, the step's two work buffers, and the rest
-    band, tail = np.array(spectrum[:, :w]), np.array(spectrum[:, w:])
+    band, tail = np.array(held[:, :w]), np.array(held[:, w:])
     new, acc, k = (np.empty_like(band) for _ in range(3))
 
     def state() -> np.ndarray:
@@ -353,19 +354,18 @@ def _ifrk4_march(u0: RealField, eq: EquationKind, t0: float, dt: float,
     for cb in callbacks:
         cb(0, t0, first)
     for i in range(n_steps):
-        t = t0 + i * dt
         with np.errstate(over="ignore", invalid="ignore"):
-            _ifrk4_hat(band, kernel, t, dt, phases, new, acc, k)
+            _ifrk4_hat(band, kernel, dt, phases, new, acc, k)
         if not np.all(np.isfinite(new.view(np.float64))):
             l2 = math.sqrt(conserved_I2(RealField._of_half(grid, state())))
             raise RuntimeError(
-                f"step diverged at step {i + 1} of {n_steps} (t = {t:.6g}); last finite "
-                f"L2 norm {l2:.3e}; reduce dt")
+                f"step diverged at step {i + 1} of {n_steps} (t = {t0 + i * dt:.6g}); "
+                f"last finite L2 norm {l2:.3e}; reduce dt")
         np.multiply(turn, tail, out=tail)
         band, new = new, band
         step = i + 1
         if step == n_steps or (callbacks and step % callback_stride == 0):
-            last = RealField._of_half(grid, state())
+            last = RealField._of_half(grid, kernel.to_lab(state(), t0 + step * dt))
             for cb in callbacks:
                 cb(step, t0 + step * dt, last)
     return last
@@ -377,7 +377,7 @@ def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField
 
     The linear flow is applied through its exact unitary phase, so a linear-
     only step reproduces the propagator to round-off; the nonlinearity sees
-    classical RK4 with stage times ``t, t+dt/2, t+dt/2, t+dt``.
+    classical RK4 (``sem_on_soliton``'s in its crest frame, see :func:`evolve`).
     """
     t, dt = _real("start time t", t), _real("dt", dt)
     if dt == 0.0:
@@ -395,8 +395,8 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
 
     The step count is ``round(T/dt)`` (at least one) and the step is adjusted
     to divide ``T`` exactly.  ``T`` may be negative (backwards flow).  Every
-    time is absolute: the kernel's stage times, the callbacks', the
-    divergence message's and the returned trajectory's.  That trajectory
+    time is absolute and every field is the lab frame's, though
+    ``sem_on_soliton`` is marched in its crest frame.  That trajectory
     holds the endpoints only: ``u0`` at ``t0`` and the final state, in
     increasing-time order (a single node when ``T == 0``), so memory stays at
     a few fields however long the run.  Intermediate states go to the
@@ -409,9 +409,10 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
     :func:`semzk.snapshots.write_snapshot` read the spectrum itself.  A
     ``u0`` that holds a half spectrum (a field from an earlier march, or
     from a version-2 snapshot) is marched from that spectrum, so a restart
-    continues the uninterrupted march to the bit when the step agrees and
-    the equation does not read the time.  A horizon too small to move
-    ``t0`` in floating point raises ``ValueError`` before the first step.
+    continues the uninterrupted march to the bit when the step agrees (to
+    round-off for ``sem_on_soliton``, whose state is turned out of its frame
+    and back).  A horizon too small to move ``t0`` in floating point raises
+    ``ValueError`` before the first step.
     """
     T, t0, dt = _real("T", T), _real("t0", t0), _real("dt", dt, positive=True)
     callback_stride = _integer("callback_stride", callback_stride, 1)

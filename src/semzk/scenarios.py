@@ -253,9 +253,10 @@ def initial_state(cfg: RunConfig) -> tuple[RealField, float]:
 
     For the perturbation equation the state is the perturbation itself (the
     background soliton lives inside the equation).  Restarting from a
-    snapshot resumes the stored time, from which the march restarts: the
-    moving background is evaluated at that absolute time, with the
-    configured crest position.
+    snapshot resumes the stored time, from which the march restarts: it
+    turns the stored lab-frame spectrum into the crest frame, anchored at
+    time 0 with the configured crest position, so the background stands
+    where the uninterrupted run has it.
     """
     grid = cfg.grid()
     if cfg.initial == "snapshot":

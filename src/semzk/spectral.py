@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -76,8 +77,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
     """``value`` as a float, if it is a finite (and ``positive``, or
     ``nonnegative``) real and no bool; else a ``ValueError`` that names the
-    argument ``name``.  (numpy registers its scalars with :mod:`numbers`,
-    but not ``np.bool_``.)"""
+    argument ``name`` and shows the value abridged by :func:`reprlib.repr`.
+    (numpy registers its scalars with :mod:`numbers`, but not
+    ``np.bool_``.)"""
     try:
         x = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:  # an integer beyond the float range
@@ -86,15 +88,15 @@ def _real(name: str, value, *, positive: bool = False, nonnegative: bool = False
             or (nonnegative and x < 0)):
         what = ("positive and finite" if positive else "nonnegative and finite"
                 if nonnegative else "a finite real number")
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
     return x
 
 
 def _integer(name: str, value, least: int) -> int:
     """``value`` as an int, if it is an integer ``>= least`` and no bool;
-    else a ``ValueError`` that names the argument ``name``."""
+    else a ``ValueError`` that names the argument ``name``, like :func:`_real`'s."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {reprlib.repr(value)}")
     return int(value)
 
 

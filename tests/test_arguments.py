@@ -23,7 +23,16 @@ from semzk.dyadic import (
     modulation_weight,
     tau_values,
 )
-from semzk.dynamics import SEM, SolitonParams, propagator_apply
+from semzk.dynamics import (
+    SEM,
+    SolitonParams,
+    background_terms,
+    nonlinear_rhs,
+    potential_profile,
+    propagator_apply,
+    soliton_profile,
+    soliton_profile_dx,
+)
 from semzk.integrators import evolve, ifrk4_step, picard_solve
 from semzk.norms import sobolev_norm
 from semzk.probes import (
@@ -31,7 +40,7 @@ from semzk.probes import (
     random_bandlimited_spacetime,
     random_low_mode_field,
 )
-from semzk.spectral import Grid2D, SpectralField
+from semzk.spectral import Grid2D, SpectralField, _integer, _real
 
 TWO_PI = 2 * np.pi
 G = Grid2D(16, 16, TWO_PI, TWO_PI)
@@ -39,6 +48,10 @@ U = random_low_mode_field(G, 1, max_mode=2, amplitude=0.01)
 F = SpectralField(G, np.zeros((G.nx, G.ny), dtype=complex))
 COEFFS = np.zeros((G.nx, G.ny, 16))
 NO_MODES = np.zeros((0, 3), dtype=int)
+# a box long enough for the soliton P
+LONG = Grid2D(64, 8, 80.0, TWO_PI)
+P = SolitonParams(1.0, 40.0)
+V = random_low_mode_field(LONG, 1, max_mode=2, amplitude=0.01)
 
 # entry point -> (argument name, whether it is a count, the call with one
 # argument replaced by the value)
@@ -48,6 +61,11 @@ SITES = {
     "SolitonParams omega": ("omega", False, lambda v: SolitonParams(v)),
     "SolitonParams x0": ("x0", False, lambda v: SolitonParams(1.0, v)),
     "propagator_apply t": ("t", False, lambda v: propagator_apply(F, v)),
+    "nonlinear_rhs t": ("t", False, lambda v: nonlinear_rhs(U, SEM, v)),
+    "background_terms t": ("t", False, lambda v: background_terms(V, P, v)),
+    "soliton_profile t": ("t", False, lambda v: soliton_profile(LONG, P, v)),
+    "soliton_profile_dx t": ("t", False, lambda v: soliton_profile_dx(LONG, P, v)),
+    "potential_profile t": ("t", False, lambda v: potential_profile(LONG, P, v)),
     "dyadic_levels": ("max_value", False, lambda v: dyadic_levels(v)),
     "tau_values t_box": ("t_box", False, lambda v: tau_values(v, 16)),
     "tau_values nt": ("nt", True, lambda v: tau_values(1.0, v)),
@@ -118,6 +136,16 @@ def test_a_real_that_overflows_a_float_is_not_finite():
         SolitonParams(10**400)
 
 
+@pytest.mark.parametrize("check, value", [(_real, 10**400 - 1), (_real, "x" * 1000),
+                                          (_integer, -10**400), (_integer, "x" * 1000)],
+                         ids=["real-huge", "real-str", "count-huge", "count-str"])
+def test_a_refusal_abridges_the_value(check, value):
+    args = {"nonnegative": True} if check is _real else {"least": 2}
+    with pytest.raises(ValueError, match="^T must be") as err:
+        check("T", value, **args)
+    assert len(str(err.value)) < 100, str(err.value)
+
+
 def test_levels_and_counts_name_their_rule():
     with pytest.raises(ValueError, match="^n must be a power of two >= 1, got 3$"):
         frequency_weight(G, 3)
@@ -180,6 +208,12 @@ ONCE_ACCEPTED = {
     "sobolev_norm(u, True)": lambda: sobolev_norm(U, True),
     "random_low_mode_field amplitude=True": lambda: random_low_mode_field(G, 1, amplitude=True),
     "random_low_mode_field amplitude=-1.0": lambda: random_low_mode_field(G, 1, amplitude=-1.0),
+    "nonlinear_rhs t=True": lambda: nonlinear_rhs(U, SEM, True),
+    "nonlinear_rhs t=nan": lambda: nonlinear_rhs(U, SEM, math.nan),
+    "background_terms t=True": lambda: background_terms(V, P, True),
+    "soliton_profile t=True": lambda: soliton_profile(LONG, P, True),
+    "soliton_profile_dx t=True": lambda: soliton_profile_dx(LONG, P, True),
+    "potential_profile t=True": lambda: potential_profile(LONG, P, True),
 }
 
 

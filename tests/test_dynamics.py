@@ -27,7 +27,7 @@ from semzk.dynamics import (
     soliton_shape_dx,
     solve_potential,
 )
-from semzk.integrators import ifrk4_step
+from semzk.integrators import evolve, ifrk4_step
 from semzk.norms import conserved_I1, conserved_I2
 from semzk.probes import random_low_mode_field
 from semzk.spectral import (
@@ -288,12 +288,14 @@ def test_mean_mode_of_nonlinearity_is_zero():
     uhat = _to_half(u.values)
     p = SolitonParams(omega=1.0, x0=40.0)
     for eq in (ZK, SEM, sem_on_soliton(p)):
-        assert _Nonlinearity(g, eq)(uhat, 0.3, np.empty_like(uhat))[0, 0] == 0.0
+        assert _Nonlinearity(g, eq)(uhat, np.empty_like(uhat))[0, 0] == 0.0
 
 
-def per_field_reference(grid, eq, uhat, t):
+def per_field_reference(grid, eq, uhat, t=0.0):
     """N of one state with one transform call per field, in the order u,
-    G1u, G2u, flux_x, flux_y, spelled out without the kernel's buffers."""
+    G1u, G2u, flux_x, flux_y, spelled out without the kernel's buffers; the
+    soliton background is the profile at the time ``t``, by default the
+    fixed one of a kernel built for time 0."""
     out = np.zeros_like(uhat)
     if eq.kind == "linear":
         return out
@@ -330,44 +332,33 @@ def test_batched_kernel_matches_per_node_calls(eq):
     # 2) and 8 (one partial batch), against the one-call-per-field
     # reference node by node: on 128x8 the kernel stacks every field of a
     # direction into one transform call, on 256^2 it makes one call per
-    # field.  Each node has its own state and time, so a batch that mixed
-    # up rows, or gave every node the first node's soliton profile, would
-    # differ from the reference.
+    # field.  Each node has its own state, so a batch that mixed up rows
+    # would differ from the reference.
     rng = np.random.default_rng(21)
     for g, per_call in ((Grid2D(128, 8, 80.0, 2 * np.pi), 32), (Grid2D(256, 256, 80.0, 2 * np.pi), 1)):
         uhats = _to_half(0.1 * rng.standard_normal((5, g.nx, g.ny)))
-        times = 0.4 + 0.3 * np.arange(5)
-        expected = np.stack([per_field_reference(g, eq, uhats[j], times[j]) for j in range(5)])
+        expected = np.stack([per_field_reference(g, eq, uhats[j]) for j in range(5)])
         single = _Nonlinearity(g, eq)
         assert single.per_call == per_call
         got = np.full_like(uhats, np.nan)
         for j in range(5):
-            single(uhats[j], float(times[j]), got[j])
+            single(uhats[j], got[j])
         assert np.array_equal(got, expected)
         for batch in (1, 3, 8):
             batched = _Nonlinearity(g, eq, batch=batch)
             got = np.full_like(uhats, np.nan)
             for j0 in range(0, 5, batch):
                 out = got[j0:j0 + batch]
-                assert batched(uhats[j0:j0 + batch], times[j0:j0 + batch], out) is out
+                assert batched(uhats[j0:j0 + batch], out) is out
             assert np.array_equal(got, expected), (g.nx, batch)
-        if eq.kind == "sem_on_soliton":
-            # the profile moves with each node's time: the same state at two
-            # times gives two different N
-            same = np.stack([uhats[0], uhats[0]])
-            pair = batched(same, times[:2], np.empty_like(same))
-            assert not np.array_equal(pair[0], pair[1])
 
 
-def test_soliton_profile_reused_only_for_a_repeated_scalar_time(monkeypatch):
-    # The kernel keeps the profile of its last scalar time: calls at t1, t1,
-    # t2, t1 evaluate it three times and each gives the bits of a fresh
-    # kernel at its time.  Node times arrive as an array and never reuse it.
+def test_kernel_evaluates_the_profile_once(monkeypatch):
+    # The background is the profile at the kernel's time, evaluated when the
+    # kernel is built: evaluations and whole IFRK4 steps add none.
     g = Grid2D(256, 16, 80.0, 2 * np.pi)
     eq = KERNEL_KINDS[3]
     uhat = _to_half(band_limited_field(g, 15, [(3, 1), (5, 2), (8, 0)], amplitude=0.1).values)
-    t1, t2 = 0.35, 0.4
-    fresh = {t: _Nonlinearity(g, eq)(uhat, t, np.empty_like(uhat)) for t in (t1, t2)}
     evaluations = []
 
     def counted(omega, z):
@@ -375,22 +366,20 @@ def test_soliton_profile_reused_only_for_a_repeated_scalar_time(monkeypatch):
         return soliton_shape(omega, z)
 
     monkeypatch.setattr(dynamics, "soliton_shape", counted)
-    kernel = _Nonlinearity(g, eq)
-    for t in (t1, t1, t2, t1):
-        assert np.array_equal(kernel(uhat, t, np.empty_like(uhat)), fresh[t])
-    assert len(evaluations) == 3
-    batched = _Nonlinearity(g, eq, batch=2)
-    batched(uhat[None], t1, np.empty_like(uhat[None]))
-    pair = np.stack([uhat, uhat])
-    for times in ([t2, t1], [t1, t1]):
-        got = batched(pair, np.array(times), np.empty_like(pair))
-        assert np.array_equal(got, np.stack([fresh[t] for t in times]))
-    assert evaluations[3:] == [(g.nx,), (2, g.nx), (2, g.nx)]
-    # an IFRK4 step's stages run at t, t + dt/2, t + dt/2 and t + dt
-    del evaluations[:]
-    u = RealField(g, _from_half(uhat))
-    ifrk4_step(u, eq, t1, 0.1)
-    assert evaluations.count((g.nx,)) == 3  # the others check the seam
+    for batch, state in ((None, uhat), (2, np.stack([uhat, uhat]))):
+        kernel = _Nonlinearity(g, eq, batch=batch, t=0.35)
+        assert evaluations == [(g.nx,)]
+        first = kernel(state, np.empty_like(state)).copy()
+        for _ in range(3):
+            assert np.array_equal(kernel(state, np.empty_like(state)), first)
+        assert evaluations == [(g.nx,)]
+        expected = per_field_reference(g, eq, uhat, 0.35)
+        assert all(np.array_equal(row, expected) for row in first.reshape((-1,) + uhat.shape))
+        del evaluations[:]
+    # three steps from a late start build one kernel; the other
+    # evaluations check the seam
+    evolve(RealField(g, _from_half(uhat)), eq, 0.3, 0.1, t0=7.25)
+    assert evaluations.count((g.nx,)) == 1
 
 
 @pytest.mark.parametrize("grid, batch, calls", [
@@ -417,10 +406,9 @@ def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
     monkeypatch.setattr(dynamics, "_to_half", spy("forward", _to_half))
     lead = () if batch is None else (batch,)
     uhat = _to_half(0.1 * np.random.default_rng(3).standard_normal(lead + (grid.nx, grid.ny)))
-    t = 0.2 if batch is None else np.linspace(0.0, 0.1, batch)
     kernel = _Nonlinearity(grid, SEM, batch=batch)
     assert kernel.per_call == max(1, _NODE_BATCH_BYTES // (8 * (batch or 1) * grid.nx * grid.ny))
-    kernel(uhat, t, np.empty_like(uhat))
+    kernel(uhat, np.empty_like(uhat))
     assert seen == calls
 
 
@@ -437,14 +425,14 @@ def test_kernel_allocations(grid, eq):
     # (256x16), it stays within the byte budget of one call.
     uhat = _to_half(0.1 * np.random.default_rng(4).standard_normal((grid.nx, grid.ny)))
     out = np.empty_like(uhat)
-    _Nonlinearity(grid, eq)(uhat, 0.3, out)  # cached tables
+    _Nonlinearity(grid, eq)(uhat, out)  # cached tables
     tracemalloc.start()
     try:
         kernel = _Nonlinearity(grid, eq)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        kernel(uhat, 0.3, out)
-        kernel(uhat, 0.5, out)
+        kernel(uhat, out)
+        kernel(uhat, out)
         transient = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -520,6 +508,69 @@ def test_background_zero_field_is_zero():
     p = SolitonParams(omega=1.0, x0=40.0)
     z = RealField(g, np.zeros((g.nx, g.ny)))
     assert np.all(background_terms(z, p, 0.0).values == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# sem_on_soliton in the crest frame
+
+CREST_GRID = Grid2D(256, 16, 80.0, 36.0)
+
+
+def lab_frame_march(u0, eq, t0, dt, n_steps):
+    """IFRK4 in the lab frame, the background sampled at every stage time
+    ``t, t + dt/2, t + dt/2, t + dt`` (the scheme the march ran before it
+    moved to the crest frame)."""
+    grid = u0.grid
+    E = np.exp(0.5j * dt * _half_symbols(grid)["omega"])
+    E2 = E * E
+
+    def k(v, t):
+        return -per_field_reference(grid, eq, v, t)
+
+    uhat = _to_half(u0.values)
+    for i in range(n_steps):
+        t = t0 + i * dt
+        k1 = k(uhat, t)
+        k2 = np.conj(E) * k(E * (uhat + 0.5 * dt * k1), t + 0.5 * dt)
+        k3 = np.conj(E) * k(E * (uhat + 0.5 * dt * k2), t + 0.5 * dt)
+        k4 = np.conj(E2) * k(E2 * (uhat + dt * k3), t + dt)
+        uhat = E2 * (uhat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return uhat
+
+
+@pytest.mark.parametrize("t0", [0.0, 7.25])
+def test_crest_frame_march_matches_the_lab_frame_march(t0):
+    # the same interaction-picture variable, exp(-i(omega + c xi)t) w =
+    # exp(-i omega t) u, integrated in two frames: on smooth data they part
+    # only by how the sampled profile shifts
+    eq = sem_on_soliton(SolitonParams(omega=1.0, x0=20.0))
+    u0 = band_limited_field(CREST_GRID, 22, [(3, 1), (5, 2), (8, 0), (2, 3)], amplitude=0.1)
+    got = evolve(u0, eq, 0.5, 0.05, t0=t0).fields[-1]._half
+    expected = lab_frame_march(u0, eq, t0, 0.05, 10)
+    assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+def test_crest_frame_restart_matches_the_one_leg_run():
+    # Ten steps of 0.1 from t0 = 31.51, and two legs of five, the second
+    # from START.  In the lab frame the background read the stage times, and
+    # leg two's round differently from the one-leg run's by more than the
+    # crest offset's rounding absorbs, which left that restart 1.5e-16 off.
+    # In the crest frame the kernel reads no time, and the restart differs
+    # only by turning the state out of the frame and back.
+    t0, dt, START = 31.51, 0.1, 32.010000000000005
+
+    def stages(t):
+        return np.array([t, t + 0.5 * dt, t + dt])
+
+    assert max(np.max(np.abs(stages(START + j * dt) - stages(t0 + (5 + j) * dt)))
+               for j in range(5)) > 4e-15
+    eq = sem_on_soliton(SolitonParams(omega=1.0, x0=20.0))
+    u0 = band_limited_field(CREST_GRID, 23, [(3, 1), (5, 2), (8, 0), (2, 3)], amplitude=0.1)
+    one_leg = evolve(u0, eq, 1.0, dt, t0=t0).fields[-1]._half
+    first = evolve(u0, eq, 0.5, dt, t0=t0)
+    assert first.times[-1] == START
+    second = evolve(first.fields[-1], eq, 0.5, dt, t0=START).fields[-1]._half
+    assert np.max(np.abs(second - one_leg)) <= 1e-14 * np.max(np.abs(one_leg))
 
 
 # ---------------------------------------------------------------------------

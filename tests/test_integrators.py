@@ -139,7 +139,7 @@ def test_duhamel_trapezoid_matches_scipy_bits(nodes):
     kernel = _Nonlinearity(g, SEM)
     integrand = np.empty_like(uhats)
     for j in range(nodes):
-        kernel(uhats[j], float(times[j]), integrand[j])
+        kernel(uhats[j], integrand[j])
         np.multiply(np.conj(phases[j]), integrand[j], out=integrand[j])
     expected = cumulative_trapezoid(integrand, x=times, axis=0, initial=0.0)
     nhat = np.empty_like(uhats)
@@ -554,18 +554,24 @@ MARCH_CASES = {
 
 def full_width_march(u0, eq, T, n_steps):
     """The IFRK4 loop on whole half spectra, as the march ran before it
-    split its state into the band and the columns past it."""
+    split its state into the band and the columns past it; from time 0, so
+    ``sem_on_soliton``'s crest frame starts at ``u0`` and takes the phase
+    ``c xi`` into its dispersion and out at the end."""
     grid = u0.grid
     dt = T / n_steps
-    E = _phase(_half_symbols(grid)["omega"], 0.5 * dt)
+    tab = _half_symbols(grid)
+    c = eq.soliton.omega if eq.kind == "sem_on_soliton" else 0.0
+    E = _phase(tab["omega"] + c * tab["ddx"].imag, 0.5 * dt)
     E2 = E * E
     phases = (E, E2, np.conj(E), np.conj(E2))
     kernel = _Nonlinearity(grid, eq)
     uhat = _to_half(u0.values)
     new, acc, k = (np.empty_like(uhat) for _ in range(3))
     for i in range(n_steps):
-        integrators._ifrk4_hat(uhat, kernel, i * dt, dt, phases, new, acc, k)
+        integrators._ifrk4_hat(uhat, kernel, dt, phases, new, acc, k)
         uhat, new = new, uhat
+    if c:
+        uhat = uhat * _phase(-c * tab["ddx"].imag, n_steps * dt)
     return uhat
 
 
