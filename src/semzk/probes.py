@@ -149,21 +149,48 @@ def _x_groups(modes: np.ndarray) -> np.ndarray:
     return np.searchsorted(jx, np.arange(jx[0], jx[-1] + 2))
 
 
+def _runs(modes: np.ndarray, values: np.ndarray):
+    """The jt runs of key-ordered modes: maximal stretches of consecutive jt
+    inside one (jx, jy) column.
+
+    Returns the first mode of every run, in key order, and a zero-padded
+    ``(runs, R)`` array whose row ``i`` holds run ``i``'s values in jt order,
+    ``R`` being the longest run.
+    """
+    step = np.diff(modes, axis=0)
+    first = np.ones(modes.shape[0], dtype=bool)
+    first[1:] = (step[:, 0] != 0) | (step[:, 1] != 0) | (step[:, 2] != 1)
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    offset = np.arange(modes.shape[0]) - starts[run]
+    padded = np.zeros((starts.size, int(offset.max()) + 1))
+    padded[run, offset] = values
+    return modes[starts], padded
+
+
 def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     """Exact space-time L^2 norm of the product of two sparse fields.
 
     Equivalent to densifying both blocks and calling :func:`product_l2`, but
     scales with the number of occupied modes instead of the lattice size.
-    Every pair of input modes contributes to one output mode of the linear
-    convolution.  The output is built one x-plane ``X = jx1 + jx2`` at a
-    time: the rows with ``jx1 = a`` are paired with the rows with
-    ``jx2 = X - a`` for every ``a``, the contributions are summed per
-    in-plane mode ``(jy1 + jy2, jt1 + jt2)``, and the plane's squared modulus
-    is added to the total before the next plane.  The blocks hold their
-    modes in key order, so each ``jx1 = a`` is a contiguous run of rows and
-    no input is copied; memory is bounded by the mode pairs of the largest
-    plane and one ``span_y * span_t`` accumulator, not by the whole output
-    lattice.
+    The blocks hold their modes in key order, so each block splits into jt
+    runs, contiguous row ranges (see :func:`_runs`), zero-padded to its
+    longest run ``R``.  Two runs meet in a 1-d convolution with
+    ``S = R1 + R2 - 1`` outputs at the consecutive in-plane keys
+    ``k1 + k2 + s``.
+
+    The output is built one x-plane ``X = jx1 + jx2`` at a time.  For every
+    ``a``, the ``P`` runs with ``jx1 = a`` meet the ``Q`` runs with
+    ``jx2 = X - a`` in one matrix product: the ``(P, R1)`` run values against
+    the ``(R1, Q * S)`` Toeplitz expansion of block 2's runs, which gives
+    every run-pair convolution at once.  Its ``S`` outputs per run pair, not
+    one per mode pair, are summed per in-plane mode
+    ``(jy1 + jy2, jt1 + jt2)``, and the plane's squared modulus is added to
+    the total before the next plane.  Memory is bounded by the outputs of the
+    largest plane and one ``span_y * span_t`` accumulator, not by the whole
+    output lattice.  Blocks whose runs all have length one give ``S = 1``
+    and one product per mode pair.  The product is ``np.dot``: at ``R1 = 1``
+    ``np.matmul`` skips BLAS and takes twice as long.
 
     Both blocks are real even fields, so the product's coefficients are
     real and obey ``C(-K) = C(K)``: plane ``-X`` has the squared sum of
@@ -173,36 +200,47 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     _check_compatible(b1, b2)
     if b1.modes.shape[0] == 0 or b2.modes.shape[0] == 0:
         return 0.0
-    m1, v1 = np.asarray(b1.modes, dtype=np.intp), b1.values
-    m2, v2 = np.asarray(b2.modes, dtype=np.intp), b2.values
+    m1, v1 = _runs(np.asarray(b1.modes, dtype=np.intp), b1.values)
+    m2, v2 = _runs(np.asarray(b2.modes, dtype=np.intp), b2.values)
+    r1, r2 = v1.shape[1], v2.shape[1]
+    width = r1 + r2 - 1
     edges1, edges2 = _x_groups(m1), _x_groups(m2)
     # Linearize the in-plane output pair (jy1+jy2, jt1+jt2) so the key of a
-    # pair splits into a per-factor sum; the stride span[2] keeps it injective.
+    # pair splits into a per-factor sum; the stride span[2], wide enough for
+    # the last output of the latest-starting run pair, keeps it injective.
     lo1, lo2 = m1.min(axis=0), m2.min(axis=0)
     span = m1.max(axis=0) + m2.max(axis=0) - lo1 - lo2 + 1
+    span[2] += width - 1
     k1 = (m1[:, 1] - lo1[1]) * span[2] + (m1[:, 2] - lo1[2])
     k2 = (m2[:, 1] - lo2[1]) * span[2] + (m2[:, 2] - lo2[2])
+    # Column q * S + s of block 2's expansion belongs to output s of run q;
+    # its row r holds run q shifted by r, the partner of block 1's value r.
+    k2 = (k2[:, None] + np.arange(width)).ravel()
+    toeplitz = np.zeros((r1, v2.shape[0], width))
+    for shift in range(r1):
+        toeplitz[shift, :, shift:shift + r2] = v2
+    toeplitz = toeplitz.reshape(r1, k2.size)
     bins = int(span[1] * span[2])
     count1, count2 = np.diff(edges1), np.diff(edges2)
-    plane_pairs = np.convolve(count1, count2)
-    keys = np.empty(plane_pairs.max(), dtype=np.intp)
-    vals = np.empty(plane_pairs.max())
+    plane_outputs = np.convolve(count1, count2) * width
+    keys = np.empty(plane_outputs.max(), dtype=np.intp)
+    vals = np.empty(plane_outputs.max())
     # Plane index of X = 0; an even block's jx range is symmetric about 0.
     zero = -int(m1[0, 0] + m2[0, 0])
     total = 0.0
-    for plane in range(zero, plane_pairs.size):
+    for plane in range(zero, plane_outputs.size):
         end = 0
         for a in range(max(0, plane - count2.size + 1),
                        min(count1.size, plane + 1)):
             b = plane - a
             rows1 = slice(edges1[a], edges1[a + 1])
-            rows2 = slice(edges2[b], edges2[b + 1])
-            shape = (count1[a], count2[b])
+            cols2 = slice(edges2[b] * width, edges2[b + 1] * width)
+            shape = (count1[a], count2[b] * width)
             dest = slice(end, end + shape[0] * shape[1])
-            np.add(k1[rows1, None], k2[None, rows2],
+            np.add(k1[rows1, None], k2[None, cols2],
                    out=keys[dest].reshape(shape))
-            np.multiply(v1[rows1, None], v2[None, rows2],
-                        out=vals[dest].reshape(shape))
+            np.dot(v1[rows1], toeplitz[:, cols2],
+                   out=vals[dest].reshape(shape))
             end = dest.stop
         sums = np.bincount(keys[:end], weights=vals[:end], minlength=bins)
         weight = 1.0 if plane == zero else 2.0

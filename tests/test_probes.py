@@ -14,6 +14,8 @@ from semzk.dyadic import (
     SpaceTimeField,
     _conjugate_partner,
     block_modes,
+    dispersion_values,
+    frequency_weight,
     random_block_sparse,
 )
 from semzk import probes
@@ -148,6 +150,165 @@ class TestProductNorm:
         b2 = random_block_sparse(G, TBOX, 128, 1, 1, seed=1)
         with pytest.raises(ValueError, match="different space-time lattices"):
             sparse_product_l2(b1, b2)
+
+
+def per_pair_product_l2(b1, b2):
+    """Reference for sparse_product_l2: one key and one value per mode pair.
+
+    The same planes without runs: the rows with jx1 = a meet the rows with
+    jx2 = X - a by an outer sum of keys and an outer product of values, and
+    one bincount sums each plane X >= 0.
+    """
+    m1, v1 = np.asarray(b1.modes, dtype=np.intp), b1.values
+    m2, v2 = np.asarray(b2.modes, dtype=np.intp), b2.values
+    edges1, edges2 = probes._x_groups(m1), probes._x_groups(m2)
+    lo1, lo2 = m1.min(axis=0), m2.min(axis=0)
+    span = m1.max(axis=0) + m2.max(axis=0) - lo1 - lo2 + 1
+    k1 = (m1[:, 1] - lo1[1]) * span[2] + (m1[:, 2] - lo1[2])
+    k2 = (m2[:, 1] - lo2[1]) * span[2] + (m2[:, 2] - lo2[2])
+    bins = int(span[1] * span[2])
+    count1, count2 = np.diff(edges1), np.diff(edges2)
+    plane_pairs = np.convolve(count1, count2)
+    keys = np.empty(plane_pairs.max(), dtype=np.intp)
+    vals = np.empty(plane_pairs.max())
+    zero = -int(m1[0, 0] + m2[0, 0])
+    total = 0.0
+    for plane in range(zero, plane_pairs.size):
+        end = 0
+        for a in range(max(0, plane - count2.size + 1),
+                       min(count1.size, plane + 1)):
+            b = plane - a
+            rows1 = slice(edges1[a], edges1[a + 1])
+            rows2 = slice(edges2[b], edges2[b + 1])
+            shape = (count1[a], count2[b])
+            dest = slice(end, end + shape[0] * shape[1])
+            np.add(k1[rows1, None], k2[None, rows2],
+                   out=keys[dest].reshape(shape))
+            np.multiply(v1[rows1, None], v2[None, rows2],
+                        out=vals[dest].reshape(shape))
+            end = dest.stop
+        sums = np.bincount(keys[:end], weights=vals[:end], minlength=bins)
+        weight = 1.0 if plane == zero else 2.0
+        total += weight * float(np.sum(sums * sums, dtype=np.float64))
+    return math.sqrt(b1.volume * total)
+
+
+def even_block(modes, values, nt=NT, grid=G):
+    """Block holding each (jx, jy, jt) of `modes` and its negation, both with
+    the mode's value; a mode listed with its negation, or the zero mode,
+    is kept once."""
+    modes = np.asarray(modes, dtype=int).reshape(-1, 3)
+    both = np.concatenate([modes, -modes])
+    vals = np.concatenate([values, values]).astype(float)
+    _, first = np.unique(both, axis=0, return_index=True)
+    return SparseBlock(grid, TBOX, nt, both[first], vals[first])
+
+
+def run_lengths(block):
+    """Lengths of the block's jt runs, in key order."""
+    _, padded = probes._runs(np.asarray(block.modes, dtype=np.intp),
+                             np.ones(block.modes.shape[0]))
+    return np.count_nonzero(padded, axis=1)
+
+
+#: criterion 10's fine sweep, the pairs of the bilinear_fine benchmark
+FINE = Grid2D(160, 160, 12 * np.pi, 12 * np.pi)
+FINE_PAIRS = [(n, l) for n in ((1, 4), (2, 8)) for l in ((1, 1), (2, 2), (8, 8))]
+
+
+def fine_blocks(n_pair, l_pair, seed=0):
+    return tuple(random_block_sparse(FINE, TBOX, 512, n, l, seed=(seed, n, l, k))
+                 for n, l, k in zip(n_pair, l_pair, (1, 2)))
+
+
+class TestRunProduct:
+    """The run-based block product against the per-mode-pair loop and the
+    dense product."""
+
+    @pytest.mark.parametrize("n_pair, l_pair", FINE_PAIRS)
+    def test_fine_pairs_match_the_per_pair_loop(self, n_pair, l_pair):
+        b1, b2 = fine_blocks(n_pair, l_pair)
+        norm = sparse_product_l2(b1, b2)
+        assert norm == pytest.approx(per_pair_product_l2(b1, b2), rel=1e-14)
+        assert sparse_product_l2(b1, b2) == norm
+
+    def test_l8_blocks_have_runs_longer_than_one(self):
+        # two runs per (jx, jy) column, one on each side of the dispersion
+        # surface, of at most four modes each
+        for n in (2, 8):
+            lengths = run_lengths(fine_blocks((n, n), (8, 8))[0])
+            assert lengths.max() == 4 and lengths.mean() > 3
+
+    def test_unit_runs_give_the_per_pair_bits(self):
+        # l = 2 shells have runs of length one, and so has a block whose
+        # modes all have even jt: the products are those of the loop, summed
+        # in the same order, so every bit agrees.
+        rng = np.random.default_rng(3)
+
+        def scattered():
+            # distinct modes with jx >= 1, so no two are each other's negation
+            modes = np.unique(np.column_stack([rng.integers(1, 13, 60),
+                                               rng.integers(-12, 13, 60),
+                                               2 * rng.integers(-15, 16, 60)]),
+                              axis=0)
+            return even_block(modes, rng.uniform(0.5, 1.5, modes.shape[0]))
+
+        pairs = [fine_blocks(n, (2, 2)) for n in ((1, 4), (2, 8))]
+        pairs.append((scattered(), scattered()))
+        for b1, b2 in pairs:
+            assert run_lengths(b1).max() == run_lengths(b2).max() == 1
+            norm = sparse_product_l2(b1, b2)
+            assert norm == per_pair_product_l2(b1, b2)
+            assert sparse_product_l2(b1, b2) == norm
+
+    @staticmethod
+    def agrees_with_dense(b1, b2):
+        for f1, f2 in ((b1, b2), (b2, b1)):
+            dense = product_l2(f1.to_field(), f2.to_field())
+            assert sparse_product_l2(f1, f2) == pytest.approx(dense, rel=1e-12)
+
+    def test_runs_of_unequal_length(self):
+        b1 = even_block([(1, 2, 4), (1, 2, 5), (1, 2, 6), (-2, 1, 3)],
+                        [0.9, 1.1, 0.7, 1.3])
+        b2 = even_block([(2, -1, t) for t in range(-3, 2)] + [(0, 3, 7), (0, 3, 8)],
+                        [0.5, 1.5, 1.0, 0.8, 1.2, 0.6, 1.4])
+        assert run_lengths(b1).max() == 3 and run_lengths(b2).max() == 5
+        self.agrees_with_dense(b1, b2)
+
+    def test_run_cut_short_at_the_time_nyquist(self):
+        # At nt = 64 the (4, 8) shell keeps |jt| <= 31, and four of its runs
+        # end there, shorter than the block's longest.
+        nt = 64
+        b1 = random_block_sparse(G, TBOX, nt, 4, 8, seed=1)
+        b2 = random_block_sparse(G, TBOX, nt, 2, 8, seed=2)
+        starts, _ = probes._runs(np.asarray(b1.modes, dtype=np.intp), b1.values)
+        lengths = run_lengths(b1)
+        cut = (starts[:, 2] + lengths - 1 == nt // 2 - 1) & (lengths < lengths.max())
+        assert np.count_nonzero(cut) == 4
+        self.agrees_with_dense(b1, b2)
+        self.agrees_with_dense(b1, b1)
+
+    def test_a_single_pair_of_modes(self):
+        pair = even_block([(3, -2, 5)], [0.7])
+        assert pair.modes.shape[0] == 2
+        self.agrees_with_dense(pair, random_block_sparse(G, TBOX, NT, 2, 4, seed=5))
+        self.agrees_with_dense(pair, pair)
+
+    def test_a_block_in_one_column(self):
+        # jx = jy = 0 and jt from -3 to 3: one x-group, one run of seven
+        column = even_block([(0, 0, t) for t in range(4)], [1.0, 0.6, 0.9, 1.2])
+        assert column.modes.shape[0] == 7 and list(run_lengths(column)) == [7]
+        self.agrees_with_dense(column, random_block_sparse(G, TBOX, NT, 1, 8, seed=6))
+        self.agrees_with_dense(column, column)
+
+    def test_a_plane_without_outputs(self):
+        # jx1 = +-3 and jx2 = +-1 never sum to 0, so plane X = 0 is built
+        # empty, among the planes X = 1 and X = 3 between the occupied ones.
+        b1 = even_block([(3, 1, 2), (3, 1, 3), (3, -4, -6)], [0.8, 1.2, 1.0])
+        b2 = even_block([(1, 2, 1), (1, 2, 2), (1, 2, 3), (-1, 5, 0)],
+                        [1.1, 0.9, 0.7, 1.3])
+        assert set(b1.modes[:, 0]) == {-3, 3} and set(b2.modes[:, 0]) == {-1, 1}
+        self.agrees_with_dense(b1, b2)
 
 
 class TestWeightedNorm:
@@ -453,3 +614,33 @@ class TestBlockModes:
         n1 = block_modes(G, TBOX, 256, 1, 1).shape[0]
         n4 = block_modes(G, TBOX, 256, 4, 1).shape[0]
         assert 0 < n1 < n4
+
+    @pytest.mark.parametrize("grid", [G, FINE], ids=["coarse", "fine"])
+    def test_a_sufficient_nt_keeps_its_modes_at_any_larger_nt(self, grid):
+        # tau of an index jt is 2 pi jt / t_box whatever nt is, so once the jt
+        # window of every plateau column fits in |jt| <= nt/2 - 1, a larger
+        # nt, a power of two or not, keeps the same modes.
+        for n in (1, 2, 4, 8):
+            omega = np.abs(dispersion_values(grid))[frequency_weight(grid, n) == 1.0]
+            for l in (1, 2, 8):
+                nt = 2 * (math.ceil((omega.max() + 1.25 * l) * TBOX / (2 * np.pi)) + 2)
+                modes = block_modes(grid, TBOX, nt, n, l)
+                for larger in (nt + 2, 2 * nt, 3 * nt + 2, 8192):
+                    assert np.array_equal(block_modes(grid, TBOX, larger, n, l), modes)
+
+    @pytest.mark.parametrize("grid, kept", [
+        (G, {1: (192, 588), 2: (128, 392), 4: (260, 784), 8: (512, 1568)}),
+        (FINE, {1: (5856, 17574), 2: (4352, 12936), 8: (17456, 51420)}),
+    ], ids=["coarse", "fine"])
+    def test_criterion_10_truncates_every_n8_block(self, grid, kept):
+        # Criterion 10's nt = 512 keeps |jt| <= 255; every n = 8 shell reaches
+        # beyond, and block_modes drops those modes without a word.  nt = 8192
+        # holds the whole block.
+        for l, counts in kept.items():
+            short = block_modes(grid, TBOX, 512, 8, l)
+            whole = block_modes(grid, TBOX, 8192, 8, l)
+            assert (short.shape[0], whole.shape[0]) == counts
+            kept_rows = set(map(tuple, short.tolist()))
+            assert kept_rows < set(map(tuple, whole.tolist()))
+            dropped = np.array([m for m in whole.tolist() if tuple(m) not in kept_rows])
+            assert np.abs(dropped[:, 2]).min() > 255
