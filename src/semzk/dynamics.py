@@ -38,8 +38,11 @@ crest frame ``w(x, t) = u(x + ct, t)``, whose dispersion is ``omega + c xi``.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -54,6 +57,9 @@ from semzk.spectral import (
     _symbols,
     _to_half,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "KINDS",
@@ -232,6 +238,59 @@ def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
 #: 2 MiB (512^2) slowed the kernel by a tenth.
 _NODE_BATCH_BYTES = 256 * 1024
 
+#: Bytes of real samples of one field (a batch's whole node stack) from
+#: which a ``sem`` kernel runs its y pipeline on a second thread, beside
+#: the x pipeline on the caller's.  A handoff costs about 50 us (a call at
+#: 64^2 went 0.17 -> 0.21 ms), and the split pays only while the second
+#: core is free.  A kernel call in ms, serial -> split (best of 40
+#: interleaved triples), on a 2-core host whose cores other machines
+#: share, while two threads ran two 512^2 transforms 1.9-2.1x (free) and
+#: 1.1-1.35x (busy) faster than one thread:
+#:
+#:     grid         free            busy
+#:     256x128      1.54 -> 1.25    1.00 -> 1.10
+#:     256^2        3.14 -> 2.20    2.13 -> 2.24
+#:     512x256      5.28 -> 4.16    4.49 -> 4.87
+#:     512^2        9.60 -> 6.67    9.74 -> 11.03
+#:     1024x256    10.72 -> 7.92   12.21 -> 13.17
+#:
+#: On a quieter day the same host read 512x256 4.1 -> 4.0-4.3 and 512^2
+#: 8.5-9.0 -> 6.1-7.7, so the split starts at 512^2, where the gain is
+#: largest; the busy loss, 5-13%, comes at every size.
+_SPLIT_FIELD_BYTES = 2 * 1024 * 1024
+
+_worker: ThreadPoolExecutor | None = None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _y_worker() -> ThreadPoolExecutor | None:
+    """The one persistent thread that runs the kernels' y pipelines, started
+    on first use; ``None`` when the process may use only one CPU."""
+    global _worker
+    if _usable_cpus() < 2:
+        return None
+    if _worker is None:
+        # imported here: it adds 0.7 MiB to a process that never splits
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="semzk-y-flux")
+    return _worker
+
+
+def _forget_worker() -> None:
+    # a forked child has the parent's executor but not its thread
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
 
 class _Nonlinearity:
     """The dealiased N(u) of one equation on one grid, in conservative form,
@@ -248,13 +307,25 @@ class _Nonlinearity:
     An evaluation transforms u, G1u and G2u to samples and the two fluxes
     back, ``per_call`` fields to one transform call: as many as fit
     ``_NODE_BATCH_BYTES`` of samples, at least one.  A stacked call gives
-    each field the bits of its own call.
+    each field the bits of its own call.  With one field to a call, ``sem``
+    and ``sem_on_soliton`` run as two pipelines after u's inverse: the x
+    pipeline, ``m1 ud`` to G1u to flux_x to ``i xi`` times its transform,
+    into the output, and the y pipeline, ``m2 ud`` to G2u to flux_y to
+    ``i mu`` times its transform, which is then added.  When a field's
+    samples reach ``_SPLIT_FIELD_BYTES`` (``split``), the pipelines get
+    buffers of their own and the y pipeline runs on one persistent worker
+    thread, under the caller's numpy error state, while the x pipeline runs
+    on the caller's; when the process may use one CPU only, the y pipeline
+    runs on the caller's after the x pipeline.  Each pipeline does the
+    operations of a serial evaluation on the same values, so the result
+    does not depend on the thread, to the bit.
 
-    Beyond its buffers, an evaluation allocates only transients, one at a
-    time: the x-pass intermediate of one inverse call, a band stack of that
-    call's fields (1.34 MiB at 512^2, within ``_NODE_BATCH_BYTES`` when
-    fields are stacked) and numpy's iteration buffers for a product on the
-    band (``np.getbufsize()`` elements an operand).
+    Beyond its buffers, an evaluation allocates only transients: the x-pass
+    intermediate of an inverse call, a band stack of that call's fields
+    (1.34 MiB at 512^2, within ``_NODE_BATCH_BYTES`` when fields are
+    stacked) and numpy's iteration buffers for a product on the band
+    (``np.getbufsize()`` elements an operand).  They come one at a time,
+    two when the pipelines run side by side.
 
     With ``batch`` it evaluates a stack of up to ``batch`` states in one
     call, each transform running once over the stack; its buffers then
@@ -277,16 +348,20 @@ class _Nonlinearity:
         self.per_call = k = max(1, _NODE_BATCH_BYTES // field_bytes)
         n_fields = {"linear": 0, "zk": 1, "sem": 3, "sem_on_soliton": 4}[eq.kind]
         n_in, n_flux = min(n_fields, 3), min(n_fields, 2)
-        # ``fields`` holds u, G1u, G2u, and the fluxes in its last two rows.
-        # ``spectral`` holds ``ud``, the half spectrum of u kept zero outside
-        # the mask, then the band rows of the products that one call stacks
-        # with it, one at least for sem.  ``spectrum`` takes the fluxes'
-        # transforms, so no buffer serves both directions and ``ud`` is never
-        # zeroed again.
-        self.fields = np.empty((n_fields,) + lead + self.shape)
-        self.spectral = np.zeros((max(min(k, n_in), n_flux),) + lead + (grid.nx, w),
-                                 dtype=complex)
-        self.spectrum = np.empty((min(k, n_flux),) + lead + (grid.nx, _half_ncols(grid)),
+        self.split = split = k == 1 and n_flux == 2 and field_bytes >= _SPLIT_FIELD_BYTES
+        # ``fields`` holds u, G1u, G2u, and the fluxes in its last two rows;
+        # split, ``sem_on_soliton`` adds a row for flux_x, which otherwise
+        # takes G2u's.  ``spectral`` holds ``ud``, the half spectrum of u
+        # kept zero outside the mask, then, stacked, the band rows of the
+        # products that one call stacks with it, one at least for sem.
+        # ``spectrum`` takes the fluxes' transforms, so no buffer serves both
+        # directions and ``ud`` is never zeroed again.  Split, it has a row
+        # for each pipeline, which also forms its product with ``ud`` in that
+        # row's band columns, and ``spectral`` holds ``ud`` alone.
+        self.fields = np.empty((n_fields + (split and n_fields == 4),) + lead + self.shape)
+        n_band = 1 if split else max(min(k, n_in), n_flux)
+        self.spectral = np.zeros((n_band,) + lead + (grid.nx, w), dtype=complex)
+        self.spectrum = np.empty((min(k, n_flux) + split,) + lead + (grid.nx, _half_ncols(grid)),
                                  dtype=complex)
         if eq.kind == "sem_on_soliton":
             p = eq.soliton
@@ -310,8 +385,8 @@ class _Nonlinearity:
     def __call__(self, uhat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the half spectrum of N(u) into ``out`` and return it; for a
         batched kernel ``uhat`` and ``out`` are stacks of ``m <= batch``."""
-        kind, w, shape, k = self.eq.kind, self.band, self.shape, self.per_call
-        if kind == "linear":
+        w = self.band
+        if self.eq.kind == "linear":
             out[...] = 0.0
             return out
         out[..., w:] = 0.0
@@ -321,6 +396,19 @@ class _Nonlinearity:
             band, spec, fields = band[:, :m], spec[:, :m], fields[:, :m]
         ud = band[0]
         np.copyto(ud, uhat[..., :w], where=self.mask)
+        nhat = out[..., :w]
+        if self.per_call == 1 and self.eq.kind != "zk":
+            self._pipelines(ud, band, spec, fields, nhat)
+        else:
+            self._stacked(ud, band, spec, fields, nhat)
+        np.copyto(nhat, 0.0, where=self.outside)
+        return out
+
+    def _stacked(self, ud, band, spec, fields, nhat) -> None:
+        """N into ``nhat``, ``per_call`` fields to a transform call: ``sem``
+        and ``sem_on_soliton`` on small fields, and ``zk``, whose one flux
+        leaves nothing to run beside it."""
+        kind, w, shape, k = self.eq.kind, self.band, self.shape, self.per_call
         # u, G1u and G2u (fields a to b - 1 of each call), ``k`` to a call:
         # the first call takes ``ud`` and the products after it, a later one
         # its products in the rows after ``ud``
@@ -335,36 +423,90 @@ class _Nonlinearity:
             else:
                 _from_half(band[row:row + b - a], shape, out=fields[a:b])
         u = fields[0]
-        nhat = out[..., :w]
         if kind == "zk":
             np.multiply(u, u, out=u)
             np.multiply(self.ddx, _to_half(u, 0.5, out=spec[0])[..., :w], out=nhat)
+            return
+        g1, g2 = fields[1], fields[2]
+        if kind == "sem":
+            np.multiply(u, g1, out=g1)
+            np.multiply(u, g2, out=g2)
         else:
-            g1, g2 = fields[1], fields[2]
-            if kind == "sem":
-                np.multiply(u, g1, out=g1)
-                np.multiply(u, g2, out=g2)
-            else:
-                # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
-                phi = self.phi
-                flux_y = np.multiply(u, g2, out=fields[3])
-                g2 *= phi
-                flux_y += g2
-                flux_x = np.multiply(u, g1, out=g2)
-                g1 += u
-                g1 *= phi
-                flux_x += g1
-            work = band[1]
-            if k > 1:
-                spec = _to_half(fields[-2:], 0.5, out=spec[:2])
-                np.multiply(self.ddx, spec[0, ..., :w], out=nhat)
-                nhat += np.multiply(self.ddy, spec[1, ..., :w], out=work)
-            else:
-                np.multiply(self.ddx, _to_half(fields[-2], 0.5, out=spec[0])[..., :w], out=nhat)
-                nhat += np.multiply(self.ddy, _to_half(fields[-1], 0.5, out=spec[0])[..., :w],
-                                    out=work)
-        np.copyto(nhat, 0.0, where=self.outside)
-        return out
+            # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
+            phi = self.phi
+            flux_y = np.multiply(u, g2, out=fields[3])
+            g2 *= phi
+            flux_y += g2
+            flux_x = np.multiply(u, g1, out=g2)
+            g1 += u
+            g1 *= phi
+            flux_x += g1
+        spec = _to_half(fields[-2:], 0.5, out=spec[:2])
+        np.multiply(self.ddx, spec[0, ..., :w], out=nhat)
+        nhat += np.multiply(self.ddy, spec[1, ..., :w], out=band[1])
+
+    def _pipelines(self, ud, band, spec, fields, nhat) -> None:
+        """N of ``sem`` or ``sem_on_soliton`` into ``nhat``, one field to a
+        transform call: u's samples, then the x and y pipelines, side by
+        side when the kernel is split and a second CPU is usable, else one
+        after the other on the caller's thread, sharing their buffers unless
+        split."""
+        _from_half(ud, self.shape, out=fields[0])
+        if self.split:
+            # each pipeline forms its product in the band columns of its own
+            # half spectrum, which saves a band row (1.34 MiB at 512^2)
+            rows, worker = spec[..., :self.band], _y_worker()
+        else:
+            # one contiguous work row: on a Picard batch at 64^2 the products
+            # ran 3-5% slower into the band columns of a half spectrum
+            rows, worker = band[1:], None
+        if worker is None:
+            self._x_pipeline(ud, rows[0], spec[0], fields, nhat)
+            row = self._y_pipeline(ud, rows[-1], spec[-1], fields)
+        else:
+            # numpy's error state is a context variable, so the worker runs
+            # in a copy of the caller's context
+            pending = worker.submit(contextvars.copy_context().run, self._y_pipeline,
+                                    ud, rows[-1], spec[-1], fields)
+            try:
+                self._x_pipeline(ud, rows[0], spec[0], fields, nhat)
+            finally:
+                row = pending.result()
+        nhat += row
+
+    def _x_pipeline(self, ud, row, spec, fields, nhat) -> None:
+        """``i xi`` times the half spectrum of flux_x into ``nhat``, with
+        G1u's spectrum formed in the band row ``row`` and the flux
+        transformed into the half spectrum ``spec``."""
+        u, g1 = fields[0], fields[1]
+        np.multiply(ud, self.m1, out=row)
+        _from_half(row, self.shape, out=g1)
+        if self.eq.kind == "sem":
+            flux = np.multiply(u, g1, out=g1)
+        else:
+            # flux_x = u g1 + phi (u + g1), in the last field row: G2u's
+            # when the y pipeline comes after, one of its own when split
+            flux = np.multiply(u, g1, out=fields[-1])
+            g1 += u
+            g1 *= self.phi
+            flux += g1
+        np.multiply(self.ddx, _to_half(flux, 0.5, out=spec)[..., :self.band], out=nhat)
+
+    def _y_pipeline(self, ud, row, spec, fields) -> np.ndarray:
+        """``i mu`` times the half spectrum of flux_y, into the band row
+        ``row`` and returned, with G2u's spectrum formed in ``row`` and the
+        flux transformed into the half spectrum ``spec``."""
+        u, g2 = fields[0], fields[2]
+        np.multiply(ud, self.m2, out=row)
+        _from_half(row, self.shape, out=g2)
+        if self.eq.kind == "sem":
+            flux = np.multiply(u, g2, out=g2)
+        else:
+            # flux_y = u g2 + phi g2
+            flux = np.multiply(u, g2, out=fields[3])
+            g2 *= self.phi
+            flux += g2
+        return np.multiply(self.ddy, _to_half(flux, 0.5, out=spec)[..., :self.band], out=row)
 
 
 def background_terms(u: RealField, p: SolitonParams, t: float) -> RealField:

@@ -37,7 +37,16 @@ import numpy as np
 
 from semzk.dynamics import _NODE_BATCH_BYTES, EquationKind, _check_equation, _Nonlinearity, _phase
 from semzk.norms import _half_sobolev_weight, conserved_I2
-from semzk.spectral import Grid2D, RealField, _from_half, _half_of, _integer, _real, _to_half
+from semzk.spectral import (
+    Grid2D,
+    RealField,
+    _from_half,
+    _half_ncols,
+    _half_of,
+    _integer,
+    _real,
+    _to_half,
+)
 
 __all__ = [
     "TrajectoryPath",
@@ -344,15 +353,18 @@ def _ifrk4_march(u0: RealField, eq: EquationKind, t0: float, dt: float,
     # two band buffers, alternated, the step's two work buffers, and the rest
     band, tail = np.array(held[:, :w]), np.array(held[:, w:])
     new, acc, k = (np.empty_like(band) for _ in range(3))
+    shape = (grid.nx, _half_ncols(grid))
 
     def state() -> np.ndarray:
-        full = np.empty(spectrum.shape, dtype=complex)
+        full = np.empty(shape, dtype=complex)
         full[:, :w], full[:, w:] = band, tail
         return full
 
     first = u0 if u0._half is not None else RealField._of_half(grid, spectrum, u0.values)
     for cb in callbacks:
         cb(0, t0, first)
+    # the march keeps none of the input's spectra past step 0
+    del spectrum, held, first
     for i in range(n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
             _ifrk4_hat(band, kernel, dt, phases, new, acc, k)

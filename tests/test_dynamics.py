@@ -1,6 +1,10 @@
 """Soliton profiles, propagator, nonlinearities, and the Poisson solve."""
 
+import sys
+import threading
 import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import semzk.dynamics as dynamics
 from semzk.dynamics import (
     _NODE_BATCH_BYTES,
+    _SPLIT_FIELD_BYTES,
     LINEAR,
     SEM,
     ZK,
@@ -27,7 +32,7 @@ from semzk.dynamics import (
     soliton_shape_dx,
     solve_potential,
 )
-from semzk.integrators import evolve, ifrk4_step
+from semzk.integrators import _node_kernel, evolve, ifrk4_step
 from semzk.norms import conserved_I1, conserved_I2
 from semzk.probes import random_low_mode_field
 from semzk.spectral import (
@@ -266,12 +271,14 @@ def test_highest_kept_mode_does_not_alias(n, eq):
 
 @pytest.mark.parametrize("grid", [Grid2D(96, 96, 2 * np.pi, 2 * np.pi),
                                   Grid2D(256, 16, 80.0, 36.0),
-                                  Grid2D(64, 48, 2 * np.pi, 2 * np.pi)],
-                         ids=["96x96", "256x16", "64x48"])
+                                  Grid2D(64, 48, 2 * np.pi, 2 * np.pi),
+                                  Grid2D(512, 512, 2 * np.pi, 2 * np.pi)],
+                         ids=["96x96", "256x16", "64x48", "512x512"])
 @pytest.mark.parametrize("eq", [ZK, SEM], ids=["zk", "sem"])
 def test_nonlinearity_is_orthogonal_to_its_field(grid, eq):
     # <u, N(u)> = 0 is what conserves I2; on band-limited data the
-    # dealiased kernel keeps it to rounding
+    # dealiased kernel keeps it to rounding, also when sem's two fluxes
+    # run on two threads (512^2)
     for seed in range(3):
         u = random_low_mode_field(grid, seed)
         n = nonlinear_rhs(u, eq)
@@ -392,7 +399,8 @@ def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
     # and at least one field: the three inverses and two forwards of sem at
     # 256x16 (32 KiB a field) go through one call each way, while a field
     # at 512^2 (2 MiB) and a full Picard batch at 64^2 (8 nodes, 256 KiB)
-    # each get a call of their own.
+    # each get a call of their own.  One field to a call, the x and y
+    # pipelines' calls interleave, so the calls are compared as a multiset.
     seen = []
 
     def spy(direction, transform):
@@ -409,20 +417,25 @@ def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
     kernel = _Nonlinearity(grid, SEM, batch=batch)
     assert kernel.per_call == max(1, _NODE_BATCH_BYTES // (8 * (batch or 1) * grid.nx * grid.ny))
     kernel(uhat, np.empty_like(uhat))
-    assert seen == calls
+    assert Counter(seen) == Counter(calls)
 
 
 @pytest.mark.parametrize("grid, eq", [(Grid2D(512, 512, 80.0, 2 * np.pi), SEM),
+                                      (Grid2D(512, 512, 80.0, 2 * np.pi), KERNEL_KINDS[3]),
                                       (Grid2D(256, 16, 80.0, 2 * np.pi), KERNEL_KINDS[3])],
-                         ids=["512^2-sem", "256x16-sem_on_soliton"])
+                         ids=["512^2-sem", "512^2-sem_on_soliton", "256x16-sem_on_soliton"])
 def test_kernel_allocations(grid, eq):
     # The kernel holds its work buffers: its fields, the band rows (``ud``
     # and one work row per field it stacks beyond two) and one half spectrum
-    # per stacked flux.  An evaluation adds only transients: one inverse
-    # call's x-pass intermediate, a band stack of the call's fields, or
-    # numpy's iteration buffers for the band products.  With one field per
-    # call (512^2) that is the x-pass of one field, 1.34 MiB; stacked
-    # (256x16), it stays within the byte budget of one call.
+    # per stacked flux.  A split kernel (512^2) holds a half spectrum for
+    # each pipeline, which also takes the pipeline's band product, so its
+    # band holds ``ud`` alone; sem_on_soliton adds a field for flux_x.
+    # An evaluation adds only transients: an inverse call's x-pass
+    # intermediate, a band stack of the call's fields, or numpy's iteration
+    # buffers for the band products.  With one field per call that is the
+    # x-pass of one field, 1.34 MiB at 512^2, or of each of the two
+    # pipelines when they run side by side; stacked (256x16), it stays
+    # within the byte budget of one call.
     uhat = _to_half(0.1 * np.random.default_rng(4).standard_normal((grid.nx, grid.ny)))
     out = np.empty_like(uhat)
     _Nonlinearity(grid, eq)(uhat, out)  # cached tables
@@ -436,17 +449,160 @@ def test_kernel_allocations(grid, eq):
         transient = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    k, w = kernel.per_call, kernel.band
-    n_fields = 4 if eq.kind == "sem_on_soliton" else 3
+    k, w, split = kernel.per_call, kernel.band, kernel.split
+    assert split == (8 * grid.nx * grid.ny >= _SPLIT_FIELD_BYTES)
+    soliton = eq.kind == "sem_on_soliton"
+    n_fields = 4 + split if soliton else 3
     field = 8 * grid.nx * grid.ny
     band_row = 16 * grid.nx * w
-    buffers = (n_fields * field + max(min(k, 3), 2) * band_row + min(k, 2) * 16 * uhat.size
-               + grid.nx * w)  # the boolean complement of the mask
+    buffers = (n_fields * field + (1 if split else max(min(k, 3), 2)) * band_row
+               + (min(k, 2) + split) * 16 * uhat.size
+               + grid.nx * w  # the boolean complement of the mask
+               + soliton * 8 * grid.nx)  # the background's column
     assert held <= buffers + 4096, held - buffers
     if k == 1:
-        assert transient <= band_row + 8192, transient - band_row
+        assert transient <= (1 + split) * (band_row + 8192), transient - band_row
     else:
         assert transient <= _NODE_BATCH_BYTES
+
+
+def transform_threads(monkeypatch):
+    """Record the thread of every 2-D transform, by name."""
+    threads = []
+
+    def spy(name):
+        transform = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, call)
+
+    for name in ("rfftn", "irfftn"):
+        spy(name)
+    return threads
+
+
+SPLIT_CASES = [(Grid2D(512, 512, 80.0, 2 * np.pi), None),
+               (Grid2D(1024, 256, 80.0, 2 * np.pi), None),
+               (Grid2D(512, 512, 80.0, 2 * np.pi), 1)]
+
+
+@pytest.mark.parametrize("grid, batch", SPLIT_CASES, ids=["512^2", "1024x256", "512^2-node"])
+@pytest.mark.parametrize("eq", KERNEL_KINDS[2:], ids=["sem", "sem_on_soliton"])
+def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
+    # From _SPLIT_FIELD_BYTES of samples a field (512^2 and 1024x256 are at
+    # it; a Picard kernel at 512^2 is a batch of one node) the y pipeline
+    # runs on the worker thread, whatever the host's CPUs; with one CPU it
+    # runs inline.  Both give the one-call-per-field reference to the bit.
+    assert 8 * grid.nx * grid.ny == _SPLIT_FIELD_BYTES
+    rng = np.random.default_rng(31)
+    lead = () if batch is None else (batch,)
+    uhat = _to_half(0.1 * rng.standard_normal(lead + (grid.nx, grid.ny)))
+    expected = per_field_reference(grid, eq, uhat.reshape(grid.nx, -1)).reshape(uhat.shape)
+    got = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        kernel = _node_kernel(grid, eq, 33) if batch else _Nonlinearity(grid, eq)
+        assert kernel.split and kernel.batch == batch
+        threads = transform_threads(monkeypatch)
+        got[cpus] = kernel(uhat, np.full_like(uhat, np.nan))
+        workers = {t.name for t in threads if t is not threading.main_thread()}
+        assert len(threads) == 5
+        assert len(workers) == (cpus == 2), workers
+        monkeypatch.undo()
+    assert np.array_equal(got[2], got[1])
+    assert np.array_equal(got[2], expected)
+
+
+@pytest.mark.parametrize("grid, batch", [(Grid2D(512, 510, 80.0, 2 * np.pi), None),
+                                         (Grid2D(64, 64, 2 * np.pi, 2 * np.pi), 8)],
+                         ids=["512x510", "64^2x8"])
+def test_kernel_below_the_split_runs_on_the_caller(monkeypatch, grid, batch):
+    # just below _SPLIT_FIELD_BYTES, and a full Picard batch at 64^2 (one
+    # field to a transform call, but 256 KiB of samples), the pipelines run
+    # one after the other on the caller's thread
+    assert 8 * (batch or 1) * grid.nx * grid.ny < _SPLIT_FIELD_BYTES
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    lead = () if batch is None else (batch,)
+    uhat = _to_half(0.1 * np.random.default_rng(32).standard_normal(lead + (grid.nx, grid.ny)))
+    kernel = _Nonlinearity(grid, SEM, batch=batch)
+    assert kernel.per_call == 1 and not kernel.split
+    threads = transform_threads(monkeypatch)
+    kernel(uhat, np.empty_like(uhat))
+    assert len(threads) == 5
+    assert all(t is threading.main_thread() for t in threads)
+
+
+def test_worker_runs_under_the_callers_error_state(monkeypatch):
+    # evolve ignores overflow inside a step and reports a non-finite state
+    # itself; the y pipeline, on the worker, must ignore it as well
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    g = Grid2D(512, 512, 80.0, 2 * np.pi)
+    u0 = random_low_mode_field(g, 0, amplitude=1e3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match=r"step diverged at step 2 of 20 "):
+            evolve(u0, SEM, 0.2, 0.01)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_worker_error_propagates_from_the_kernel_call(monkeypatch):
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    g = Grid2D(512, 512, 80.0, 2 * np.pi)
+    uhat = _to_half(0.1 * np.random.default_rng(33).standard_normal((g.nx, g.ny)))
+    kernel = _Nonlinearity(g, SEM)
+    expected = kernel(uhat, np.empty_like(uhat)).copy()
+    raised_on = []
+
+    class Failing:
+        # ``i mu``, whose product only the y pipeline forms
+        def __array_ufunc__(self, *args, **kwargs):
+            raised_on.append(threading.current_thread())
+            raise ArithmeticError("y pipeline failed")
+
+    ddy, kernel.ddy = kernel.ddy, Failing()
+    with pytest.raises(ArithmeticError, match="y pipeline failed"):
+        kernel(uhat, np.empty_like(uhat))
+    assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+    # the worker survives its error
+    kernel.ddy = ddy
+    assert np.array_equal(kernel(uhat, np.empty_like(uhat)), expected)
+
+
+def test_kernels_on_several_threads_share_the_worker(monkeypatch):
+    # Four caller threads on two CPUs, each with its own split kernel and
+    # state, hand their y pipelines to the one worker under a short switch
+    # interval; each result is its own state's reference, to the bit.
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    g = Grid2D(512, 512, 80.0, 2 * np.pi)
+    rng = np.random.default_rng(34)
+    cases = [(eq, _to_half(0.1 * rng.standard_normal((g.nx, g.ny))))
+             for eq in KERNEL_KINDS[2:] * 2]
+    expected = [per_field_reference(g, eq, uhat) for eq, uhat in cases]
+    got = [[] for _ in cases]
+
+    def evaluate(i):
+        eq, uhat = cases[i]
+        kernel = _Nonlinearity(g, eq)
+        for _ in range(3):
+            got[i].append(kernel(uhat, np.empty_like(uhat)).copy())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(cases))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for results, reference in zip(got, expected):
+        assert len(results) == 3
+        assert all(np.array_equal(r, reference) for r in results)
 
 
 def test_linear_kind_has_zero_rhs():

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -585,6 +586,22 @@ def test_band_march_matches_the_full_width_march(case):
     reference = full_width_march(u0, eq, 0.2, 20)
     assert np.array_equal(last._half, reference)
     assert np.array_equal(last.values, _from_half(reference))
+
+
+def test_march_releases_the_input_spectrum_after_step_0():
+    # the transform of a u0 that holds only samples goes to the step-0
+    # callbacks and is not kept past them: the march holds its own state
+    u0 = smooth_field(SMALL, 22, 0.1)
+    spectra = []
+
+    def watch(step, t, u):
+        if step == 0:
+            spectra.append(weakref.ref(u._half))
+        else:
+            assert spectra[0]() is None
+
+    evolve(u0, SEM, 0.02, 0.01, callbacks=[watch])
+    assert len(spectra) == 1
 
 
 def test_samples_are_made_only_on_request(monkeypatch):
