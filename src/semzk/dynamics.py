@@ -41,6 +41,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -260,6 +261,7 @@ _NODE_BATCH_BYTES = 256 * 1024
 _SPLIT_FIELD_BYTES = 2 * 1024 * 1024
 
 _worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
 
 
 def _usable_cpus() -> int:
@@ -275,17 +277,19 @@ def _y_worker() -> ThreadPoolExecutor | None:
     global _worker
     if _usable_cpus() < 2:
         return None
-    if _worker is None:
-        # imported here: it adds 0.7 MiB to a process that never splits
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="semzk-y-flux")
-    return _worker
+    with _worker_lock:
+        if _worker is None:
+            # imported here: it adds 0.7 MiB to a process that never splits
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="semzk-y-flux")
+        return _worker
 
 
 def _forget_worker() -> None:
-    # a forked child has the parent's executor but not its thread
-    global _worker
-    _worker = None
+    # a forked child has the parent's executor but not its thread, and the
+    # lock as some parent thread may have left it
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):

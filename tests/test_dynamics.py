@@ -1,7 +1,10 @@
 """Soliton profiles, propagator, nonlinearities, and the Poisson solve."""
 
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -603,6 +606,29 @@ def test_kernels_on_several_threads_share_the_worker(monkeypatch):
     for results, reference in zip(got, expected):
         assert len(results) == 3
         assert all(np.array_equal(r, reference) for r in results)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_worker(monkeypatch):
+    # a child forked after the worker started has the executor but not its
+    # thread; the kernel must start a new one there instead of waiting
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    g = Grid2D(512, 512, 80.0, 2 * np.pi)
+    uhat = _to_half(0.1 * np.random.default_rng(35).standard_normal((g.nx, g.ny)))
+    expected = _Nonlinearity(g, SEM)(uhat, np.empty_like(uhat)).copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        got = _Nonlinearity(g, SEM)(uhat, np.empty_like(uhat))
+        os._exit(0 if np.array_equal(got, expected) else 1)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0, status
 
 
 def test_linear_kind_has_zero_rhs():
