@@ -43,7 +43,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,9 +57,6 @@ from semzk.spectral import (
     _symbols,
     _to_half,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "KINDS",
@@ -241,9 +237,9 @@ _NODE_BATCH_BYTES = 256 * 1024
 
 #: Bytes of real samples of one field (a batch's whole node stack) from
 #: which a ``sem`` kernel runs its y pipeline on a second thread, beside
-#: the x pipeline on the caller's.  A handoff costs about 50 us (a call at
-#: 64^2 went 0.17 -> 0.21 ms), and the split pays only while the second
-#: core is free.  A kernel call in ms, serial -> split (best of 40
+#: the x pipeline on the caller's.  Starting and joining the thread costs
+#: about 50 us a call, and the split pays only while the second core is
+#: free.  A kernel call in ms, serial -> split (best of 40
 #: interleaved triples), on a 2-core host whose cores other machines
 #: share, while two threads ran two 512^2 transforms 1.9-2.1x (free) and
 #: 1.1-1.35x (busy) faster than one thread:
@@ -260,9 +256,6 @@ _NODE_BATCH_BYTES = 256 * 1024
 #: largest; the busy loss, 5-13%, comes at every size.
 _SPLIT_FIELD_BYTES = 2 * 1024 * 1024
 
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
@@ -271,29 +264,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _y_worker() -> ThreadPoolExecutor | None:
-    """The one persistent thread that runs the kernels' y pipelines, started
-    on first use; ``None`` when the process may use only one CPU."""
-    global _worker
-    if _usable_cpus() < 2:
-        return None
-    with _worker_lock:
-        if _worker is None:
-            # imported here: it adds 0.7 MiB to a process that never splits
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="semzk-y-flux")
-        return _worker
+class _Beside:
+    """``call(*args)`` on a thread of its own, begun beside the caller's
+    work in a copy of the caller's context, so under its numpy error state.
+    ``result`` waits for the call and returns its value or raises its
+    error; if the thread has not begun the call by then, or could not be
+    started, the caller makes the call itself."""
 
+    def __init__(self, call, *args):
+        self._call, self._args = call, args
+        self._value = self._error = None
+        self._claim = threading.Lock()
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._run,), name="semzk-y-flux")
+        try:
+            self._thread.start()
+        except RuntimeError:  # no new thread, as when the host is out of them
+            pass
 
-def _forget_worker() -> None:
-    # a forked child has the parent's executor but not its thread, and the
-    # lock as some parent thread may have left it
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    def _run(self) -> None:
+        if self._claim.acquire(blocking=False):
+            try:
+                self._value = self._call(*self._args)
+            except BaseException as error:
+                self._error = error
 
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    def result(self):
+        if self._claim.acquire(blocking=False):
+            return self._call(*self._args)
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 class _Nonlinearity:
@@ -317,12 +319,13 @@ class _Nonlinearity:
     into the output, and the y pipeline, ``m2 ud`` to G2u to flux_y to
     ``i mu`` times its transform, which is then added.  When a field's
     samples reach ``_SPLIT_FIELD_BYTES`` (``split``), the pipelines get
-    buffers of their own and the y pipeline runs on one persistent worker
-    thread, under the caller's numpy error state, while the x pipeline runs
-    on the caller's; when the process may use one CPU only, the y pipeline
-    runs on the caller's after the x pipeline.  Each pipeline does the
-    operations of a serial evaluation on the same values, so the result
-    does not depend on the thread, to the bit.
+    buffers of their own and the y pipeline runs on a thread started for
+    the call, under the caller's numpy error state, while the x pipeline
+    runs on the caller's; the caller runs the y pipeline itself, after the
+    x pipeline, when the process may use one CPU only or the thread has
+    not begun it by then.  Each pipeline does the operations of a serial
+    evaluation on the same values, so the result does not depend on the
+    thread, to the bit.
 
     Beyond its buffers, an evaluation allocates only transients: the x-pass
     intermediate of an inverse call, a band stack of that call's fields
@@ -355,13 +358,13 @@ class _Nonlinearity:
         self.split = split = k == 1 and n_flux == 2 and field_bytes >= _SPLIT_FIELD_BYTES
         # ``fields`` holds u, G1u, G2u, and the fluxes in its last two rows;
         # split, ``sem_on_soliton`` adds a row for flux_x, which otherwise
-        # takes G2u's.  ``spectral`` holds ``ud``, the half spectrum of u
-        # kept zero outside the mask, then, stacked, the band rows of the
-        # products that one call stacks with it, one at least for sem.
-        # ``spectrum`` takes the fluxes' transforms, so no buffer serves both
-        # directions and ``ud`` is never zeroed again.  Split, it has a row
-        # for each pipeline, which also forms its product with ``ud`` in that
-        # row's band columns, and ``spectral`` holds ``ud`` alone.
+        # takes flux_y's.  ``spectral`` holds ``ud``, the half spectrum of u
+        # kept zero outside the mask, then the band rows of the products
+        # that one call stacks with it, one at least for sem.  ``spectrum``
+        # takes the fluxes' transforms, so no buffer serves both directions
+        # and ``ud`` is never zeroed again.  Split, it has a row for each
+        # pipeline, which also forms its product with ``ud`` in that row's
+        # band columns, and ``spectral`` holds ``ud`` alone.
         self.fields = np.empty((n_fields + (split and n_fields == 4),) + lead + self.shape)
         n_band = 1 if split else max(min(k, n_in), n_flux)
         self.spectral = np.zeros((n_band,) + lead + (grid.nx, w), dtype=complex)
@@ -451,31 +454,31 @@ class _Nonlinearity:
 
     def _pipelines(self, ud, band, spec, fields, nhat) -> None:
         """N of ``sem`` or ``sem_on_soliton`` into ``nhat``, one field to a
-        transform call: u's samples, then the x and y pipelines, side by
-        side when the kernel is split and a second CPU is usable, else one
-        after the other on the caller's thread, sharing their buffers unless
-        split."""
+        transform call: u's samples, then the x and y pipelines.  Split, with
+        a second CPU usable, the y pipeline runs on a thread of its own
+        beside the x pipeline; else it runs after it, in the same buffers
+        unless split."""
         _from_half(ud, self.shape, out=fields[0])
         if self.split:
             # each pipeline forms its product in the band columns of its own
             # half spectrum, which saves a band row (1.34 MiB at 512^2)
-            rows, worker = spec[..., :self.band], _y_worker()
+            rows = spec[..., :self.band]
         else:
             # one contiguous work row: on a Picard batch at 64^2 the products
-            # ran 3-5% slower into the band columns of a half spectrum
-            rows, worker = band[1:], None
-        if worker is None:
+            # ran at about half speed into the band columns of a half
+            # spectrum, and picard_window at 0.93x
+            rows = band[1:]
+        y = (ud, rows[-1], spec[-1], fields)
+        if not self.split or _usable_cpus() < 2:
             self._x_pipeline(ud, rows[0], spec[0], fields, nhat)
-            row = self._y_pipeline(ud, rows[-1], spec[-1], fields)
-        else:
-            # numpy's error state is a context variable, so the worker runs
-            # in a copy of the caller's context
-            pending = worker.submit(contextvars.copy_context().run, self._y_pipeline,
-                                    ud, rows[-1], spec[-1], fields)
-            try:
-                self._x_pipeline(ud, rows[0], spec[0], fields, nhat)
-            finally:
-                row = pending.result()
+            nhat += self._y_pipeline(*y)
+            return
+        beside = _Beside(self._y_pipeline, *y)
+        try:
+            self._x_pipeline(ud, rows[0], spec[0], fields, nhat)
+        finally:
+            # the y pipeline writes into the kernel's buffers until it ends
+            row = beside.result()
         nhat += row
 
     def _x_pipeline(self, ud, row, spec, fields, nhat) -> None:
@@ -488,7 +491,7 @@ class _Nonlinearity:
         if self.eq.kind == "sem":
             flux = np.multiply(u, g1, out=g1)
         else:
-            # flux_x = u g1 + phi (u + g1), in the last field row: G2u's
+            # flux_x = u g1 + phi (u + g1), in the last field row: flux_y's
             # when the y pipeline comes after, one of its own when split
             flux = np.multiply(u, g1, out=fields[-1])
             g1 += u

@@ -1,13 +1,14 @@
 """Soliton profiles, propagator, nonlinearities, and the Poisson solve."""
 
 import os
-import signal
+import subprocess
 import sys
+import textwrap
 import threading
-import time
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,7 +462,7 @@ def test_kernel_allocations(grid, eq):
     buffers = (n_fields * field + (1 if split else max(min(k, 3), 2)) * band_row
                + (min(k, 2) + split) * 16 * uhat.size
                + grid.nx * w  # the boolean complement of the mask
-               + soliton * 8 * grid.nx)  # the background's column
+               + split * soliton * 8 * grid.nx)  # the background's column, beyond the slack
     assert held <= buffers + 4096, held - buffers
     if k == 1:
         assert transient <= (1 + split) * (band_row + 8192), transient - band_row
@@ -487,6 +488,24 @@ def transform_threads(monkeypatch):
     return threads
 
 
+def hold_x_until_y_begins(monkeypatch, kernel):
+    """Start the kernel's x pipeline only once its y pipeline has begun, so
+    that a y pipeline handed to a thread always runs there."""
+    begun = threading.Event()
+    x, y = kernel._x_pipeline, kernel._y_pipeline
+
+    def y_pipeline(*args):
+        begun.set()
+        return y(*args)
+
+    def x_pipeline(*args):
+        assert begun.wait(timeout=60)
+        return x(*args)
+
+    monkeypatch.setattr(kernel, "_y_pipeline", y_pipeline)
+    monkeypatch.setattr(kernel, "_x_pipeline", x_pipeline)
+
+
 SPLIT_CASES = [(Grid2D(512, 512, 80.0, 2 * np.pi), None),
                (Grid2D(1024, 256, 80.0, 2 * np.pi), None),
                (Grid2D(512, 512, 80.0, 2 * np.pi), 1)]
@@ -497,8 +516,8 @@ SPLIT_CASES = [(Grid2D(512, 512, 80.0, 2 * np.pi), None),
 def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
     # From _SPLIT_FIELD_BYTES of samples a field (512^2 and 1024x256 are at
     # it; a Picard kernel at 512^2 is a batch of one node) the y pipeline
-    # runs on the worker thread, whatever the host's CPUs; with one CPU it
-    # runs inline.  Both give the one-call-per-field reference to the bit.
+    # runs on a thread of its own, whatever the host's CPUs; with one CPU
+    # it runs inline.  Both give the one-call-per-field reference to the bit.
     assert 8 * grid.nx * grid.ny == _SPLIT_FIELD_BYTES
     rng = np.random.default_rng(31)
     lead = () if batch is None else (batch,)
@@ -509,6 +528,8 @@ def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
         kernel = _node_kernel(grid, eq, 33) if batch else _Nonlinearity(grid, eq)
         assert kernel.split and kernel.batch == batch
+        if cpus == 2:
+            hold_x_until_y_begins(monkeypatch, kernel)
         threads = transform_threads(monkeypatch)
         got[cpus] = kernel(uhat, np.full_like(uhat, np.nan))
         workers = {t.name for t in threads if t is not threading.main_thread()}
@@ -538,9 +559,46 @@ def test_kernel_below_the_split_runs_on_the_caller(monkeypatch, grid, batch):
     assert all(t is threading.main_thread() for t in threads)
 
 
+@pytest.mark.parametrize("thread", ["late", "unstartable"])
+def test_caller_runs_the_y_pipeline_its_thread_has_not_begun(monkeypatch, thread):
+    # A thread that has not begun the y pipeline when the x pipeline ends
+    # (as when the second core is busy), or that could not be started,
+    # leaves it to the caller, which gives the same bits; the late thread
+    # then finds the call taken and makes none.
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    g = Grid2D(512, 512, 80.0, 2 * np.pi)
+    uhat = _to_half(0.1 * np.random.default_rng(36).standard_normal((g.nx, g.ny)))
+    expected = per_field_reference(g, SEM, uhat)
+    released, late = threading.Event(), []
+    if thread == "late":
+        run = dynamics._Beside._run
+
+        def held_run(self):
+            late.append(threading.current_thread())
+            released.wait(timeout=60)
+            run(self)
+
+        monkeypatch.setattr(dynamics._Beside, "_run", held_run)
+    else:
+        def start(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(dynamics.threading.Thread, "start", start)
+    kernel = _Nonlinearity(g, SEM)
+    threads = transform_threads(monkeypatch)
+    got = kernel(uhat, np.empty_like(uhat))
+    released.set()
+    for t in late:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(threads) == 5
+    assert all(t is threading.main_thread() for t in threads)
+    assert np.array_equal(got, expected)
+
+
 def test_worker_runs_under_the_callers_error_state(monkeypatch):
     # evolve ignores overflow inside a step and reports a non-finite state
-    # itself; the y pipeline, on the worker, must ignore it as well
+    # itself; the y pipeline, on its thread, must ignore it as well
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     g = Grid2D(512, 512, 80.0, 2 * np.pi)
     u0 = random_low_mode_field(g, 0, amplitude=1e3)
@@ -557,6 +615,7 @@ def test_worker_error_propagates_from_the_kernel_call(monkeypatch):
     uhat = _to_half(0.1 * np.random.default_rng(33).standard_normal((g.nx, g.ny)))
     kernel = _Nonlinearity(g, SEM)
     expected = kernel(uhat, np.empty_like(uhat)).copy()
+    hold_x_until_y_begins(monkeypatch, kernel)
     raised_on = []
 
     class Failing:
@@ -569,15 +628,16 @@ def test_worker_error_propagates_from_the_kernel_call(monkeypatch):
     with pytest.raises(ArithmeticError, match="y pipeline failed"):
         kernel(uhat, np.empty_like(uhat))
     assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
-    # the worker survives its error
+    # the next call starts a thread of its own
     kernel.ddy = ddy
     assert np.array_equal(kernel(uhat, np.empty_like(uhat)), expected)
 
 
-def test_kernels_on_several_threads_share_the_worker(monkeypatch):
+def test_kernels_on_several_threads_keep_their_bits(monkeypatch):
     # Four caller threads on two CPUs, each with its own split kernel and
-    # state, hand their y pipelines to the one worker under a short switch
-    # interval; each result is its own state's reference, to the bit.
+    # state, under a short switch interval: each call's thread races its
+    # caller for the y pipeline, and each result is its own state's
+    # reference, to the bit.
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     g = Grid2D(512, 512, 80.0, 2 * np.pi)
     rng = np.random.default_rng(34)
@@ -608,27 +668,31 @@ def test_kernels_on_several_threads_share_the_worker(monkeypatch):
         assert all(np.array_equal(r, reference) for r in results)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_worker(monkeypatch):
-    # a child forked after the worker started has the executor but not its
-    # thread; the kernel must start a new one there instead of waiting
-    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
-    g = Grid2D(512, 512, 80.0, 2 * np.pi)
-    uhat = _to_half(0.1 * np.random.default_rng(35).standard_normal((g.nx, g.ny)))
-    expected = _Nonlinearity(g, SEM)(uhat, np.empty_like(uhat)).copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
-        pid = os.fork()
-    if pid == 0:
-        got = _Nonlinearity(g, SEM)(uhat, np.empty_like(uhat))
-        os._exit(0 if np.array_equal(got, expected) else 1)
-    deadline = time.monotonic() + 60
-    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if status[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0, status
+def test_split_march_ends_while_the_interpreter_shuts_down(tmp_path):
+    # A 512^2 march on a non-daemon thread that the main thread leaves
+    # behind keeps its kernel's threads while the interpreter waits for it
+    # to end, and ends with the bits of the same march run in the open.
+    script = textwrap.dedent("""\
+        import sys, threading
+        import numpy as np
+        import semzk.dynamics as dynamics
+        from semzk.integrators import evolve
+        from semzk.probes import random_low_mode_field
+        from semzk.spectral import Grid2D
+        dynamics._usable_cpus = lambda: 2
+        def march():
+            u0 = random_low_mode_field(Grid2D(512, 512, 80.0, 2 * np.pi), 5)
+            last = evolve(u0, dynamics.SEM, 0.05, 0.01).fields[-1]
+            np.save(sys.argv[1], last.values)
+        threading.Thread(target=march).start()
+        """)
+    env = dict(os.environ, PYTHONPATH=str(Path(dynamics.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "last.npy")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    u0 = random_low_mode_field(Grid2D(512, 512, 80.0, 2 * np.pi), 5)
+    expected = evolve(u0, SEM, 0.05, 0.01).fields[-1].values
+    assert np.array_equal(np.load(tmp_path / "last.npy"), expected)
 
 
 def test_linear_kind_has_zero_rhs():
