@@ -239,10 +239,10 @@ _NODE_BATCH_BYTES = 256 * 1024
 #: which a ``sem`` kernel runs its y pipeline on a second thread, beside
 #: the x pipeline on the caller's.  Starting and joining the thread costs
 #: about 50 us a call, and the split pays only while the second core is
-#: free.  A kernel call in ms, serial -> split (best of 40
-#: interleaved triples), on a 2-core host whose cores other machines
-#: share, while two threads ran two 512^2 transforms 1.9-2.1x (free) and
-#: 1.1-1.35x (busy) faster than one thread:
+#: free.  A kernel call in ms, serial -> split (best of 40 interleaved
+#: triples, with one persistent worker thread), on a 2-core host whose
+#: cores other machines share, while two threads ran two 512^2 transforms
+#: 1.9-2.1x (free) and 1.1-1.35x (busy) faster than one thread:
 #:
 #:     grid         free            busy
 #:     256x128      1.54 -> 1.25    1.00 -> 1.10
@@ -253,7 +253,9 @@ _NODE_BATCH_BYTES = 256 * 1024
 #:
 #: On a quieter day the same host read 512x256 4.1 -> 4.0-4.3 and 512^2
 #: 8.5-9.0 -> 6.1-7.7, so the split starts at 512^2, where the gain is
-#: largest; the busy loss, 5-13%, comes at every size.
+#: largest; the busy loss, 5-13%, comes at every size.  With a thread
+#: started per call, a busy host (two threads 0.93-1.28x) read medians of
+#: 4.12 -> 4.53 at 512x256 and 8.96 -> 9.83 at 512^2.
 _SPLIT_FIELD_BYTES = 2 * 1024 * 1024
 
 
