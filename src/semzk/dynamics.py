@@ -236,26 +236,12 @@ def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
 _NODE_BATCH_BYTES = 256 * 1024
 
 #: Bytes of real samples of one field (a batch's whole node stack) from
-#: which a ``sem`` kernel runs its y pipeline on a second thread, beside
-#: the x pipeline on the caller's.  Starting and joining the thread costs
-#: about 50 us a call, and the split pays only while the second core is
-#: free.  A kernel call in ms, serial -> split (best of 40 interleaved
-#: triples, with one persistent worker thread), on a 2-core host whose
-#: cores other machines share, while two threads ran two 512^2 transforms
-#: 1.9-2.1x (free) and 1.1-1.35x (busy) faster than one thread:
-#:
-#:     grid         free            busy
-#:     256x128      1.54 -> 1.25    1.00 -> 1.10
-#:     256^2        3.14 -> 2.20    2.13 -> 2.24
-#:     512x256      5.28 -> 4.16    4.49 -> 4.87
-#:     512^2        9.60 -> 6.67    9.74 -> 11.03
-#:     1024x256    10.72 -> 7.92   12.21 -> 13.17
-#:
-#: On a quieter day the same host read 512x256 4.1 -> 4.0-4.3 and 512^2
-#: 8.5-9.0 -> 6.1-7.7, so the split starts at 512^2, where the gain is
-#: largest; the busy loss, 5-13%, comes at every size.  With a thread
-#: started per call, a busy host (two threads 0.93-1.28x) read medians of
-#: 4.12 -> 4.53 at 512x256 and 8.96 -> 9.83 at 512^2.
+#: which a ``sem`` kernel runs its y lane on a second thread, beside the
+#: x lane on the caller's.  Starting and joining the thread costs about
+#: 50 us a call, and the split pays only while the second core is free:
+#: measured on a shared 2-core host, it gained from 512^2 up and lost
+#: 5-13% at every size while the second core was busy.  The timings are
+#: in CHANGES.md.
 _SPLIT_FIELD_BYTES = 2 * 1024 * 1024
 
 
@@ -312,29 +298,35 @@ class _Nonlinearity:
     it takes, and fills, either whole half spectra or their ``band`` columns
     alone, which the IFRK4 march keeps contiguous.
 
-    An evaluation transforms u, G1u and G2u to samples and the two fluxes
-    back, ``per_call`` fields to one transform call: as many as fit
-    ``_NODE_BATCH_BYTES`` of samples, at least one.  A stacked call gives
-    each field the bits of its own call.  With one field to a call, ``sem``
-    and ``sem_on_soliton`` run as two pipelines after u's inverse: the x
-    pipeline, ``m1 ud`` to G1u to flux_x to ``i xi`` times its transform,
-    into the output, and the y pipeline, ``m2 ud`` to G2u to flux_y to
-    ``i mu`` times its transform, which is then added.  When a field's
-    samples reach ``_SPLIT_FIELD_BYTES`` (``split``), the pipelines get
-    buffers of their own and the y pipeline runs on a thread started for
-    the call, under the caller's numpy error state, while the x pipeline
-    runs on the caller's; the caller runs the y pipeline itself, after the
-    x pipeline, when the process may use one CPU only or the thread has
-    not begun it by then.  Each pipeline does the operations of a serial
-    evaluation on the same values, so the result does not depend on the
-    thread, to the bit.
+    After u's samples, an evaluation runs one lane per flux: the x lane,
+    ``m1 ud`` to G1u to flux_x to ``i xi`` times its transform, and the y
+    lane, ``m2 ud`` to G2u to flux_y to ``i mu`` times its transform;
+    ``zk`` has the x lane alone, with the flux u^2.  The x lane writes its
+    result into N, and the y lane into its band row, which is added last.
+    Each lane of ``sem`` has a band row of its own for its product with
+    ``ud``, a half spectrum for its flux's transform and, for
+    ``sem_on_soliton``, a field for its flux; the lanes share only what they
+    read.
+
+    The schedule groups the lanes into transform calls of ``per_call``
+    fields: as many as fit ``_NODE_BATCH_BYTES`` of samples, at least one.
+    With three, u and both G u share one inverse call and both fluxes one
+    forward; with two, u goes alone and the lanes together; with one, the
+    lanes run one after the other.  When a field's samples reach
+    ``_SPLIT_FIELD_BYTES`` (``split``), the y lane runs on a thread started
+    for the call, under the caller's numpy error state, while the x lane
+    runs on the caller's; the caller runs the y lane itself, after the x
+    lane, when the process may use one CPU only or the thread has not begun
+    it by then.  A stacked call gives each field the bits of its own call,
+    and a lane does the same operations on the same values wherever it
+    runs, so the result does not depend on the schedule, to the bit.
 
     Beyond its buffers, an evaluation allocates only transients: the x-pass
     intermediate of an inverse call, a band stack of that call's fields
     (1.34 MiB at 512^2, within ``_NODE_BATCH_BYTES`` when fields are
     stacked) and numpy's iteration buffers for a product on the band
     (``np.getbufsize()`` elements an operand).  They come one at a time,
-    two when the pipelines run side by side.
+    two when the lanes run side by side.
 
     With ``batch`` it evaluates a stack of up to ``batch`` states in one
     call, each transform running once over the stack; its buffers then
@@ -349,29 +341,27 @@ class _Nonlinearity:
         self.band = w = int(np.count_nonzero(tab["mask"].any(axis=0)))
         self.mask = tab["mask"][:, :w]
         self.outside = ~self.mask
-        self.ddx, self.ddy = tab["ddx"][:, :w], tab["ddy"][:, :w]
-        self.m1, self.m2 = tab["m1"][:, :w], tab["m2"][:, :w]
         self.shape = (grid.nx, grid.ny)
         lead = () if batch is None else (batch,)
         field_bytes = np.dtype(float).itemsize * (batch or 1) * grid.nx * grid.ny
-        self.per_call = k = max(1, _NODE_BATCH_BYTES // field_bytes)
-        n_fields = {"linear": 0, "zk": 1, "sem": 3, "sem_on_soliton": 4}[eq.kind]
-        n_in, n_flux = min(n_fields, 3), min(n_fields, 2)
-        self.split = split = k == 1 and n_flux == 2 and field_bytes >= _SPLIT_FIELD_BYTES
-        # ``fields`` holds u, G1u, G2u, and the fluxes in its last two rows;
-        # split, ``sem_on_soliton`` adds a row for flux_x, which otherwise
-        # takes flux_y's.  ``spectral`` holds ``ud``, the half spectrum of u
-        # kept zero outside the mask, then the band rows of the products
-        # that one call stacks with it, one at least for sem.  ``spectrum``
-        # takes the fluxes' transforms, so no buffer serves both directions
-        # and ``ud`` is never zeroed again.  Split, it has a row for each
-        # pipeline, which also forms its product with ``ud`` in that row's
-        # band columns, and ``spectral`` holds ``ud`` alone.
-        self.fields = np.empty((n_fields + (split and n_fields == 4),) + lead + self.shape)
-        n_band = 1 if split else max(min(k, n_in), n_flux)
-        self.spectral = np.zeros((n_band,) + lead + (grid.nx, w), dtype=complex)
-        self.spectrum = np.empty((min(k, n_flux) + split,) + lead + (grid.nx, _half_ncols(grid)),
-                                 dtype=complex)
+        self.per_call = max(1, _NODE_BATCH_BYTES // field_bytes)
+        # each lane's symbol m and derivative d, views of the cached tables;
+        # zk's lane has no symbol: its G u is u itself, so its flux is u^2
+        names = {"linear": (), "zk": ((None, "ddx"),)}.get(eq.kind, (("m1", "ddx"), ("m2", "ddy")))
+        self.lanes = tuple((None if m is None else tab[m][:, :w], tab[d][:, :w]) for m, d in names)
+        n = len(self.lanes)
+        self.split = self.per_call == 1 and n == 2 and field_bytes >= _SPLIT_FIELD_BYTES
+        # ``fields`` holds u, then lane i's G u in row g + i (u's own row
+        # for zk) and its flux in row f + i: zk's flux takes u's row, sem's
+        # its G u's, and sem_on_soliton's have rows of their own.
+        # ``spectral`` holds ``ud``, the half spectrum of u kept zero outside
+        # the mask, then lane i's band row, for its product m ud, in row
+        # g + i; ``spectrum`` holds the lanes' half spectra, so no buffer
+        # serves both directions and ``ud`` is never zeroed again.
+        self._g, self._f = {"zk": (0, 0), "sem": (1, 1), "sem_on_soliton": (1, 3)}.get(eq.kind, (0, 0))
+        self.fields = np.empty((self._f + n,) + lead + self.shape)
+        self.spectral = np.zeros((self._g + n,) + lead + (grid.nx, w), dtype=complex)
+        self.spectrum = np.empty((n,) + lead + (grid.nx, _half_ncols(grid)), dtype=complex)
         if eq.kind == "sem_on_soliton":
             p = eq.soliton
             self.phi = soliton_shape(p.omega, _wrapped_offset(grid, p, t))[:, None]
@@ -394,7 +384,7 @@ class _Nonlinearity:
     def __call__(self, uhat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the half spectrum of N(u) into ``out`` and return it; for a
         batched kernel ``uhat`` and ``out`` are stacks of ``m <= batch``."""
-        w = self.band
+        w, n = self.band, len(self.lanes)
         if self.eq.kind == "linear":
             out[...] = 0.0
             return out
@@ -403,119 +393,56 @@ class _Nonlinearity:
         if uhat.ndim == 3 and uhat.shape[0] < self.batch:
             m = uhat.shape[0]
             band, spec, fields = band[:, :m], spec[:, :m], fields[:, :m]
-        ud = band[0]
-        np.copyto(ud, uhat[..., :w], where=self.mask)
         nhat = out[..., :w]
-        if self.per_call == 1 and self.eq.kind != "zk":
-            self._pipelines(ud, band, spec, fields, nhat)
+        buffers = (nhat, band, spec, fields)
+        np.copyto(band[0], uhat[..., :w], where=self.mask)
+        if self.per_call >= self._g + n:  # u and every G u in one call
+            self._lanes(0, n, *buffers, u_too=True)
         else:
-            self._stacked(ud, band, spec, fields, nhat)
+            _from_half(band[0], self.shape, out=fields[0])
+            if self.per_call >= n:
+                self._lanes(0, n, *buffers)
+            elif self.split and _usable_cpus() > 1:
+                beside = _Beside(self._lanes, 1, 2, *buffers)
+                try:
+                    self._lanes(0, 1, *buffers)
+                finally:
+                    # the y lane writes into the kernel's buffers until it ends
+                    beside.result()
+            else:
+                for i in range(n):
+                    self._lanes(i, i + 1, *buffers)
+        if n == 2:
+            nhat += band[2]
         np.copyto(nhat, 0.0, where=self.outside)
         return out
 
-    def _stacked(self, ud, band, spec, fields, nhat) -> None:
-        """N into ``nhat``, ``per_call`` fields to a transform call: ``sem``
-        and ``sem_on_soliton`` on small fields, and ``zk``, whose one flux
-        leaves nothing to run beside it."""
-        kind, w, shape, k = self.eq.kind, self.band, self.shape, self.per_call
-        # u, G1u and G2u (fields a to b - 1 of each call), ``k`` to a call:
-        # the first call takes ``ud`` and the products after it, a later one
-        # its products in the rows after ``ud``
-        symbols = (None, self.m1, self.m2)[:min(len(fields), 3)]
-        for a in range(0, len(symbols), k):
-            b = min(a + k, len(symbols))
-            row = min(a, 1)
-            for i in range(max(a, 1), b):
-                np.multiply(ud, symbols[i], out=band[row + i - a])
-            if b - a == 1:
-                _from_half(band[row], shape, out=fields[a])
-            else:
-                _from_half(band[row:row + b - a], shape, out=fields[a:b])
+    def _lanes(self, a, b, nhat, band, spectrum, fields, u_too=False) -> None:
+        """Lanes ``a`` to ``b - 1``, one transform call each way: their G u
+        from their products with ``ud`` (in the same call as u's samples
+        when ``u_too``), their fluxes, and ``d`` times the fluxes' half
+        spectra, the x lane's into ``nhat`` and the y lane's into its band
+        row."""
+        g, f = self._g, self._f
+        for i in range(a, b):
+            m = self.lanes[i][0]
+            if m is not None:
+                np.multiply(band[0], m, out=band[g + i])
+        first = 0 if u_too else g + a
+        _from_half(band[first:g + b], self.shape, out=fields[first:g + b])
         u = fields[0]
-        if kind == "zk":
-            np.multiply(u, u, out=u)
-            np.multiply(self.ddx, _to_half(u, 0.5, out=spec[0])[..., :w], out=nhat)
-            return
-        g1, g2 = fields[1], fields[2]
-        if kind == "sem":
-            np.multiply(u, g1, out=g1)
-            np.multiply(u, g2, out=g2)
-        else:
-            # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
-            phi = self.phi
-            flux_y = np.multiply(u, g2, out=fields[3])
-            g2 *= phi
-            flux_y += g2
-            flux_x = np.multiply(u, g1, out=g2)
-            g1 += u
-            g1 *= phi
-            flux_x += g1
-        spec = _to_half(fields[-2:], 0.5, out=spec[:2])
-        np.multiply(self.ddx, spec[0, ..., :w], out=nhat)
-        nhat += np.multiply(self.ddy, spec[1, ..., :w], out=band[1])
-
-    def _pipelines(self, ud, band, spec, fields, nhat) -> None:
-        """N of ``sem`` or ``sem_on_soliton`` into ``nhat``, one field to a
-        transform call: u's samples, then the x and y pipelines.  Split, with
-        a second CPU usable, the y pipeline runs on a thread of its own
-        beside the x pipeline; else it runs after it, in the same buffers
-        unless split."""
-        _from_half(ud, self.shape, out=fields[0])
-        if self.split:
-            # each pipeline forms its product in the band columns of its own
-            # half spectrum, which saves a band row (1.34 MiB at 512^2)
-            rows = spec[..., :self.band]
-        else:
-            # one contiguous work row: on a Picard batch at 64^2 the products
-            # ran at about half speed into the band columns of a half
-            # spectrum, and picard_window at 0.93x
-            rows = band[1:]
-        y = (ud, rows[-1], spec[-1], fields)
-        if not self.split or _usable_cpus() < 2:
-            self._x_pipeline(ud, rows[0], spec[0], fields, nhat)
-            nhat += self._y_pipeline(*y)
-            return
-        beside = _Beside(self._y_pipeline, *y)
-        try:
-            self._x_pipeline(ud, rows[0], spec[0], fields, nhat)
-        finally:
-            # the y pipeline writes into the kernel's buffers until it ends
-            row = beside.result()
-        nhat += row
-
-    def _x_pipeline(self, ud, row, spec, fields, nhat) -> None:
-        """``i xi`` times the half spectrum of flux_x into ``nhat``, with
-        G1u's spectrum formed in the band row ``row`` and the flux
-        transformed into the half spectrum ``spec``."""
-        u, g1 = fields[0], fields[1]
-        np.multiply(ud, self.m1, out=row)
-        _from_half(row, self.shape, out=g1)
-        if self.eq.kind == "sem":
-            flux = np.multiply(u, g1, out=g1)
-        else:
-            # flux_x = u g1 + phi (u + g1), in the last field row: flux_y's
-            # when the y pipeline comes after, one of its own when split
-            flux = np.multiply(u, g1, out=fields[-1])
-            g1 += u
-            g1 *= self.phi
-            flux += g1
-        np.multiply(self.ddx, _to_half(flux, 0.5, out=spec)[..., :self.band], out=nhat)
-
-    def _y_pipeline(self, ud, row, spec, fields) -> np.ndarray:
-        """``i mu`` times the half spectrum of flux_y, into the band row
-        ``row`` and returned, with G2u's spectrum formed in ``row`` and the
-        flux transformed into the half spectrum ``spec``."""
-        u, g2 = fields[0], fields[2]
-        np.multiply(ud, self.m2, out=row)
-        _from_half(row, self.shape, out=g2)
-        if self.eq.kind == "sem":
-            flux = np.multiply(u, g2, out=g2)
-        else:
-            # flux_y = u g2 + phi g2
-            flux = np.multiply(u, g2, out=fields[3])
-            g2 *= self.phi
-            flux += g2
-        return np.multiply(self.ddy, _to_half(flux, 0.5, out=spec)[..., :self.band], out=row)
+        for i in range(a, b):
+            gu = fields[g + i]
+            flux = np.multiply(u, gu, out=fields[f + i])
+            if self.eq.kind == "sem_on_soliton":
+                # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
+                if i == 0:
+                    gu += u
+                gu *= self.phi
+                flux += gu
+        _to_half(fields[f + a:f + b], 0.5, out=spectrum[a:b])
+        for i in range(a, b):
+            np.multiply(self.lanes[i][1], spectrum[i, ..., :self.band], out=band[g + i] if i else nhat)
 
 
 def background_terms(u: RealField, p: SolitonParams, t: float) -> RealField:

@@ -273,6 +273,31 @@ def test_highest_kept_mode_does_not_alias(n, eq):
     assert np.max(np.abs(out[keep])) <= 1e-12 * K
 
 
+@pytest.mark.parametrize("n", [4, 32])
+@pytest.mark.parametrize("eq", [ZK, SEM], ids=["zk", "sem"])
+def test_resonant_shear_turns_the_band_edge_pair_at_the_closed_form_rate(n, eq):
+    # The shear a cos(2y) is stationary on the torus (G1, G2 and omega
+    # vanish at xi = 0), and it couples (n, 1) to (n, -1) at exact
+    # resonance: Omega = omega(n, 1) + omega(0, -2) - omega(n, -1) = 0.
+    # With the bilinear symbol i n / 2 for zk and i n (n^2 - 1) / (4 (n^2 +
+    # 1)) for sem, a small (n, 1) mode turns into (n, -1) at the rate gamma =
+    # a |symbol|, so |c(n, -1) / c(n, 1)| = tan(gamma T).  On nx = 3n + 2, n
+    # is the last x-mode the 2/3 band keeps: this checks m1, m2, the mask
+    # and the integrating factor at the band edge against a closed form.
+    # The nonresonant neighbours (n, +-3), off resonance by |Omega| = 8n,
+    # take a share of order gamma / |Omega| of the pair, which bounds the
+    # gap (measured: 2.3e-5 and below, against 2.8e-3 and above).
+    a, T = 0.1, 0.5
+    g = Grid2D(3 * n + 2, 16, 2 * np.pi, 2 * np.pi)
+    keep = g.dealias_mask()
+    assert keep[n, 1] and keep[n, -1] and not keep[n + 1].any()
+    X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+    u0 = RealField(g, a * np.cos(2 * Y) + 1e-8 * np.cos(n * X + Y))
+    c = forward_transform(evolve(u0, eq, T, 1e-3).fields[-1]).coeffs
+    gamma = a * n / 2 if eq is ZK else a * n * (n * n - 1) / (4 * (n * n + 1))
+    assert abs(abs(c[n, -1] / c[n, 1]) / np.tan(gamma * T) - 1) <= gamma / (8 * n)
+
+
 @pytest.mark.parametrize("grid", [Grid2D(96, 96, 2 * np.pi, 2 * np.pi),
                                   Grid2D(256, 16, 80.0, 36.0),
                                   Grid2D(64, 48, 2 * np.pi, 2 * np.pi),
@@ -342,11 +367,13 @@ def test_batched_kernel_matches_per_node_calls(eq):
     # Five nodes, unbatched and in batches of 1, 3 (a partial last batch of
     # 2) and 8 (one partial batch), against the one-call-per-field
     # reference node by node: on 128x8 the kernel stacks every field of a
-    # direction into one transform call, on 256^2 it makes one call per
-    # field.  Each node has its own state, so a batch that mixed up rows
-    # would differ from the reference.
+    # direction into one transform call, on 128^2 two fields to a call, on
+    # 192x96 (sizes that 3 divides) and 256^2 it makes one call per field.
+    # Each node has its own state, so a batch that mixed up rows would
+    # differ from the reference.
     rng = np.random.default_rng(21)
-    for g, per_call in ((Grid2D(128, 8, 80.0, 2 * np.pi), 32), (Grid2D(256, 256, 80.0, 2 * np.pi), 1)):
+    for g, per_call in ((Grid2D(128, 8, 80.0, 2 * np.pi), 32), (Grid2D(128, 128, 80.0, 2 * np.pi), 2),
+                        (Grid2D(192, 96, 80.0, 2 * np.pi), 1), (Grid2D(256, 256, 80.0, 2 * np.pi), 1)):
         uhats = _to_half(0.1 * rng.standard_normal((5, g.nx, g.ny)))
         expected = np.stack([per_field_reference(g, eq, uhats[j]) for j in range(5)])
         single = _Nonlinearity(g, eq)
@@ -395,16 +422,18 @@ def test_kernel_evaluates_the_profile_once(monkeypatch):
 
 @pytest.mark.parametrize("grid, batch, calls", [
     (Grid2D(256, 16, 80.0, 2 * np.pi), None, [("inverse", 3), ("forward", 2)]),
+    (Grid2D(128, 128, 80.0, 2 * np.pi), None, [("inverse", 1), ("inverse", 2), ("forward", 2)]),
     (Grid2D(512, 512, 80.0, 2 * np.pi), None, [("inverse", 1)] * 3 + [("forward", 1)] * 2),
     (Grid2D(64, 64, 2 * np.pi, 2 * np.pi), 8, [("inverse", 1)] * 3 + [("forward", 1)] * 2),
-], ids=["256x16", "512^2", "64^2x8"])
+], ids=["256x16", "128^2", "512^2", "64^2x8"])
 def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
     # One transform call spans at most _NODE_BATCH_BYTES of real samples
     # and at least one field: the three inverses and two forwards of sem at
-    # 256x16 (32 KiB a field) go through one call each way, while a field
-    # at 512^2 (2 MiB) and a full Picard batch at 64^2 (8 nodes, 256 KiB)
-    # each get a call of their own.  One field to a call, the x and y
-    # pipelines' calls interleave, so the calls are compared as a multiset.
+    # 256x16 (32 KiB a field) go through one call each way, two fields at
+    # 128^2 (128 KiB) share a call, while a field at 512^2 (2 MiB) and a
+    # full Picard batch at 64^2 (8 nodes, 256 KiB) each get a call of their
+    # own.  One field to a call, the x and y lanes' calls interleave, so
+    # the calls are compared as a multiset.
     seen = []
 
     def spy(direction, transform):
@@ -429,17 +458,14 @@ def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
                                       (Grid2D(256, 16, 80.0, 2 * np.pi), KERNEL_KINDS[3])],
                          ids=["512^2-sem", "512^2-sem_on_soliton", "256x16-sem_on_soliton"])
 def test_kernel_allocations(grid, eq):
-    # The kernel holds its work buffers: its fields, the band rows (``ud``
-    # and one work row per field it stacks beyond two) and one half spectrum
-    # per stacked flux.  A split kernel (512^2) holds a half spectrum for
-    # each pipeline, which also takes the pipeline's band product, so its
-    # band holds ``ud`` alone; sem_on_soliton adds a field for flux_x.
-    # An evaluation adds only transients: an inverse call's x-pass
-    # intermediate, a band stack of the call's fields, or numpy's iteration
-    # buffers for the band products.  With one field per call that is the
-    # x-pass of one field, 1.34 MiB at 512^2, or of each of the two
-    # pipelines when they run side by side; stacked (256x16), it stays
-    # within the byte budget of one call.
+    # The kernel holds its work buffers: u, G1u and G2u, and for
+    # sem_on_soliton a field per flux; the band rows, ``ud`` and one per
+    # lane; a half spectrum per lane.  An evaluation adds only transients:
+    # an inverse call's x-pass intermediate, a band stack of the call's
+    # fields, or numpy's iteration buffers for the band products.  With one
+    # field per call that is the x-pass of one field, 1.34 MiB at 512^2, or
+    # of each of the two lanes when they run side by side; stacked
+    # (256x16), it stays within the byte budget of one call.
     uhat = _to_half(0.1 * np.random.default_rng(4).standard_normal((grid.nx, grid.ny)))
     out = np.empty_like(uhat)
     _Nonlinearity(grid, eq)(uhat, out)  # cached tables
@@ -456,13 +482,11 @@ def test_kernel_allocations(grid, eq):
     k, w, split = kernel.per_call, kernel.band, kernel.split
     assert split == (8 * grid.nx * grid.ny >= _SPLIT_FIELD_BYTES)
     soliton = eq.kind == "sem_on_soliton"
-    n_fields = 4 + split if soliton else 3
     field = 8 * grid.nx * grid.ny
     band_row = 16 * grid.nx * w
-    buffers = (n_fields * field + (1 if split else max(min(k, 3), 2)) * band_row
-               + (min(k, 2) + split) * 16 * uhat.size
+    buffers = ((3 + 2 * soliton) * field + 3 * band_row + 2 * 16 * uhat.size
                + grid.nx * w  # the boolean complement of the mask
-               + split * soliton * 8 * grid.nx)  # the background's column, beyond the slack
+               + soliton * 8 * grid.nx)  # the background's column
     assert held <= buffers + 4096, held - buffers
     if k == 1:
         assert transient <= (1 + split) * (band_row + 8192), transient - band_row
@@ -488,22 +512,20 @@ def transform_threads(monkeypatch):
     return threads
 
 
-def hold_x_until_y_begins(monkeypatch, kernel):
-    """Start the kernel's x pipeline only once its y pipeline has begun, so
-    that a y pipeline handed to a thread always runs there."""
+def hold_x_lane_until_the_y_lane_begins(monkeypatch, kernel):
+    """Start the kernel's x lane only once its y lane has begun, so that a
+    y lane handed to a thread always runs there."""
     begun = threading.Event()
-    x, y = kernel._x_pipeline, kernel._y_pipeline
+    lanes = kernel._lanes
 
-    def y_pipeline(*args):
-        begun.set()
-        return y(*args)
+    def held(a, b, *args, **kwargs):
+        if a == 1:
+            begun.set()
+        else:
+            assert begun.wait(timeout=60)
+        return lanes(a, b, *args, **kwargs)
 
-    def x_pipeline(*args):
-        assert begun.wait(timeout=60)
-        return x(*args)
-
-    monkeypatch.setattr(kernel, "_y_pipeline", y_pipeline)
-    monkeypatch.setattr(kernel, "_x_pipeline", x_pipeline)
+    monkeypatch.setattr(kernel, "_lanes", held)
 
 
 SPLIT_CASES = [(Grid2D(512, 512, 80.0, 2 * np.pi), None),
@@ -515,7 +537,7 @@ SPLIT_CASES = [(Grid2D(512, 512, 80.0, 2 * np.pi), None),
 @pytest.mark.parametrize("eq", KERNEL_KINDS[2:], ids=["sem", "sem_on_soliton"])
 def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
     # From _SPLIT_FIELD_BYTES of samples a field (512^2 and 1024x256 are at
-    # it; a Picard kernel at 512^2 is a batch of one node) the y pipeline
+    # it; a Picard kernel at 512^2 is a batch of one node) the y lane
     # runs on a thread of its own, whatever the host's CPUs; with one CPU
     # it runs inline.  Both give the one-call-per-field reference to the bit.
     assert 8 * grid.nx * grid.ny == _SPLIT_FIELD_BYTES
@@ -529,7 +551,7 @@ def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
         kernel = _node_kernel(grid, eq, 33) if batch else _Nonlinearity(grid, eq)
         assert kernel.split and kernel.batch == batch
         if cpus == 2:
-            hold_x_until_y_begins(monkeypatch, kernel)
+            hold_x_lane_until_the_y_lane_begins(monkeypatch, kernel)
         threads = transform_threads(monkeypatch)
         got[cpus] = kernel(uhat, np.full_like(uhat, np.nan))
         workers = {t.name for t in threads if t is not threading.main_thread()}
@@ -545,7 +567,7 @@ def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
                          ids=["512x510", "64^2x8"])
 def test_kernel_below_the_split_runs_on_the_caller(monkeypatch, grid, batch):
     # just below _SPLIT_FIELD_BYTES, and a full Picard batch at 64^2 (one
-    # field to a transform call, but 256 KiB of samples), the pipelines run
+    # field to a transform call, but 256 KiB of samples), the lanes run
     # one after the other on the caller's thread
     assert 8 * (batch or 1) * grid.nx * grid.ny < _SPLIT_FIELD_BYTES
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
@@ -560,8 +582,8 @@ def test_kernel_below_the_split_runs_on_the_caller(monkeypatch, grid, batch):
 
 
 @pytest.mark.parametrize("thread", ["late", "unstartable"])
-def test_caller_runs_the_y_pipeline_its_thread_has_not_begun(monkeypatch, thread):
-    # A thread that has not begun the y pipeline when the x pipeline ends
+def test_caller_runs_the_y_lane_its_thread_has_not_begun(monkeypatch, thread):
+    # A thread that has not begun the y lane when the x lane ends
     # (as when the second core is busy), or that could not be started,
     # leaves it to the caller, which gives the same bits; the late thread
     # then finds the call taken and makes none.
@@ -598,7 +620,7 @@ def test_caller_runs_the_y_pipeline_its_thread_has_not_begun(monkeypatch, thread
 
 def test_worker_runs_under_the_callers_error_state(monkeypatch):
     # evolve ignores overflow inside a step and reports a non-finite state
-    # itself; the y pipeline, on its thread, must ignore it as well
+    # itself; the y lane, on its thread, must ignore it as well
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     g = Grid2D(512, 512, 80.0, 2 * np.pi)
     u0 = random_low_mode_field(g, 0, amplitude=1e3)
@@ -615,28 +637,29 @@ def test_worker_error_propagates_from_the_kernel_call(monkeypatch):
     uhat = _to_half(0.1 * np.random.default_rng(33).standard_normal((g.nx, g.ny)))
     kernel = _Nonlinearity(g, SEM)
     expected = kernel(uhat, np.empty_like(uhat)).copy()
-    hold_x_until_y_begins(monkeypatch, kernel)
+    hold_x_lane_until_the_y_lane_begins(monkeypatch, kernel)
     raised_on = []
 
     class Failing:
-        # ``i mu``, whose product only the y pipeline forms
+        # ``i mu``, whose product only the y lane forms
         def __array_ufunc__(self, *args, **kwargs):
             raised_on.append(threading.current_thread())
-            raise ArithmeticError("y pipeline failed")
+            raise ArithmeticError("y lane failed")
 
-    ddy, kernel.ddy = kernel.ddy, Failing()
-    with pytest.raises(ArithmeticError, match="y pipeline failed"):
+    lanes = kernel.lanes
+    kernel.lanes = (lanes[0], (lanes[1][0], Failing()))
+    with pytest.raises(ArithmeticError, match="y lane failed"):
         kernel(uhat, np.empty_like(uhat))
     assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
     # the next call starts a thread of its own
-    kernel.ddy = ddy
+    kernel.lanes = lanes
     assert np.array_equal(kernel(uhat, np.empty_like(uhat)), expected)
 
 
 def test_kernels_on_several_threads_keep_their_bits(monkeypatch):
     # Four caller threads on two CPUs, each with its own split kernel and
     # state, under a short switch interval: each call's thread races its
-    # caller for the y pipeline, and each result is its own state's
+    # caller for the y lane, and each result is its own state's
     # reference, to the bit.
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     g = Grid2D(512, 512, 80.0, 2 * np.pi)
