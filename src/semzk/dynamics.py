@@ -208,7 +208,8 @@ def _phase(omega: np.ndarray, t) -> np.ndarray:
     (full or half spectrum) for a scalar time, or stacked along a leading
     axis for an array of times."""
     t = np.asarray(t, dtype=float)
-    return np.exp(1j * t[..., None, None] * omega)
+    z = 1j * t[..., None, None] * omega
+    return np.exp(z, out=z)
 
 
 def propagator_apply(F: SpectralField, t: float) -> SpectralField:
@@ -345,9 +346,10 @@ class _Nonlinearity:
         lead = () if batch is None else (batch,)
         field_bytes = np.dtype(float).itemsize * (batch or 1) * grid.nx * grid.ny
         self.per_call = max(1, _NODE_BATCH_BYTES // field_bytes)
-        # each lane's symbol m and derivative d, views of the cached tables;
-        # zk's lane has no symbol: its G u is u itself, so its flux is u^2
-        names = {"linear": (), "zk": ((None, "ddx"),)}.get(eq.kind, (("m1", "ddx"), ("m2", "ddy")))
+        # each lane's real symbol m and its derivative d, the rank-1 i xi or
+        # i mu, views of the cached tables; zk's lane has no symbol: its G u
+        # is u itself, so its flux is u^2
+        names = {"linear": (), "zk": ((None, "i_xi"),)}.get(eq.kind, (("m1", "i_xi"), ("m2", "i_mu")))
         self.lanes = tuple((None if m is None else tab[m][:, :w], tab[d][:, :w]) for m, d in names)
         n = len(self.lanes)
         self.split = self.per_call == 1 and n == 2 and field_bytes >= _SPLIT_FIELD_BYTES

@@ -290,34 +290,35 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
 
 
 def _ifrk4_hat(uhat: np.ndarray, kernel: _Nonlinearity, dt: float,
-               phases: tuple[np.ndarray, ...], out: np.ndarray,
+               phases: tuple[np.ndarray, np.ndarray], out: np.ndarray,
                acc: np.ndarray, k: np.ndarray) -> np.ndarray:
     """One IFRK4 step on the half spectrum, written into ``out``.
 
-    ``phases`` holds ``E = exp(i dt/2 kernel.omega)``, ``E**2`` and their
-    conjugates on the half spectrum; ``acc`` and ``k`` are work buffers
-    shaped like ``uhat``.  The stages ``k_i = -conj(phase) N(...)``
-    are summed as they come, in the order ``k1 + 2 k2 + 2 k3 + k4``, and
-    the arguments of stages 2-4 are built in ``out``.  The buffers hold
+    ``phases`` holds ``E = exp(i dt/2 kernel.omega)`` and ``E**2`` on the
+    half spectrum; ``acc`` and ``k`` are work buffers shaped like ``uhat``.
+    The stages ``k_i = -conj(phase) N(...)`` are summed as they come, in the
+    order ``k1 + 2 k2 + 2 k3 + k4``, and the arguments of stages 2-4 are
+    built in ``out``, which takes ``conj(phase)`` once the kernel has read
+    the argument, so the step keeps no conjugate tables.  The buffers hold
     ``-k_i``, so every minus sign rides on a scalar coefficient.
     """
-    E, E2, cE, cE2 = phases
+    E, E2 = phases
     h = 0.5 * dt
 
-    def stage(k_prev, coef, phase, back):
+    def stage(k_prev, coef, phase):
         """``-k_i`` into ``k`` from the argument ``phase (uhat + coef k_prev)``."""
         np.multiply(coef, k_prev, out=out)
         np.add(out, uhat, out=out)
         np.multiply(phase, out, out=out)
         kernel(out, k)
-        np.multiply(back, k, out=k)
+        np.multiply(np.conjugate(phase, out=out), k, out=k)
 
     kernel(uhat, acc)
-    stage(acc, -h, E, cE)
+    stage(acc, -h, E)
     acc += np.multiply(2.0, k, out=out)
-    stage(k, -h, E, cE)
+    stage(k, -h, E)
     acc += np.multiply(2.0, k, out=out)
-    stage(k, -dt, E2, cE2)
+    stage(k, -dt, E2)
     acc += k
     np.multiply(-(dt / 6.0), acc, out=out)
     out += uhat
@@ -346,8 +347,8 @@ def _ifrk4_march(u0: RealField, eq: EquationKind, t0: float, dt: float,
     E = _phase(kernel.omega, 0.5 * dt)
     E2 = E * E
     turn = E2[:, w:].copy()
-    E, E2 = E[:, :w].copy(), E2[:, :w].copy()
-    phases = (E, E2, np.conj(E), np.conj(E2))
+    phases = E[:, :w].copy(), E2[:, :w].copy()
+    del E, E2
     spectrum = _half_of(u0)
     held = kernel.to_lab(spectrum, -t0)
     # two band buffers, alternated, the step's two work buffers, and the rest

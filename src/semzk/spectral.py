@@ -17,7 +17,16 @@ Conventions used throughout the package:
   transform user, the linear convolution of the dense probes, is
   ``_linear_convolve`` beside them.  Every symbol table comes from the
   per-grid cache ``_symbols``, or its half-width counterpart
-  ``_half_symbols``; both evaluate the one formula of ``_symbol_tables``.
+  ``_half_symbols``; both evaluate the one formula of ``_symbol`` per kind,
+  and each is a read-only mapping that builds a kind the first time it is
+  read (once, also when threads read it together), so a run holds only the
+  tables it uses.  The full lattice holds complex tables, which
+  ``make_multiplier`` hands out, and ``omega`` as float64.  The half
+  lattice stores the real symbols (``m1``, ``m2``, ``laplacian`` and the
+  dispersion ``omega``) as float64 and the rest as complex; beside the 2-D
+  ``ddx`` and ``ddy`` it holds the rank-1 ``i_xi``, an ``(nx, 1)`` column
+  zeroed on the Nyquist row, and ``i_mu``, a ``(1, ny/2 + 1)`` row zeroed
+  on the Nyquist column, which the solvers' kernel reads on its band.
 * A half spectrum stores the columns ``k = 0 .. ny/2`` of a real field's
   spectrum; the columns ``k = -ny/2+1 .. -1`` are the conjugates of the
   stored ones.  A sum over the full spectrum of a quantity even under
@@ -38,10 +47,10 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from types import MappingProxyType
-from typing import Mapping
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -444,46 +453,116 @@ def inverse_transform(F: SpectralField) -> RealField:
     return RealField(F.grid, _to_values(F.coeffs))
 
 
-def _symbol_tables(grid: Grid2D, ncols: int) -> dict[str, np.ndarray]:
-    """The read-only symbol tables on the leading ``ncols`` columns of the
-    grid's mode lattice.
+#: The symbols with real values, which the half lattice stores as float64.
+_REAL_KINDS = ("m1", "m2", "laplacian", "symbol_omega")
 
-    One complex table per entry of ``MULTIPLIER_KINDS``, zeroed on the
-    Nyquist rows/columns, plus the real dispersion symbol ``omega`` and the
-    two-thirds dealiasing ``mask``.  Every entry is evaluated pointwise, so
-    the tables on fewer columns are exactly the leading columns of the full
-    ones.
+
+def _symbol(grid: Grid2D, ncols: int, kind: str) -> np.ndarray:
+    """The values of the symbol ``kind`` of ``MULTIPLIER_KINDS`` on the
+    leading ``ncols`` columns of the grid's mode lattice, broadcastable to
+    ``(nx, ncols)``: complex for the derivatives and ``inv_laplacian_dx``,
+    real for ``_REAL_KINDS``, whose values are the real parts of the
+    complex formulas to the bit (``+ 0.0`` gives the mean entry the +0 of
+    ``-r2 + 0j``).  The undefined ``(0, 0)`` entries are left to the caller.
     """
     xi, mu = grid.xi2d, grid.mu2d[:, :ncols]
+    if kind == "ddx":
+        return 1j * xi * np.ones_like(mu)
+    if kind == "ddy":
+        return 1j * mu * np.ones_like(xi)
     r2 = xi**2 + mu**2
-    safe = r2.copy()
-    safe[0, 0] = 1.0  # the undefined (0,0) entries are zeroed below
-    tables = {
-        "ddx": 1j * xi * np.ones_like(mu),
-        "ddy": 1j * mu * np.ones_like(xi),
-        "m1": xi**2 / safe,
-        "m2": xi * mu / safe,
-        "laplacian": -r2 + 0j,
-        "inv_laplacian_dx": (1j * xi) / -safe,
-        "symbol_omega": xi * r2 + 0j,
-    }
-    nyquist = grid.nyquist_mask[:, :ncols]
-    for kind, vals in tables.items():
-        vals = np.broadcast_to(vals, (grid.nx, ncols)).astype(np.complex128)
-        if kind in ("m1", "m2", "inv_laplacian_dx"):
-            vals[0, 0] = 0.0
-        vals[nyquist] = 0.0
-        tables[kind] = _readonly(vals)
-    tables["omega"] = tables["symbol_omega"].real
-    tables["mask"] = _readonly(np.ascontiguousarray(grid.dealias_mask()[:, :ncols]))
-    return tables
+    if kind == "laplacian":
+        return -r2 + 0.0
+    if kind == "symbol_omega":
+        return xi * r2 + 0.0
+    r2[0, 0] = 1.0
+    if kind == "m1":
+        return xi**2 / r2
+    if kind == "m2":
+        return xi * mu / r2
+    return (1j * xi) / -r2
+
+
+def _table(grid: Grid2D, ncols: int, kind: str, dtype) -> np.ndarray:
+    """The read-only ``dtype`` table of the symbol ``kind`` on the leading
+    ``ncols`` columns, zeroed on the Nyquist rows/columns and, where the
+    symbol is undefined, at ``(0, 0)``.  Every entry is evaluated
+    pointwise, so a table on fewer columns is exactly the leading columns of
+    the full one."""
+    vals = np.broadcast_to(_symbol(grid, ncols, kind), (grid.nx, ncols)).astype(dtype)
+    if kind in ("m1", "m2", "inv_laplacian_dx"):
+        vals[0, 0] = 0.0
+    vals[grid.nyquist_mask[:, :ncols]] = 0.0
+    return _readonly(vals)
+
+
+def _i_xi(grid: Grid2D) -> np.ndarray:
+    """``i xi`` as an ``(nx, 1)`` column, zeroed on the Nyquist row: each
+    entry has the bits of the ``ddx`` table's entries in its row."""
+    col = 1j * grid.xi2d * np.ones((1, 1))
+    col[grid.jx == -grid.nx // 2] = 0.0
+    return _readonly(col)
+
+
+def _i_mu(grid: Grid2D, ncols: int) -> np.ndarray:
+    """``i mu`` as a ``(1, ncols)`` row, zeroed on the Nyquist column: each
+    entry has the bits of the ``ddy`` table's entries in its column."""
+    row = 1j * grid.mu2d[:, :ncols] * np.ones((1, 1))
+    row[:, grid.jy[:ncols] == -grid.ny // 2] = 0.0
+    return _readonly(row)
+
+
+class _Tables(Mapping):
+    """A read-only mapping from each kind to its table, which it builds the
+    first time the kind is read and keeps; a lock makes threads that read a
+    kind for the first time together build it once and get the same
+    table."""
+
+    def __init__(self, builders: dict):
+        self._builders = builders
+        self._built: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def __getitem__(self, kind: str) -> np.ndarray:
+        table = self._built.get(kind)
+        if table is None:
+            build = self._builders[kind]
+            with self._lock:
+                table = self._built.get(kind)
+                if table is None:
+                    table = self._built[kind] = build()
+        return table
+
+    def __contains__(self, kind) -> bool:  # without building the table
+        return kind in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+    @property
+    def built(self) -> tuple[str, ...]:
+        """The kinds built so far."""
+        return tuple(self._built)
+
+
+def _mask(grid: Grid2D, ncols: int) -> np.ndarray:
+    return _readonly(np.ascontiguousarray(grid.dealias_mask()[:, :ncols]))
 
 
 @lru_cache(maxsize=32)
 def _symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
-    """The grid's symbol tables (see :func:`_symbol_tables`), cached by
-    grid value."""
-    return MappingProxyType(_symbol_tables(grid, grid.ny))
+    """The grid's symbol tables on the full lattice, cached by grid value
+    and each built the first time it is read: one complex table per entry
+    of ``MULTIPLIER_KINDS`` (see :func:`_table`), the real dispersion
+    symbol ``omega`` as float64 and the two-thirds dealiasing ``mask``."""
+    n = grid.ny
+    builders = {kind: partial(_table, grid, n, kind, np.complex128) for kind in MULTIPLIER_KINDS}
+    builders.update(omega=partial(_table, grid, n, "symbol_omega", np.float64),
+                    mask=partial(_mask, grid, n))
+    return _Tables(builders)
 
 
 def _half_ncols(grid: Grid2D) -> int:
@@ -491,22 +570,33 @@ def _half_ncols(grid: Grid2D) -> int:
     return grid.ny // 2 + 1
 
 
+def _columns(grid: Grid2D) -> np.ndarray:
+    columns = np.full(_half_ncols(grid), 2.0)
+    columns[[0, -1]] = 1.0
+    return _readonly(columns)
+
+
 @lru_cache(maxsize=32)
 def _half_symbols(grid: Grid2D) -> Mapping[str, np.ndarray]:
-    """The tables of :func:`_symbols` on the half spectrum, cached by grid.
-
-    Each entry holds the columns ``k = 0 .. ny/2`` of the full table,
-    evaluated on those columns alone; the Nyquist column ``k = ny/2`` is
-    zero in every symbol and in the mask.  ``columns`` holds the
-    multiplicity of each column in the full spectrum (see the module
-    docstring).
+    """The kinds of :func:`_symbols` on the half spectrum, cached by grid
+    and each built the first time it is read, on the columns
+    ``k = 0 .. ny/2`` alone; they equal the leading columns of the full
+    tables, and the Nyquist column ``k = ny/2`` is zero in every symbol and
+    in the mask.  ``_REAL_KINDS`` and ``omega`` are float64, the rest
+    complex.  Two rank-1 entries serve the kernel's lanes: ``i_xi``, an
+    ``(nx, 1)`` column zeroed on the Nyquist row only, and ``i_mu``, a
+    ``(1, ny/2 + 1)`` row zeroed on the Nyquist column only.  ``columns``
+    holds the multiplicity of each column in the full spectrum (see the
+    module docstring).
     """
-    ncols = _half_ncols(grid)
-    tables = _symbol_tables(grid, ncols)
-    columns = np.full(ncols, 2.0)
-    columns[[0, -1]] = 1.0
-    tables["columns"] = _readonly(columns)
-    return MappingProxyType(tables)
+    n = _half_ncols(grid)
+    builders = {kind: partial(_table, grid, n, kind,
+                              np.float64 if kind in _REAL_KINDS else np.complex128)
+                for kind in MULTIPLIER_KINDS}
+    builders.update(omega=partial(_table, grid, n, "symbol_omega", np.float64),
+                    mask=partial(_mask, grid, n), columns=partial(_columns, grid),
+                    i_xi=partial(_i_xi, grid), i_mu=partial(_i_mu, grid, n))
+    return _Tables(builders)
 
 
 def make_multiplier(grid: Grid2D, kind: str) -> MultiplierTable:

@@ -174,6 +174,18 @@ def test_propagator_single_mode_phase():
     assert np.max(np.abs(moved.values - np.cos(X + 2 * Y + 5 * t))) <= 1e-12
 
 
+def test_phase_keeps_the_bits_of_its_out_of_place_exponential():
+    # _phase exponentiates its argument in place: for a scalar time and for
+    # a vector of node times it gives today's expression to the bit
+    for g in (Grid2D(64, 64, 2 * np.pi, 2 * np.pi), Grid2D(256, 16, 80.0, 36.0)):
+        omega = _half_symbols(g)["omega"]
+        for t in (0.37, np.linspace(0.0, 0.01, 65), np.array([-2.5, 0.0, 1e-3])):
+            expected = np.exp(1j * np.asarray(t, dtype=float)[..., None, None] * omega)
+            got = dynamics._phase(omega, t)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+
 def test_propagator_preserves_reality():
     g = Grid2D(16, 16, 2 * np.pi, 2 * np.pi)
     F = forward_transform(RealField(g, np.random.default_rng(3).standard_normal((16, 16))))

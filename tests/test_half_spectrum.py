@@ -8,6 +8,9 @@ kernel, its column multiplicities or its tables.  The grids cover ``3 | n``
 the half spectrum (256x16, 64x8).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -138,9 +141,88 @@ def test_half_tables_are_the_leading_columns_of_the_full_ones(grid):
     assert _symbols.cache_info().currsize == 0
     assert _sobolev_weight.cache_info().currsize == 0
     half = grid.ny // 2 + 1
-    for kind, full in _symbols(grid).items():
-        assert np.array_equal(tables[kind], full[:, :half])
+    full = _symbols(grid)
+    for kind in full:
+        assert np.array_equal(tables[kind], full[kind][:, :half])
     assert np.array_equal(weight, _sobolev_weight(grid, 1.0)[:, :half] * tables["columns"])
+    # the rank-1 derivatives, each zeroed on its own Nyquist line, are the
+    # 2-D ones once the other line is zeroed too
+    nyquist = grid.nyquist_mask[:, :half]
+    for kind, rank1, shape in (("ddx", "i_xi", (grid.nx, 1)), ("ddy", "i_mu", (1, half))):
+        assert tables[rank1].shape == shape
+        spread = np.broadcast_to(tables[rank1], (grid.nx, half))
+        assert np.array_equal(np.where(nyquist, 0.0, spread), full[kind][:, :half])
+    assert not np.any(tables["i_xi"][grid.jx == -grid.nx // 2])
+    assert not np.any(tables["i_mu"][:, -1])
+    # the real symbols are stored as such, and no table can be written
+    for kind in ("m1", "m2", "laplacian", "symbol_omega", "omega"):
+        assert tables[kind].dtype == np.float64
+    for cache in (full, tables):
+        for kind in cache:
+            assert not cache[kind].flags.writeable, kind
+            with pytest.raises(ValueError):
+                cache[kind][(0,) * cache[kind].ndim] = 1.0
+        with pytest.raises(TypeError):
+            cache["m1"] = None
+
+
+def test_a_march_builds_only_the_tables_it_reads():
+    # a sem march reads the mask, m1, m2, the rank-1 derivatives and the
+    # dispersion: the other kinds, the 2-D derivatives among them, are
+    # never built
+    grid = Grid2D(96, 96, 2 * np.pi, 2 * np.pi)
+    _half_symbols.cache_clear()
+    u0 = noise_field(grid, 7, amplitude=1e-3)
+    evolve(u0, SEM, 0.02, 0.01)
+    built = set(_half_symbols(grid).built)
+    assert {"mask", "m1", "m2", "i_xi", "i_mu", "omega"} <= built
+    assert not built & {"laplacian", "inv_laplacian_dx", "symbol_omega", "ddx", "ddy"}
+    # nor does asking whether a kind is there build it
+    assert "ddx" in _half_symbols(grid) and "ddx" not in _half_symbols(grid).built
+
+
+def test_half_tables_of_a_512_sem_run_stay_small():
+    # float64 real symbols and rank-1 derivatives: 3.15 MiB at 512^2, where
+    # every kind as a complex table came to about 14 MiB
+    grid = Grid2D(512, 512, 80.0, 2 * np.pi)
+    _half_symbols.cache_clear()
+    u0 = noise_field(grid, 8, amplitude=1e-3)
+    evolve(u0, SEM, 0.01, 0.01)
+    sobolev_norm(forward_transform(u0), 1.0)
+    tables = _half_symbols(grid)
+    held = sum(tables[kind].nbytes for kind in tables.built)
+    assert held <= 3.5 * 2**20, (held, tables.built)
+
+
+def test_threads_reading_a_kind_first_together_get_one_table():
+    # four threads on two CPUs, under a short switch interval, read a kind
+    # of a fresh cache at once: it is built once, so all four get the same
+    # table, and that table is the one a lone reader builds
+    grid = Grid2D(256, 128, 80.0, 36.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for kind in ("m1", "i_mu", "ddx", "omega"):
+            _half_symbols.cache_clear()
+            tables = _half_symbols(grid)
+            start = threading.Barrier(4)
+            got = [None] * 4
+
+            def read(i):
+                start.wait(timeout=60)
+                got[i] = tables[kind]
+
+            readers = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in readers)
+            assert got[0] is not None and all(table is got[0] for table in got), kind
+            _half_symbols.cache_clear()
+            assert np.array_equal(got[0], _half_symbols(grid)[kind])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)

@@ -376,6 +376,39 @@ def test_evolve_memory_does_not_grow_with_steps():
     assert peaks[200] <= 1.1 * peaks[50]
 
 
+def test_march_holds_two_phase_tables():
+    # After the first step of a 256^2 sem march the bytes held are the
+    # kernel's buffers, the four band buffers (the state, its successor and
+    # the step's two work buffers), the band tables E and E^2, the columns
+    # past the band with their turn, the field handed to the callback and
+    # evolve's copy of u0: a step writes conj(E) into a buffer the kernel
+    # has consumed, so the march holds no conjugate tables (two more band
+    # tables, 704 KiB, far beyond the slack).
+    grid = Grid2D(256, 256, 80.0, 2 * np.pi)
+    u0 = smooth_field(grid, 23, 0.1)
+    evolve(u0, SEM, 0.01, 0.01)  # build the cached spectral tables first
+    held = []
+
+    def watch(step, t, u):
+        if step == 1:
+            held.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        evolve(u0, SEM, 0.02, 0.01, callbacks=[watch])
+    finally:
+        tracemalloc.stop()
+    w, half = _Nonlinearity(grid, SEM).band, grid.ny // 2 + 1
+    field = 8 * grid.nx * grid.ny
+    band_table = 16 * grid.nx * w
+    kernel = 3 * field + 3 * band_table + 2 * 16 * grid.nx * half + grid.nx * w
+    march = (4 + 2) * band_table + 2 * 16 * grid.nx * (half - w)
+    handed = 16 * grid.nx * half + field
+    bound = kernel + march + handed + 64 * 1024
+    assert len(held) == 1
+    assert held[0] <= bound, held[0] - bound
+
+
 @pytest.mark.parametrize("grid, eq", [(Grid2D(128, 128, 2 * np.pi, 2 * np.pi), SEM),
                                       (Grid2D(96, 96, 2 * np.pi, 2 * np.pi), ZK)],
                          ids=["sem-128", "zk-96"])
@@ -563,8 +596,7 @@ def full_width_march(u0, eq, T, n_steps):
     tab = _half_symbols(grid)
     c = eq.soliton.omega if eq.kind == "sem_on_soliton" else 0.0
     E = _phase(tab["omega"] + c * tab["ddx"].imag, 0.5 * dt)
-    E2 = E * E
-    phases = (E, E2, np.conj(E), np.conj(E2))
+    phases = (E, E * E)
     kernel = _Nonlinearity(grid, eq)
     uhat = _to_half(u0.values)
     new, acc, k = (np.empty_like(uhat) for _ in range(3))
