@@ -162,7 +162,8 @@ def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
     lattice ``times`` and ``phases`` the matching ``exp(i t kernel.omega)``;
     ``nhat``, shaped like ``uhats``, receives the integrand and the integral.
     ``kernel`` is batched (see :func:`_node_kernel`): the nodes go through it
-    ``kernel.batch`` at a time, and each batch is turned by ``conj(phases)``.
+    ``kernel.batch`` at a time, and each batch is turned by ``conj(phases)``,
+    conjugated into one batch-sized buffer that every batch reuses.
     One pass over all nodes then sums the integrand by the cumulative
     composite trapezoid rule, with the operations and per-interval steps
     ``np.diff(times)`` of ``scipy.integrate.cumulative_trapezoid``, so it
@@ -170,11 +171,14 @@ def _duhamel_hat(uhats: np.ndarray, times: np.ndarray, phases: np.ndarray,
     stacks.  Multiplying node ``j`` by ``phases[j]`` gives the Duhamel term
     ``integral U(t_j - t') N dt'``.
     """
+    turn = np.empty((min(kernel.batch, times.size),) + phases.shape[1:],
+                    dtype=phases.dtype)
     for j0 in range(0, times.size, kernel.batch):
         j1 = min(j0 + kernel.batch, times.size)
         block = nhat[j0:j1]
         kernel(uhats[j0:j1], block)
-        np.multiply(np.conj(phases[j0:j1]), block, out=block)
+        conj = np.conj(phases[j0:j1], out=turn[:j1 - j0])
+        np.multiply(conj, block, out=block)
     # interval j-1 goes into slot j from the top down, so the lower node it
     # reads is still the integrand; then the slots are summed from the bottom
     # (``np.add.accumulate`` over the node axis gives the same bits but ran

@@ -184,18 +184,23 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     ``jx2 = X - a`` in one matrix product: the ``(P, R1)`` run values against
     the ``(R1, Q * S)`` Toeplitz expansion of block 2's runs, which gives
     every run-pair convolution at once.  Its ``S`` outputs per run pair, not
-    one per mode pair, are summed per in-plane mode
-    ``(jy1 + jy2, jt1 + jt2)``, and the plane's squared modulus is added to
-    the total before the next plane.  Memory is bounded by the outputs of the
-    largest plane and one ``span_y * span_t`` accumulator, not by the whole
-    output lattice.  Blocks whose runs all have length one give ``S = 1``
-    and one product per mode pair.  The product is ``np.dot``: at ``R1 = 1``
-    ``np.matmul`` skips BLAS and takes twice as long.
+    one per mode pair, are added per in-plane mode ``(jy1 + jy2, jt1 + jt2)``
+    into one ``span_y * span_t`` accumulator by ``np.add.at`` as soon as they
+    are made.  At the plane's end its squared modulus is added to the total
+    and the accumulator is zeroed for the next plane.  Memory is bounded by
+    one x-group pair's outputs, the largest ``P * Q * S`` keys and values,
+    two ``span_y * span_t`` buffers and block 2's Toeplitz expansion, not by
+    a plane or the whole output lattice.  ``np.add.at`` adds in array order
+    onto +0.0, as one ``bincount`` of the plane's outputs laid end to end
+    does, and the pairs come in that order, so every bit is that of the
+    plane-at-a-time sum.  Blocks whose runs all have length one give
+    ``S = 1`` and one product per mode pair.  The product is ``np.dot``: at
+    ``R1 = 1`` ``np.matmul`` skips BLAS and takes twice as long.
 
     Both blocks are real even fields, so the product's coefficients are
     real and obey ``C(-K) = C(K)``: plane ``-X`` has the squared sum of
-    plane ``X``.  Only the planes ``X >= 0`` are built, each summed by one
-    real ``bincount``, and those with ``X > 0`` are counted twice.
+    plane ``X``.  Only the planes ``X >= 0`` are built, and those with
+    ``X > 0`` are counted twice.
     """
     _check_compatible(b1, b2)
     if b1.modes.shape[0] == 0 or b2.modes.shape[0] == 0:
@@ -222,29 +227,33 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
     toeplitz = toeplitz.reshape(r1, k2.size)
     bins = int(span[1] * span[2])
     count1, count2 = np.diff(edges1), np.diff(edges2)
-    plane_outputs = np.convolve(count1, count2) * width
-    keys = np.empty(plane_outputs.max(), dtype=np.intp)
-    vals = np.empty(plane_outputs.max())
+    # One x-group pair's outputs at a time: the buffers and the plane's
+    # accumulator are allocated once and reused for every pair and plane.
+    pair_outputs = int(count1.max()) * int(count2.max()) * width
+    keys = np.empty(pair_outputs, dtype=np.intp)
+    vals = np.empty(pair_outputs)
+    sums = np.zeros(bins)
+    squares = np.empty(bins)
     # Plane index of X = 0; an even block's jx range is symmetric about 0.
     zero = -int(m1[0, 0] + m2[0, 0])
     total = 0.0
-    for plane in range(zero, plane_outputs.size):
-        end = 0
+    for plane in range(zero, count1.size + count2.size - 1):
         for a in range(max(0, plane - count2.size + 1),
                        min(count1.size, plane + 1)):
             b = plane - a
             rows1 = slice(edges1[a], edges1[a + 1])
             cols2 = slice(edges2[b] * width, edges2[b + 1] * width)
             shape = (count1[a], count2[b] * width)
-            dest = slice(end, end + shape[0] * shape[1])
+            n = shape[0] * shape[1]
             np.add(k1[rows1, None], k2[None, cols2],
-                   out=keys[dest].reshape(shape))
+                   out=keys[:n].reshape(shape))
             np.dot(v1[rows1], toeplitz[:, cols2],
-                   out=vals[dest].reshape(shape))
-            end = dest.stop
-        sums = np.bincount(keys[:end], weights=vals[:end], minlength=bins)
+                   out=vals[:n].reshape(shape))
+            np.add.at(sums, keys[:n], vals[:n])
+        np.multiply(sums, sums, out=squares)
         weight = 1.0 if plane == zero else 2.0
-        total += weight * float(np.sum(sums * sums, dtype=np.float64))
+        total += weight * float(np.sum(squares, dtype=np.float64))
+        sums.fill(0.0)
     return math.sqrt(b1.volume * total)
 
 

@@ -1,5 +1,6 @@
 """Product norms, weighted norms, and the three probe families."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -105,37 +106,39 @@ class TestProductNorm:
         assert sparse_product_l2(permuted, b2) == sparse_product_l2(b1, b2)
         assert sparse_product_l2(b2, permuted) == sparse_product_l2(b2, b1)
 
-    def test_sparse_memory_bounded_by_plane(self):
-        # The fine criterion-10 pair n=(1, 4), l=(8, 8): 17M mode pairs.
-        # Accumulating one output x-plane at a time keeps the peak near the
-        # largest plane's pairs; a global lattice of pairs needs ~600 MB.
-        fine = Grid2D(160, 160, 12 * np.pi, 12 * np.pi)
-        b1 = random_block_sparse(fine, TBOX, 512, 1, 8, seed=(0, 1, 8, 1))
-        b2 = random_block_sparse(fine, TBOX, 512, 4, 8, seed=(0, 4, 8, 2))
+    def test_sparse_memory_bounded_by_the_largest_x_group_pair(self):
+        # The fine pair n=(2, 8), l=(8, 8): its largest plane has 539,784
+        # run-pair outputs, its largest x-group pair 30,912.  The product
+        # holds one pair's keys and values at a time (16 B an output), two
+        # float64 accumulators over the in-plane keys, and block 2's Toeplitz
+        # expansion with its keys.  Plane-sized buffers add 8.1 MB more.
+        b1, b2 = fine_blocks((2, 8), (8, 8))
+        m1, v1 = probes._runs(np.asarray(b1.modes, dtype=np.intp), b1.values)
+        m2, v2 = probes._runs(np.asarray(b2.modes, dtype=np.intp), b2.values)
+        r1, width = v1.shape[1], v1.shape[1] + v2.shape[1] - 1
+        count1 = np.diff(probes._x_groups(m1))
+        count2 = np.diff(probes._x_groups(m2))
+        span = m1.max(axis=0) + m2.max(axis=0) - m1.min(axis=0) - m2.min(axis=0) + 1
+        bins = int(span[1] * (span[2] + width - 1))
+        pair = int(count1.max()) * int(count2.max()) * width
+        assert pair == 30912
+        toeplitz = (r1 + 1) * m2.shape[0] * width
+        bound = 16 * pair + 2 * 8 * bins + 8 * toeplitz + 2**20
         tracemalloc.start()
         try:
             sparse_product_l2(b1, b2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < bound
 
-    def test_real_coefficients_agree_with_the_other_paths(self, monkeypatch):
-        # One real bincount per output plane X >= 0, and the dense norm.
+    def test_real_coefficients_agree_with_the_other_paths(self):
+        # The planes X >= 0 alone give the dense norm (the bits are pinned
+        # against the plane-at-a-time product in TestRunProduct).
         b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
         b2 = random_block_sparse(G, TBOX, 512, 8, 1, seed=(0, 8, 1, 2))
-        calls = []
-        bincount = np.bincount
-
-        def record(*args, **kwargs):
-            calls.append(1)
-            return bincount(*args, **kwargs)
-
-        monkeypatch.setattr(np, "bincount", record)
-        jx1, jx2 = b1.modes[:, 0], b2.modes[:, 0]
-        planes = int(jx1.max() + jx2.max() - jx1.min() - jx2.min() + 1)
         norm = sparse_product_l2(b1, b2)
-        assert len(calls) == (planes + 1) // 2
+        assert norm == plane_product_l2(b1, b2)
         assert norm == pytest.approx(
             product_l2(b1.to_field(), b2.to_field()), rel=1e-12)
         # Dropping the partner of one mode leaves a block that is not even.
@@ -193,6 +196,57 @@ def per_pair_product_l2(b1, b2):
     return math.sqrt(b1.volume * total)
 
 
+def plane_product_l2(b1, b2):
+    """Reference for sparse_product_l2: the run products of one whole plane
+    written out before they are summed.
+
+    Every x-group pair of plane X lays its keys and its run-pair outputs
+    end to end in buffers sized to the largest plane, and one bincount sums
+    the plane.  sparse_product_l2 adds each pair into its accumulator as it
+    is made, in the same order, so it must agree to the bit.
+    """
+    m1, v1 = probes._runs(np.asarray(b1.modes, dtype=np.intp), b1.values)
+    m2, v2 = probes._runs(np.asarray(b2.modes, dtype=np.intp), b2.values)
+    r1, r2 = v1.shape[1], v2.shape[1]
+    width = r1 + r2 - 1
+    edges1, edges2 = probes._x_groups(m1), probes._x_groups(m2)
+    lo1, lo2 = m1.min(axis=0), m2.min(axis=0)
+    span = m1.max(axis=0) + m2.max(axis=0) - lo1 - lo2 + 1
+    span[2] += width - 1
+    k1 = (m1[:, 1] - lo1[1]) * span[2] + (m1[:, 2] - lo1[2])
+    k2 = (m2[:, 1] - lo2[1]) * span[2] + (m2[:, 2] - lo2[2])
+    k2 = (k2[:, None] + np.arange(width)).ravel()
+    toeplitz = np.zeros((r1, v2.shape[0], width))
+    for shift in range(r1):
+        toeplitz[shift, :, shift:shift + r2] = v2
+    toeplitz = toeplitz.reshape(r1, k2.size)
+    bins = int(span[1] * span[2])
+    count1, count2 = np.diff(edges1), np.diff(edges2)
+    plane_outputs = np.convolve(count1, count2) * width
+    keys = np.empty(plane_outputs.max(), dtype=np.intp)
+    vals = np.empty(plane_outputs.max())
+    zero = -int(m1[0, 0] + m2[0, 0])
+    total = 0.0
+    for plane in range(zero, plane_outputs.size):
+        end = 0
+        for a in range(max(0, plane - count2.size + 1),
+                       min(count1.size, plane + 1)):
+            b = plane - a
+            rows1 = slice(edges1[a], edges1[a + 1])
+            cols2 = slice(edges2[b] * width, edges2[b + 1] * width)
+            shape = (count1[a], count2[b] * width)
+            dest = slice(end, end + shape[0] * shape[1])
+            np.add(k1[rows1, None], k2[None, cols2],
+                   out=keys[dest].reshape(shape))
+            np.dot(v1[rows1], toeplitz[:, cols2],
+                   out=vals[dest].reshape(shape))
+            end = dest.stop
+        sums = np.bincount(keys[:end], weights=vals[:end], minlength=bins)
+        weight = 1.0 if plane == zero else 2.0
+        total += weight * float(np.sum(sums * sums, dtype=np.float64))
+    return math.sqrt(b1.volume * total)
+
+
 def even_block(modes, values, nt=NT, grid=G):
     """Block holding each (jx, jy, jt) of `modes` and its negation, both with
     the mode's value; a mode listed with its negation, or the zero mode,
@@ -221,6 +275,22 @@ def fine_blocks(n_pair, l_pair, seed=0):
                  for n, l, k in zip(n_pair, l_pair, (1, 2)))
 
 
+def scattered_pair():
+    """Two even blocks of scattered modes, all with even jt, so every jt run
+    has length one."""
+    rng = np.random.default_rng(3)
+
+    def scattered():
+        # distinct modes with jx >= 1, so no two are each other's negation
+        modes = np.unique(np.column_stack([rng.integers(1, 13, 60),
+                                           rng.integers(-12, 13, 60),
+                                           2 * rng.integers(-15, 16, 60)]),
+                          axis=0)
+        return even_block(modes, rng.uniform(0.5, 1.5, modes.shape[0]))
+
+    return scattered(), scattered()
+
+
 class TestRunProduct:
     """The run-based block product against the per-mode-pair loop and the
     dense product."""
@@ -243,23 +313,55 @@ class TestRunProduct:
         # l = 2 shells have runs of length one, and so has a block whose
         # modes all have even jt: the products are those of the loop, summed
         # in the same order, so every bit agrees.
-        rng = np.random.default_rng(3)
-
-        def scattered():
-            # distinct modes with jx >= 1, so no two are each other's negation
-            modes = np.unique(np.column_stack([rng.integers(1, 13, 60),
-                                               rng.integers(-12, 13, 60),
-                                               2 * rng.integers(-15, 16, 60)]),
-                              axis=0)
-            return even_block(modes, rng.uniform(0.5, 1.5, modes.shape[0]))
-
         pairs = [fine_blocks(n, (2, 2)) for n in ((1, 4), (2, 8))]
-        pairs.append((scattered(), scattered()))
+        pairs.append(scattered_pair())
         for b1, b2 in pairs:
             assert run_lengths(b1).max() == run_lengths(b2).max() == 1
             norm = sparse_product_l2(b1, b2)
             assert norm == per_pair_product_l2(b1, b2)
             assert sparse_product_l2(b1, b2) == norm
+
+    @staticmethod
+    def plane_bits(product, b1, b2, monkeypatch):
+        """The norm `product` returns and a digest of every squared plane sum
+        it hands to np.sum, in order.
+
+        The norm alone rarely shows a change of summation order: reversing
+        the x-group pairs of each plane moved the last bit of about one
+        fine-sweep product in eight.
+        """
+        digests = []
+        total = np.sum
+
+        def record(a, *args, **kwargs):
+            digests.append(hashlib.sha256(np.ascontiguousarray(a)).digest())
+            return total(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "sum", record)
+            norm = product(b1, b2)
+        return norm, digests
+
+    def assert_plane_bits(self, b1, b2, monkeypatch):
+        got = self.plane_bits(sparse_product_l2, b1, b2, monkeypatch)
+        assert got == self.plane_bits(plane_product_l2, b1, b2, monkeypatch)
+
+    @pytest.mark.parametrize("n_pair, l_pair", FINE_PAIRS)
+    def test_fine_pairs_keep_the_plane_bincount_bits(self, n_pair, l_pair,
+                                                     monkeypatch):
+        self.assert_plane_bits(*fine_blocks(n_pair, l_pair), monkeypatch)
+
+    def test_scattered_and_complete_blocks_keep_the_plane_bincount_bits(
+            self, monkeypatch):
+        # unit runs, and complete n = 8 blocks: at nt = 4096 the coarse
+        # shells keep every mode that nt = 8192 keeps, in runs of up to four
+        complete = tuple(random_block_sparse(G, TBOX, 4096, n, 8, seed=(0, n, 8, k))
+                         for n, k in ((2, 1), (8, 2)))
+        for n, block in zip((2, 8), complete):
+            assert np.array_equal(block.modes, block_modes(G, TBOX, 8192, n, 8))
+        assert run_lengths(complete[1]).max() > 1
+        for b1, b2 in (scattered_pair(), complete, complete[::-1]):
+            self.assert_plane_bits(b1, b2, monkeypatch)
 
     @staticmethod
     def agrees_with_dense(b1, b2):
