@@ -35,6 +35,7 @@ from .spectral import (
     _real,
     _to_coeffs,
     _to_values,
+    _validate_values,
 )
 
 __all__ = [
@@ -155,10 +156,7 @@ def _check_level(name: str, n) -> int:
 
 
 def _check_nt(nt) -> int:
-    nt = _integer("nt", nt, 4)
-    if nt % 2:
-        raise ValueError(f"nt must be even, got {nt!r}")
-    return nt
+    return _integer("nt", nt, 4, even=True)
 
 
 def _shell(x: np.ndarray, level: int) -> np.ndarray:
@@ -226,15 +224,9 @@ class SpaceTimeField:
 
     def __post_init__(self):
         self.t_box = _real("t_box", self.t_box, positive=True)
-        c = np.ascontiguousarray(self.coeffs, dtype=complex)
-        if c.ndim != 3 or c.shape[:2] != (self.grid.nx, self.grid.ny):
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny}, nt)")
-        _check_nt(c.shape[2])
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite coefficients")
-        self.coeffs = c
+        self.coeffs = _validate_values(self.coeffs, self.grid, np.complex128, "coefficients",
+                                       (self.grid.nx, self.grid.ny, None))
+        _check_nt(self.nt)
 
     @property
     def nt(self) -> int:
@@ -260,9 +252,7 @@ class SpaceTimeField:
 def spacetime_from_snapshots(grid: Grid2D, t_box: float,
                              frames: np.ndarray) -> SpaceTimeField:
     """Transform real samples (nx, ny, nt) into series coefficients."""
-    frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 3 or frames.shape[:2] != (grid.nx, grid.ny):
-        raise ValueError("frames must have shape (nx, ny, nt)")
+    frames = _validate_values(frames, grid, np.float64, "frames", (grid.nx, grid.ny, None))
     return SpaceTimeField(grid, t_box, _to_coeffs(frames, axes=(0, 1, 2)))
 
 

@@ -54,6 +54,7 @@ from semzk.spectral import (
     _half_ncols,
     _half_symbols,
     _real,
+    _require_same_grid,
     _symbols,
     _to_half,
 )
@@ -480,8 +481,7 @@ def solve_potential(u: RealField) -> RealField:
 
 def poisson_residual(u: RealField, phi: RealField) -> float:
     """L2 norm of ``Laplacian(phi) - u_x``."""
-    if u.grid != phi.grid:
-        raise ValueError("fields live on different grids")
+    _require_same_grid(u.grid, phi.grid)
     g = u.grid
     tab = _half_symbols(g)
     res = _to_half(phi.values) * tab["laplacian"] - _to_half(u.values) * tab["ddx"]

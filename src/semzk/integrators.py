@@ -45,6 +45,7 @@ from semzk.spectral import (
     _half_of,
     _integer,
     _real,
+    _require_same_grid,
     _to_half,
 )
 
@@ -80,8 +81,7 @@ class TrajectoryPath:
         if len(self.fields) != self.times.size:
             raise ValueError("times and fields length mismatch")
         for f in self.fields:
-            if f.grid != self.grid:
-                raise ValueError("fields live on different grids")
+            _require_same_grid(f.grid, self.grid)
         if self.times.size > 1:
             d = np.diff(self.times)
             if np.any(d <= 0):
@@ -403,6 +403,11 @@ def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField
     return _ifrk4_march(u, eq, t, dt, 1)
 
 
+def _step_count(T: float, dt: float) -> int:
+    """The steps of :func:`evolve` over ``T``: ``round(|T|/dt)``, at least 1 (0 if ``T == 0``)."""
+    return max(1, int(round(abs(T) / dt))) if T else 0
+
+
 def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
            t0: float = 0.0,
            callbacks: Sequence[Callable[[int, float, RealField], None]] = (),
@@ -441,7 +446,7 @@ def evolve(u0: RealField, eq: EquationKind, T: float, dt: float, *,
             cb(0, t0, first)
         return TrajectoryPath(grid, np.array([t0]), [first])
 
-    n_steps = max(1, int(round(abs(T) / dt)))
+    n_steps = _step_count(T, dt)
     dt_eff = T / n_steps
     t_last = t0 + n_steps * dt_eff
     if t_last == t0:

@@ -39,14 +39,13 @@ from .norms import MixedNormDescriptor, mixed_norm, sobolev_norm
 from .spectral import (
     Grid2D,
     RealField,
-    SpectralField,
     _from_half,
     _half_symbols,
     _integer,
     _linear_convolve,
     _real,
     _to_half,
-    inverse_transform,
+    _to_values,
     make_multiplier,
 )
 
@@ -490,8 +489,8 @@ def random_low_mode_field(grid: Grid2D, seed, *, max_mode: int = 4,
     if 2 * max_mode >= min(grid.nx, grid.ny):
         raise ValueError("grid too coarse for the requested mode range")
     c = _random_hermitian(seed, (grid.nx, grid.ny), (max_mode, max_mode), skip_zero=True)
-    spec = SpectralField(grid, amplitude * c)
-    return inverse_transform(spec)
+    # c is Hermitian to the bit, so the inverse skips the public check
+    return RealField(grid, _to_values(amplitude * c))
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .dynamics import (
     soliton_profile,
     soliton_shape,
 )
-from .integrators import PicardReport, TrajectoryPath, evolve, picard_solve
+from .integrators import PicardReport, TrajectoryPath, _step_count, evolve, picard_solve
 from .norms import (
     DiagnosticsRecord,
     _snapshot_descriptors,
@@ -304,7 +304,7 @@ def run_simulation(cfg: RunConfig) -> SimulationReport:
     first, last = records[0], records[-1]
     summary = run.summary(
         equation=cfg.equation, t_start=t_start, t_final=t_final,
-        n_steps=max(1, int(round(cfg.T / cfg.dt))) if cfg.T else 0,
+        n_steps=_step_count(cfg.T, cfg.dt),
         i1_initial=first.i1, i1_final=last.i1, i2_initial=first.i2,
         i2_final=last.i2, h1_final=last.norms["H1"])
     return SimulationReport(run.path, path, summary, records)

@@ -15,6 +15,9 @@ written as version 2, any other as version 1; both are read.  Round trips
 are bit-exact, of the samples and of the spectrum, so a run restarted from
 a version-2 snapshot marches from the very state the earlier run stopped
 in, which is what makes restart equivalence checks meaningful.
+The time must be a finite real, on write and on read: :func:`write_snapshot`
+refuses any other ``time`` and :func:`read_snapshot` a header time of NaN or
+inf, each with a ``ValueError`` that names the time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid2D, RealField, _from_half, _half_ncols, _validate_values
+from .spectral import Grid2D, RealField, _from_half, _half_ncols, _real, _validate_values
 
 __all__ = [
     "MAGIC",
@@ -85,13 +88,11 @@ def write_snapshot(path, field: RealField, *, time: float,
     """
     if equation not in EQUATION_TAGS:
         raise ValueError(f"unknown equation kind {equation!r}")
-    if not np.isfinite(time):
-        raise ValueError("snapshot time must be finite")
+    time = _real("time", time)
     grid = field.grid
     version = 1 if field._half is None else 2
     header = _HEADER.pack(MAGIC, version, grid.nx, grid.ny,
-                          grid.lx, grid.ly, float(time),
-                          EQUATION_TAGS[equation])
+                          grid.lx, grid.ly, time, EQUATION_TAGS[equation])
     data = field.values if version == 1 else field._half
     payload = np.ascontiguousarray(data, dtype=_PAYLOAD_DTYPES[version])
     with open(path, "wb") as handle:
@@ -125,4 +126,4 @@ def read_snapshot(path) -> Snapshot:
     payload = np.frombuffer(raw, dtype=dtype, count=count,
                             offset=_HEADER.size).reshape(nx, -1).copy()
     grid = Grid2D(nx, ny, lx, ly)
-    return Snapshot(grid, time, _TAG_NAMES[tag], payload, version)
+    return Snapshot(grid, _real("snapshot time", time), _TAG_NAMES[tag], payload, version)

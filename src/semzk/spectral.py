@@ -101,11 +101,14 @@ def _real(name: str, value, *, positive: bool = False, nonnegative: bool = False
     return x
 
 
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int, if it is an integer ``>= least`` and no bool;
-    else a ``ValueError`` that names the argument ``name``, like :func:`_real`'s."""
+def _integer(name: str, value, least: int, *, even: bool = False) -> int:
+    """``value`` as an int, if it is an integer ``>= least`` (and ``even``)
+    and no bool; else a ``ValueError`` that names the argument ``name``,
+    like :func:`_real`'s."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {reprlib.repr(value)}")
+    if even and value % 2:
+        raise ValueError(f"{name} must be even, got {reprlib.repr(int(value))}")
     return int(value)
 
 
@@ -132,10 +135,7 @@ class Grid2D:
 
     def __post_init__(self) -> None:
         for name in ("nx", "ny"):
-            n = _integer(name, getattr(self, name), 8)
-            if n % 2:
-                raise ValueError(f"{name} must be even, got {n!r}")
-            object.__setattr__(self, name, n)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 8, even=True))
         for name in ("lx", "ly"):
             object.__setattr__(self, name, _real(name, getattr(self, name), positive=True))
 
@@ -210,15 +210,20 @@ class Grid2D:
 
 
 def _validate_values(values: np.ndarray, grid: Grid2D, dtype, what: str,
-                     shape: tuple[int, int] | None = None) -> np.ndarray:
-    """``values`` as a contiguous finite array of ``dtype`` and ``shape``,
-    by default the grid's sample shape."""
+                     shape: tuple | None = None) -> np.ndarray:
+    """``values`` as a contiguous finite array of ``dtype`` and ``shape`` (by
+    default the grid's sample shape; ``None`` matches an axis of any length),
+    else ``ValueError("<what> shape ... does not match grid ...")`` or
+    ``ValueError("non-finite <what>")``.  Callers (``what``): RealField
+    (field), SpectralField and Snapshot.field (spectrum), MultiplierTable
+    (multiplier table), and in dyadic SpaceTimeField (coefficients) and
+    spacetime_from_snapshots (frames)."""
     arr = np.ascontiguousarray(values, dtype=dtype)
     shape = shape or (grid.nx, grid.ny)
-    if arr.shape != shape:
+    if arr.ndim != len(shape) or any(n not in (None, m) for m, n in zip(arr.shape, shape)):
         raise ValueError(f"{what} shape {arr.shape} does not match grid {shape}")
     if not np.all(np.isfinite(arr.view(np.float64) if dtype is np.complex128 else arr)):
-        raise ValueError("non-finite field")
+        raise ValueError(f"non-finite {what}")
     return arr
 
 
@@ -335,9 +340,7 @@ class MultiplierTable:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if arr.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError("multiplier table shape does not match grid")
+        arr = _validate_values(self.values, self.grid, np.complex128, "multiplier table")
         object.__setattr__(self, "values", _readonly(arr))
 
 

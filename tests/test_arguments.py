@@ -7,6 +7,7 @@ argument's name.
 """
 
 import math
+import os
 import re
 from dataclasses import fields
 
@@ -40,6 +41,7 @@ from semzk.probes import (
     random_bandlimited_spacetime,
     random_low_mode_field,
 )
+from semzk.snapshots import write_snapshot
 from semzk.spectral import Grid2D, SpectralField, _integer, _real
 
 TWO_PI = 2 * np.pi
@@ -102,16 +104,20 @@ SITES = {
         "max_mode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_mode=v)),
     "random_bandlimited_spacetime max_tmode": (
         "max_tmode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_tmode=v)),
+    # refused before the file is opened
+    "write_snapshot time": ("time", False, lambda v: write_snapshot(os.devnull, U, time=v)),
 }
 # every numeric config key, a count if its annotation is int
 SITES |= {f"RunConfig {f.name}": (f.name, f.type == "int",
                                   lambda v, name=f.name: RunConfig(**{name: v}))
           for f in fields(RunConfig) if f.type in ("int", "float")}
 
-# a bool, a non-integral count and a non-finite real, for every site
+# a bool, a non-integral count, a non-finite real, a string and None, for
+# every site
 BAD = {"True": True, "np.True_": np.bool_(True), "2.5": 2.5, "nan": math.nan,
-       "-inf": -math.inf}
-# and what a count refuses beyond those: a float that is whole, a string
+       "-inf": -math.inf, "'1'": "1", "None": None}
+# and what a count refuses beyond those: a float that is whole, and a
+# second string of a whole number
 BAD_COUNT = {"4.0": 4.0, "'4'": "4"}
 
 

@@ -263,6 +263,19 @@ def test_spacetime_field_validation_and_parseval():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         SpaceTimeField(G, 2 * np.pi, bad)
+    # refused as the frames handed in, before the transform
+    for value in (np.nan, np.inf, -np.inf):
+        frames[1, 2, 3] = value
+        with pytest.raises(ValueError, match="^non-finite frames$"):
+            spacetime_from_snapshots(G, 2 * np.pi, frames)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 8), (G.nx, G.ny), (G.nx, G.ny, 8, 1)])
+def test_space_time_shapes_name_the_array(shape):
+    with pytest.raises(ValueError, match=r"^frames shape .* does not match grid"):
+        spacetime_from_snapshots(G, 2 * np.pi, np.zeros(shape))
+    with pytest.raises(ValueError, match=r"^coefficients shape .* does not match grid"):
+        SpaceTimeField(G, 2 * np.pi, np.zeros(shape, dtype=complex))
 
 
 def test_physical_rejects_non_hermitian():

@@ -42,6 +42,7 @@ from semzk.norms import MixedNormDescriptor, mixed_norm, sobolev_norm
 from semzk.spectral import (
     Grid2D,
     SpectralField,
+    _hermitian_defect,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -93,7 +94,7 @@ class TestProductNorm:
             assert sparse == pytest.approx(dense, rel=1e-12)
         assert sparse_product_l2(empty, b2) == 0.0
 
-    def test_permuted_block_is_held_in_key_order(self):
+    def test_permuted_block_is_held_in_key_order(self, monkeypatch):
         # A block keeps its modes in key order, lexicographic in (jx, jy, jt),
         # whatever order it was given them in, and each value follows its mode.
         b1 = random_block_sparse(G, TBOX, 512, 2, 4, seed=(0, 2, 4, 1))
@@ -103,8 +104,10 @@ class TestProductNorm:
         permuted = SparseBlock(G, TBOX, 512, b1.modes[order], b1.values[order])
         assert np.array_equal(permuted.modes, b1.modes)
         assert np.array_equal(permuted.values, b1.values)
-        assert sparse_product_l2(permuted, b2) == sparse_product_l2(b1, b2)
-        assert sparse_product_l2(b2, permuted) == sparse_product_l2(b2, b1)
+        # and every plane sum of the product keeps its bits
+        for pair, twin in (((permuted, b2), (b1, b2)), ((b2, permuted), (b2, b1))):
+            got = plane_bits(sparse_product_l2, *pair, monkeypatch)
+            assert got == plane_bits(sparse_product_l2, *twin, monkeypatch)
 
     def test_sparse_memory_bounded_by_the_largest_x_group_pair(self):
         # The fine pair n=(2, 8), l=(8, 8): its largest plane has 539,784
@@ -247,6 +250,27 @@ def plane_product_l2(b1, b2):
     return math.sqrt(b1.volume * total)
 
 
+def plane_bits(product, b1, b2, monkeypatch):
+    """The norm `product` returns and a digest of every squared plane sum it
+    hands to np.sum, in order.
+
+    The norm alone rarely shows a change of summation order: reversing the
+    x-group pairs of each plane moved the last bit of about one fine-sweep
+    product in eight.
+    """
+    digests = []
+    total = np.sum
+
+    def record(a, *args, **kwargs):
+        digests.append(hashlib.sha256(np.ascontiguousarray(a)).digest())
+        return total(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "sum", record)
+        norm = product(b1, b2)
+    return norm, digests
+
+
 def even_block(modes, values, nt=NT, grid=G):
     """Block holding each (jx, jy, jt) of `modes` and its negation, both with
     the mode's value; a mode listed with its negation, or the zero mode,
@@ -309,7 +333,7 @@ class TestRunProduct:
             lengths = run_lengths(fine_blocks((n, n), (8, 8))[0])
             assert lengths.max() == 4 and lengths.mean() > 3
 
-    def test_unit_runs_give_the_per_pair_bits(self):
+    def test_unit_runs_give_the_per_pair_bits(self, monkeypatch):
         # l = 2 shells have runs of length one, and so has a block whose
         # modes all have even jt: the products are those of the loop, summed
         # in the same order, so every bit agrees.
@@ -320,31 +344,12 @@ class TestRunProduct:
             norm = sparse_product_l2(b1, b2)
             assert norm == per_pair_product_l2(b1, b2)
             assert sparse_product_l2(b1, b2) == norm
+            self.assert_plane_bits(b1, b2, monkeypatch)
 
     @staticmethod
-    def plane_bits(product, b1, b2, monkeypatch):
-        """The norm `product` returns and a digest of every squared plane sum
-        it hands to np.sum, in order.
-
-        The norm alone rarely shows a change of summation order: reversing
-        the x-group pairs of each plane moved the last bit of about one
-        fine-sweep product in eight.
-        """
-        digests = []
-        total = np.sum
-
-        def record(a, *args, **kwargs):
-            digests.append(hashlib.sha256(np.ascontiguousarray(a)).digest())
-            return total(a, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "sum", record)
-            norm = product(b1, b2)
-        return norm, digests
-
-    def assert_plane_bits(self, b1, b2, monkeypatch):
-        got = self.plane_bits(sparse_product_l2, b1, b2, monkeypatch)
-        assert got == self.plane_bits(plane_product_l2, b1, b2, monkeypatch)
+    def assert_plane_bits(b1, b2, monkeypatch):
+        got = plane_bits(sparse_product_l2, b1, b2, monkeypatch)
+        assert got == plane_bits(plane_product_l2, b1, b2, monkeypatch)
 
     @pytest.mark.parametrize("n_pair, l_pair", FINE_PAIRS)
     def test_fine_pairs_keep_the_plane_bincount_bits(self, n_pair, l_pair,
@@ -579,6 +584,16 @@ def _loop_draw(seed, shape, cutoffs, skip_zero=False):
     return c
 
 
+#: draws on 2-D lattices with the zero mode left out, as random_low_mode_field
+#: makes them, and on 3-D ones, as random_bandlimited_spacetime makes them
+DRAWS = [
+    ((32, 48), (5, 5), True, 0),
+    ((16, 16), (4, 4), True, (16, 3)),
+    ((16, 32, 64), (4, 4, 8), False, (3, 1)),
+    ((8, 16, 8), (2, 3, 1), False, 11),
+]
+
+
 class TestLinearProbes:
     def test_random_data_refines_consistently(self):
         coarse = random_low_mode_field(G, seed=5)
@@ -594,16 +609,19 @@ class TestLinearProbes:
         with pytest.raises(ValueError, match="too coarse"):
             random_low_mode_field(small, seed=0)
 
-    @pytest.mark.parametrize("shape, cutoffs, skip_zero, seed", [
-        ((32, 48), (5, 5), True, 0),
-        ((16, 16), (4, 4), True, (16, 3)),
-        ((16, 32, 64), (4, 4, 8), False, (3, 1)),
-        ((8, 16, 8), (2, 3, 1), False, 11),
-    ])
+    @pytest.mark.parametrize("shape, cutoffs, skip_zero, seed", DRAWS)
     def test_random_draw_matches_the_loop(self, shape, cutoffs, skip_zero, seed):
         ref = _loop_draw(seed, shape, cutoffs, skip_zero)
         assert np.array_equal(
             probes._random_hermitian(seed, shape, cutoffs, skip_zero=skip_zero), ref)
+
+    @pytest.mark.parametrize("shape, cutoffs, skip_zero, seed", DRAWS)
+    def test_random_draw_is_hermitian_to_the_bit(self, shape, cutoffs, skip_zero, seed):
+        # random_low_mode_field inverts the scaled draw without the public
+        # Hermitian check, which this stands in for
+        c = probes._random_hermitian(seed, shape, cutoffs, skip_zero=skip_zero)
+        assert _hermitian_defect(c) == 0.0
+        assert _hermitian_defect(0.3 * c) == 0.0
 
     def test_random_fields_match_the_loop(self):
         grid = Grid2D(32, 48, 2 * np.pi, 3.0)

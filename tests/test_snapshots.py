@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from semzk import cli
 from semzk.config import RunConfig
 from semzk.dynamics import SEM
 from semzk.integrators import evolve
@@ -111,6 +112,8 @@ def test_trailing_data_rejected(tmp_path):
 
 HEADER_FORMAT = "<6sIIIdddB"
 HEADER_BYTES = struct.calcsize(HEADER_FORMAT)
+#: the byte offset of the f64 time: after the magic, three u32 and lx, ly
+TIME_OFFSET = struct.calcsize("<6sIIIdd")
 
 
 def pack_version_1(path, field, *, time, equation="sem"):
@@ -193,3 +196,30 @@ def test_half_spectrum_length_and_values_checked(tmp_path):
     path.write_bytes(raw[:-8] + struct.pack("<d", math.nan))
     with pytest.raises(ValueError, match="non-finite"):
         read_snapshot(path).field()
+
+
+@pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+def test_non_finite_header_time_rejected(tmp_path, time):
+    path = tmp_path / "state.snap"
+    write_snapshot(path, sample_field(), time=0.5)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, TIME_OFFSET, time)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="^snapshot time must be a finite real number"):
+        read_snapshot(path)
+
+
+def test_restart_from_a_non_finite_time_writes_nothing(tmp_path, capsys):
+    grid = Grid2D(16, 16, 2 * math.pi, 2 * math.pi)
+    path = tmp_path / "state.snap"
+    write_snapshot(path, RealField(grid, np.zeros((16, 16))), time=0.0, equation="zk")
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, TIME_OFFSET, math.inf)
+    path.write_bytes(raw)
+    out = tmp_path / "run"
+    status = cli.main(["simulate", "nx=16", "ny=16", "ly=6.283185307179586",
+                       "lx=6.283185307179586", "T=0.01", "dt=0.01", "initial=snapshot",
+                       f"initial_path={path}", "--out", str(out)])
+    assert status == 1
+    assert "snapshot time must be a finite real number" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,6 +9,7 @@ from scipy.signal import fftconvolve
 
 from semzk.spectral import (
     Grid2D,
+    MultiplierTable,
     RealField,
     SpectralField,
     apply_multiplier,
@@ -162,6 +163,17 @@ def test_non_finite_rejected():
     badc[0, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         SpectralField(g, badc)
+    for bad in (np.nan, np.inf, -np.inf):
+        table = make_multiplier(g, "ddx").values.copy()
+        table[1, 2] = bad
+        with pytest.raises(ValueError, match="^non-finite multiplier table$"):
+            MultiplierTable(g, "ddx", table)
+
+
+def test_multiplier_table_shape_checked():
+    g = GRIDS[0]
+    with pytest.raises(ValueError, match=r"^multiplier table shape \(4, 4\) does not match grid"):
+        MultiplierTable(g, "ddx", np.zeros((4, 4), dtype=complex))
 
 
 def test_non_hermitian_rejected():
