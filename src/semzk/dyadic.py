@@ -29,12 +29,10 @@ import numpy as np
 
 from .spectral import (
     Grid2D,
-    _HERMITIAN_TOL,
-    _conjugate_flip,
+    _hermitian_values,
     _integer,
     _real,
     _to_coeffs,
-    _to_values,
     _validate_values,
 )
 
@@ -173,12 +171,20 @@ def _shell(x: np.ndarray, level: int) -> np.ndarray:
 
 def frequency_radius(grid: Grid2D) -> np.ndarray:
     """|(xi, mu)| on the spatial lattice, in FFT ordering."""
-    return np.hypot(grid.xi2d, grid.mu2d * np.ones((1, grid.ny)))
+    return np.hypot(grid.xi2d, grid.mu2d)
+
+
+def _modulation(xi: np.ndarray, mu: np.ndarray, tau: np.ndarray | None = None) -> np.ndarray:
+    """The dispersion xi^3 + xi mu^2 on the lattice of an (nx, 1) column xi and a
+    (1, ny) row mu or, given time frequencies tau, the modulation tau - dispersion
+    (nx, ny, nt): every weight, on a grid or on a probe's box, reads it here."""
+    omega = xi**3 + xi * mu**2
+    return omega if tau is None else tau[None, None, :] - omega[:, :, None]
 
 
 def dispersion_values(grid: Grid2D) -> np.ndarray:
     """The raw dispersion symbol xi^3 + xi mu^2 on the lattice (no masking)."""
-    return grid.xi2d**3 + grid.xi2d * grid.mu2d**2
+    return _modulation(grid.xi2d, grid.mu2d)
 
 
 def tau_values(t_box: float, nt: int) -> np.ndarray:
@@ -189,8 +195,7 @@ def tau_values(t_box: float, nt: int) -> np.ndarray:
 
 def modulation_values(grid: Grid2D, t_box: float, nt: int) -> np.ndarray:
     """m = tau - dispersion, shape (nx, ny, nt)."""
-    tau = tau_values(t_box, nt)
-    return tau[None, None, :] - dispersion_values(grid)[:, :, None]
+    return _modulation(grid.xi2d, grid.mu2d, tau_values(t_box, nt))
 
 
 def frequency_weight(grid: Grid2D, n: int) -> np.ndarray:
@@ -237,16 +242,9 @@ class SpaceTimeField:
         return float(np.sqrt(self.grid.lx * self.grid.ly * self.t_box * total))
 
     def physical(self) -> np.ndarray:
-        """Real samples on the lattice; raises if the spectrum is not Hermitian.
-
-        The defect is the largest deviation from conjugate symmetry, relative
-        to the largest coefficient modulus (or to 1, if that is smaller).
-        """
-        defect = np.max(np.abs(self.coeffs - _conjugate_flip(self.coeffs)))
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        if defect > _HERMITIAN_TOL * scale:
-            raise ValueError(f"non-Hermitian spectrum (defect {defect:.3e})")
-        return _to_values(self.coeffs, axes=(0, 1, 2))
+        """Real samples on the lattice; a ``ValueError`` unless the spectrum is
+        Hermitian by the one rule in :mod:`semzk.spectral`, ``inverse_transform``'s."""
+        return _hermitian_values(self.coeffs)
 
 
 def spacetime_from_snapshots(grid: Grid2D, t_box: float,
@@ -377,6 +375,10 @@ class SparseBlock:
             raise ValueError(f"modes must be integers, got dtype {self.modes.dtype}")
         if self.values.shape != (self.modes.shape[0],):
             raise ValueError("values must match the number of modes")
+        # first: the cast to float64 drops an imaginary part with only a warning
+        if not np.issubdtype(self.values.dtype, np.floating):
+            raise ValueError(f"values must be real floats, got dtype {self.values.dtype}")
+        self.values = _validate_values(self.values, self.grid, np.float64, "coefficients", (None,))
         sizes = np.array([self.grid.nx, self.grid.ny, self.nt])
         lo = -(sizes // 2)
         if np.any((self.modes < lo) | (self.modes >= lo + sizes)):
@@ -389,10 +391,6 @@ class SparseBlock:
             self.modes, self.values = self.modes[order], self.values[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("modes must be unique")
-        if not np.issubdtype(self.values.dtype, np.floating):
-            raise ValueError(f"values must be real floats, got dtype {self.values.dtype}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite coefficients")
         partner = _conjugate_partner(self.modes)
         if partner is None:
             raise ValueError("every mode's negation must be in the block")

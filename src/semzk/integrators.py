@@ -99,7 +99,7 @@ class TrajectoryPath:
 
     def node_index(self, t: float) -> int:
         """Index of the node at time ``t`` (must lie on the lattice)."""
-        t0, t1 = self.times[0], self.times[-1]
+        t, t0, t1 = _real("t", t), self.times[0], self.times[-1]
         scale = max(1.0, abs(t1 - t0))
         if t < t0 - 1e-9 * scale or t > t1 + 1e-9 * scale:
             raise ValueError(f"time {t} outside trajectory range [{t0}, {t1}]")

@@ -138,10 +138,10 @@ class MixedNormDescriptor:
                              "of (x, y, T) or of (x, y)")
         cleaned = []
         for a, p in self.entries:
-            p = float(p)
-            if p not in _ALLOWED_EXPONENTS:
+            x = math.nan if isinstance(p, (bool, np.bool_)) else float(p)
+            if x not in _ALLOWED_EXPONENTS:
                 raise ValueError(f"mixed-norm exponent {p} not in {{1, 2, 3, 4, inf}}")
-            cleaned.append((a, p))
+            cleaned.append((a, x))
         object.__setattr__(self, "entries", tuple(cleaned))
 
     @classmethod

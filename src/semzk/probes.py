@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import SpaceTimeField, SparseBlock, random_block_sparse
+from .dyadic import SpaceTimeField, SparseBlock, _check_level, _modulation, random_block_sparse
 from .dynamics import _phase
 from .integrators import TrajectoryPath
-from .norms import MixedNormDescriptor, mixed_norm, sobolev_norm
+from .norms import MixedNormDescriptor, _hs_weight, mixed_norm, sobolev_norm
 from .spectral import (
     Grid2D,
     RealField,
@@ -263,13 +263,12 @@ def sparse_product_l2(b1: SparseBlock, b2: SparseBlock) -> float:
 def _box_weight(box: CoefficientBox, grid: Grid2D, t_box: float, s: float,
                 b: float) -> np.ndarray:
     px, py, pt = box.values.shape
-    xi = 2 * np.pi / grid.lx * (box.start[0] + np.arange(px))
-    mu = 2 * np.pi / grid.ly * (box.start[1] + np.arange(py))
+    # the box's own wavenumbers: the grid's fftfreq ones differ in the last bit
+    xi = (2 * np.pi / grid.lx * (box.start[0] + np.arange(px)))[:, None]
+    mu = (2 * np.pi / grid.ly * (box.start[1] + np.arange(py)))[None, :]
     tau = 2 * np.pi / t_box * (box.start[2] + np.arange(pt))
-    r = np.hypot(xi[:, None], mu[None, :])
-    omega = xi[:, None] ** 3 + xi[:, None] * mu[None, :] ** 2
-    m = tau[None, None, :] - omega[:, :, None]
-    return (1.0 + np.abs(m)) ** (2 * b) * ((1.0 + r) ** (2 * s))[:, :, None]
+    m = _modulation(xi, mu, tau)
+    return (1.0 + np.abs(m)) ** (2 * b) * _hs_weight(xi, mu, s)[:, :, None]
 
 
 def xsb_norm_box(box: CoefficientBox, grid: Grid2D, t_box: float, s: float,
@@ -335,8 +334,8 @@ def bilinear_bound(n1: int, l1: int, n2: int, l2: int):
     spatial shells are separated by a factor of four the improved bound
     ``sqrt(min(n)) / max(n) * sqrt(l1 * l2)`` applies.
     """
-    n_min, n_max = sorted((int(n1), int(n2)))
-    l_min, l_max = sorted((int(l1), int(l2)))
+    n_min, n_max = sorted((_check_level("n1", n1), _check_level("n2", n2)))
+    l_min, l_max = sorted((_check_level("l1", l1), _check_level("l2", l2)))
     separated = n_max >= 4 * n_min
     if separated:
         bound = math.sqrt(n_min) / n_max * math.sqrt(l_min * l_max)

@@ -73,8 +73,8 @@ DEALIAS_FRACTION = 2.0 / 3.0
 
 MULTIPLIER_KINDS = ("ddx", "ddy", "m1", "m2", "laplacian", "inv_laplacian_dx", "symbol_omega")
 
-#: Largest conjugate-symmetry defect a spectrum may carry and still be
-#: inverted to real samples (each check states its own metric).
+#: Largest relative conjugate-symmetry defect a spectrum may carry and still be
+#: inverted to real samples: the one Hermitian rule, held by ``_hermitian_values``.
 _HERMITIAN_TOL = 1e-10
 
 
@@ -216,8 +216,8 @@ def _validate_values(values: np.ndarray, grid: Grid2D, dtype, what: str,
     else ``ValueError("<what> shape ... does not match grid ...")`` or
     ``ValueError("non-finite <what>")``.  Callers (``what``): RealField
     (field), SpectralField and Snapshot.field (spectrum), MultiplierTable
-    (multiplier table), and in dyadic SpaceTimeField (coefficients) and
-    spacetime_from_snapshots (frames)."""
+    (multiplier table), and in dyadic SpaceTimeField and SparseBlock
+    (coefficients) and spacetime_from_snapshots (frames)."""
     arr = np.ascontiguousarray(values, dtype=dtype)
     shape = shape or (grid.nx, grid.ny)
     if arr.ndim != len(shape) or any(n not in (None, m) for m, n in zip(arr.shape, shape)):
@@ -377,6 +377,14 @@ def _to_values(coeffs: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     return np.real(np.fft.ifftn(coeffs, axes=axes)) * size
 
 
+def _hermitian_values(coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of series coefficients over every axis; a ``ValueError`` if
+    their relative conjugate-symmetry defect exceeds ``_HERMITIAN_TOL``."""
+    if _hermitian_defect(coeffs) > _HERMITIAN_TOL:
+        raise ValueError("non-Hermitian spectrum")
+    return _to_values(coeffs, axes=tuple(range(coeffs.ndim)))
+
+
 def _to_half(values: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum series coefficients of real samples over the last two
     axes, times ``scale`` (folded into the one normalizing pass), written
@@ -445,15 +453,9 @@ def forward_transform(f: RealField) -> SpectralField:
 
 
 def inverse_transform(F: SpectralField) -> RealField:
-    """Invert :func:`forward_transform`, returning a real field.
-
-    Raises ``ValueError`` if the spectrum's relative conjugate-symmetry
-    defect exceeds ``_HERMITIAN_TOL``, since only Hermitian spectra describe
-    real fields.
-    """
-    if _hermitian_defect(F.coeffs) > _HERMITIAN_TOL:
-        raise ValueError("non-Hermitian spectrum")
-    return RealField(F.grid, _to_values(F.coeffs))
+    """Invert :func:`forward_transform`, returning a real field; raises
+    ``ValueError`` unless the spectrum is Hermitian (``_hermitian_values``)."""
+    return RealField(F.grid, _hermitian_values(F.coeffs))
 
 
 #: The symbols with real values, which the half lattice stores as float64.

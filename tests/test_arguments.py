@@ -34,9 +34,10 @@ from semzk.dynamics import (
     soliton_profile,
     soliton_profile_dx,
 )
-from semzk.integrators import evolve, ifrk4_step, picard_solve
+from semzk.integrators import TrajectoryPath, duhamel_term, evolve, ifrk4_step, picard_solve
 from semzk.norms import sobolev_norm
 from semzk.probes import (
+    bilinear_bound,
     probe_linear_estimates,
     random_bandlimited_spacetime,
     random_low_mode_field,
@@ -54,6 +55,7 @@ NO_MODES = np.zeros((0, 3), dtype=int)
 LONG = Grid2D(64, 8, 80.0, TWO_PI)
 P = SolitonParams(1.0, 40.0)
 V = random_low_mode_field(LONG, 1, max_mode=2, amplitude=0.01)
+PATH = TrajectoryPath(G, np.array([0.0, 0.5, 1.0]), [U, U, U])
 
 # entry point -> (argument name, whether it is a count, the call with one
 # argument replaced by the value)
@@ -78,6 +80,8 @@ SITES = {
     "block_modes nt": ("nt", True, lambda v: block_modes(G, TWO_PI, v, 2, 1)),
     "block_modes n": ("n", True, lambda v: block_modes(G, TWO_PI, 64, v, 1)),
     "block_modes l": ("l", True, lambda v: block_modes(G, TWO_PI, 64, 2, v)),
+    "TrajectoryPath.node_index t": ("t", False, lambda v: PATH.node_index(v)),
+    "duhamel_term t": ("t", False, lambda v: duhamel_term(SEM, PATH, v)),
     "evolve T": ("T", False, lambda v: evolve(U, SEM, v, 0.5)),
     "evolve dt": ("dt", False, lambda v: evolve(U, SEM, 2.0, v)),
     "evolve t0": ("t0", False, lambda v: evolve(U, SEM, 0.01, 0.01, t0=v)),
@@ -104,6 +108,10 @@ SITES = {
         "max_mode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_mode=v)),
     "random_bandlimited_spacetime max_tmode": (
         "max_tmode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_tmode=v)),
+    "bilinear_bound n1": ("n1", True, lambda v: bilinear_bound(v, 1, 4, 1)),
+    "bilinear_bound l1": ("l1", True, lambda v: bilinear_bound(1, v, 4, 1)),
+    "bilinear_bound n2": ("n2", True, lambda v: bilinear_bound(1, 1, v, 1)),
+    "bilinear_bound l2": ("l2", True, lambda v: bilinear_bound(1, 1, 4, v)),
     # refused before the file is opened
     "write_snapshot time": ("time", False, lambda v: write_snapshot(os.devnull, U, time=v)),
 }
@@ -155,6 +163,10 @@ def test_a_refusal_abridges_the_value(check, value):
 def test_levels_and_counts_name_their_rule():
     with pytest.raises(ValueError, match="^n must be a power of two >= 1, got 3$"):
         frequency_weight(G, 3)
+    # a zero level gave a bound of 0.0, and a negative one a math domain error
+    for n in (0, -4, 3):
+        with pytest.raises(ValueError, match=f"^n1 must be a power of two >= 1, got {n}$"):
+            bilinear_bound(n, 1, 4, 1)
     with pytest.raises(ValueError, match="^nt must be even, got 17$"):
         tau_values(1.0, 17)
     with pytest.raises(ValueError, match="^dt must be nonzero"):
@@ -220,6 +232,14 @@ ONCE_ACCEPTED = {
     "soliton_profile t=True": lambda: soliton_profile(LONG, P, True),
     "soliton_profile_dx t=True": lambda: soliton_profile_dx(LONG, P, True),
     "potential_profile t=True": lambda: potential_profile(LONG, P, True),
+    "bilinear_bound n1=0": lambda: bilinear_bound(0, 1, 4, 1),
+    "bilinear_bound l2=1.9": lambda: bilinear_bound(1, 1, 4, 1.9),
+    "bilinear_bound n2=True": lambda: bilinear_bound(1, 1, True, 1),
+    "bilinear_bound l1=3": lambda: bilinear_bound(1, 3, 4, 1),
+    # True was read as 1.0; NaN failed in int() and '0.1' in a numpy ufunc
+    "TrajectoryPath.node_index t=True": lambda: PATH.node_index(True),
+    "duhamel_term t=nan": lambda: duhamel_term(SEM, PATH, math.nan),
+    "duhamel_term t='0.1'": lambda: duhamel_term(SEM, PATH, "0.1"),
 }
 
 

@@ -278,10 +278,13 @@ def test_space_time_shapes_name_the_array(shape):
         SpaceTimeField(G, 2 * np.pi, np.zeros(shape, dtype=complex))
 
 
-def test_physical_rejects_non_hermitian():
+@pytest.mark.parametrize("size", [1.0, 1e-11])
+def test_physical_rejects_non_hermitian(size):
+    # the defect is relative, so a small spectrum has no absolute floor to
+    # hide under
     c = np.zeros((G.nx, G.ny, 8), dtype=complex)
-    c[1, 0, 1] = 1.0  # no conjugate partner
-    with pytest.raises(ValueError, match="non-Hermitian"):
+    c[1, 0, 1] = size  # no conjugate partner
+    with pytest.raises(ValueError, match="^non-Hermitian spectrum$"):
         SpaceTimeField(G, 2 * np.pi, c).physical()
 
 
@@ -429,6 +432,17 @@ class TestSparseBlock:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 self.block([[1, 2, 3], [-1, -2, -3]], np.array([bad, bad]))
+
+    def test_holds_float32_values_as_float64(self):
+        # l2() sums in the values' dtype: held as float32, these values read
+        # 1.0 where their float64 sum reads 1.0000000049975601
+        blk = random_block_sparse(G, 2 * np.pi, 512, 4, 2, seed=1)
+        single = blk.values.astype(np.float32)
+        held = SparseBlock(G, blk.t_box, blk.nt, blk.modes, single)
+        assert held.values.dtype == np.float64
+        wide = single.astype(np.float64)
+        assert np.array_equal(held.values, wide)
+        assert held.l2() == float(np.sqrt(held.volume * np.sum(wide ** 2)))
 
     def test_accepts_an_empty_block(self):
         empty = self.block(np.zeros((0, 3), dtype=int))
