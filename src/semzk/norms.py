@@ -27,6 +27,7 @@ from semzk.spectral import (
     Grid2D,
     RealField,
     SpectralField,
+    _float_or_nan,
     _half_ncols,
     _half_of,
     _half_symbols,
@@ -138,9 +139,10 @@ class MixedNormDescriptor:
                              "of (x, y, T) or of (x, y)")
         cleaned = []
         for a, p in self.entries:
-            x = math.nan if isinstance(p, (bool, np.bool_)) else float(p)
+            x = _float_or_nan(p)  # the one reading of a real, which keeps inf
             if x not in _ALLOWED_EXPONENTS:
-                raise ValueError(f"mixed-norm exponent {p} not in {{1, 2, 3, 4, inf}}")
+                shown = repr(p) if isinstance(p, str) else p
+                raise ValueError(f"mixed-norm exponent {shown} not in {{1, 2, 3, 4, inf}}")
             cleaned.append((a, x))
         object.__setattr__(self, "entries", tuple(cleaned))
 

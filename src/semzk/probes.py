@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import SpaceTimeField, SparseBlock, _check_level, _modulation, random_block_sparse
+from .dyadic import (
+    SpaceTimeField,
+    SparseBlock,
+    _check_level,
+    _check_nt,
+    _modulation,
+    random_block_sparse,
+)
 from .dynamics import _phase
 from .integrators import TrajectoryPath
 from .norms import MixedNormDescriptor, _hs_weight, mixed_norm, sobolev_norm
@@ -46,6 +53,7 @@ from .spectral import (
     _real,
     _to_half,
     _to_values,
+    _trusted,
     make_multiplier,
 )
 
@@ -274,7 +282,8 @@ def _box_weight(box: CoefficientBox, grid: Grid2D, t_box: float, s: float,
 def xsb_norm_box(box: CoefficientBox, grid: Grid2D, t_box: float, s: float,
                  b: float) -> float:
     """Weighted norm of an unwrapped coefficient box."""
-    w = _box_weight(box, grid, t_box, s, b)
+    t_box = _real("t_box", t_box, positive=True)
+    w = _box_weight(box, grid, t_box, _real("s", s), _real("b", b))
     total = float(np.sum(w * np.abs(box.values) ** 2, dtype=np.float64))
     return math.sqrt(grid.lx * grid.ly * t_box * total)
 
@@ -464,11 +473,12 @@ def random_bandlimited_spacetime(grid: Grid2D, t_box: float, nt: int, seed, *,
     on the seed and the cutoffs, so the same seed on a finer lattice yields
     the identical trigonometric polynomial.
     """
+    t_box, nt = _real("t_box", t_box, positive=True), _check_nt(nt)
     max_mode, max_tmode = _integer("max_mode", max_mode, 0), _integer("max_tmode", max_tmode, 0)
     if 2 * max_mode >= min(grid.nx, grid.ny) or 2 * max_tmode >= nt:
         raise ValueError("lattice too coarse for the requested mode range")
     c = _random_hermitian(seed, (grid.nx, grid.ny, nt), (max_mode, max_mode, max_tmode))
-    return SpaceTimeField(grid, t_box, c)
+    return _trusted(SpaceTimeField, grid=grid, t_box=t_box, coeffs=c)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +600,7 @@ def probe_nonlinear_estimate(f: SpaceTimeField, *,
     bracket, the input with ``B_PLUS``; both carry ``s`` powers of the
     frequency bracket.
     """
+    s = _real("s", s)
     box = nonlinear_box(f)
     out_norm = xsb_norm_box(box, f.grid, f.t_box, s, B_MINUS)
     in_norm = xsb_norm(f, s, B_PLUS)

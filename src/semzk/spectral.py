@@ -83,18 +83,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
-    """``value`` as a float, if it is a finite (and ``positive``, or
-    ``nonnegative``) real and no bool; else a ``ValueError`` that names the
-    argument ``name`` and shows the value abridged by :func:`reprlib.repr`.
-    (numpy registers its scalars with :mod:`numbers`, but not
-    ``np.bool_``.)"""
+def _float_or_nan(value) -> float:
+    """``value`` as a float if it is a real number and no bool, else NaN: a
+    string, None, a bool and an integer beyond the float range all read as
+    NaN.  (numpy registers its scalars with :mod:`numbers`, but not
+    ``np.bool_``.)  The one reading of a caller's real, which :func:`_real`
+    and the mixed-norm exponents share."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
     try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if (isinstance(value, bool) or not math.isfinite(x) or (positive and x <= 0)
-            or (nonnegative and x < 0)):
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
+    """``value`` as a float, if :func:`_float_or_nan` reads it as a finite
+    (and ``positive``, or ``nonnegative``) real; else a ``ValueError`` that
+    names the argument ``name`` and shows the value abridged by
+    :func:`reprlib.repr`."""
+    x = _float_or_nan(value)
+    if not math.isfinite(x) or (positive and x <= 0) or (nonnegative and x < 0):
         what = ("positive and finite" if positive else "nonnegative and finite"
                 if nonnegative else "a finite real number")
         raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
@@ -110,6 +119,18 @@ def _integer(name: str, value, least: int, *, even: bool = False) -> int:
     if even and value % 2:
         raise ValueError(f"{name} must be even, got {reprlib.repr(int(value))}")
     return int(value)
+
+
+def _trusted(cls, **attrs):
+    """An instance of ``cls`` holding ``attrs`` as given, built without its
+    ``__init__`` or ``__post_init__``: the one constructor for values semzk
+    builds from inputs it has checked.  The caller hands in what the public
+    constructor would store (a float ``t_box``, a contiguous array of the
+    checked dtype and shape); a value that can overflow goes through the
+    public constructor."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)  # past a frozen dataclass's __setattr__ too
+    return obj
 
 
 @dataclass(frozen=True)
@@ -246,10 +267,8 @@ class RealField:
                  values: np.ndarray | None = None) -> "RealField":
         """The field whose half spectrum is ``half``, which it keeps (so the
         caller must not write into it), with its samples ``values`` when
-        they are already known.  Nothing is validated."""
-        f = cls.__new__(cls)
-        f.grid, f._values, f._half = grid, values, half
-        return f
+        they are already known.  Nothing is validated (see :func:`_trusted`)."""
+        return _trusted(cls, grid=grid, _values=values, _half=half)
 
     @property
     def values(self) -> np.ndarray:
@@ -629,7 +648,8 @@ def make_multiplier(grid: Grid2D, kind: str) -> MultiplierTable:
     """
     if kind not in MULTIPLIER_KINDS:
         raise ValueError(f"unknown multiplier kind {kind!r}; expected one of {MULTIPLIER_KINDS}")
-    return MultiplierTable(grid, kind, _symbols(grid)[kind])
+    # the cached table is read-only and zeroed on the Nyquist rows already
+    return _trusted(MultiplierTable, grid=grid, kind=kind, values=_symbols(grid)[kind])
 
 
 def apply_multiplier(F: SpectralField, table: MultiplierTable) -> SpectralField:

@@ -22,6 +22,7 @@ from semzk.dyadic import (
     dyadic_levels,
     frequency_weight,
     modulation_weight,
+    spacetime_from_snapshots,
     tau_values,
 )
 from semzk.dynamics import (
@@ -38,9 +39,13 @@ from semzk.integrators import TrajectoryPath, duhamel_term, evolve, ifrk4_step, 
 from semzk.norms import sobolev_norm
 from semzk.probes import (
     bilinear_bound,
+    nonlinear_box,
     probe_linear_estimates,
+    probe_nonlinear_estimate,
     random_bandlimited_spacetime,
     random_low_mode_field,
+    xsb_norm,
+    xsb_norm_box,
 )
 from semzk.snapshots import write_snapshot
 from semzk.spectral import Grid2D, SpectralField, _integer, _real
@@ -56,6 +61,8 @@ LONG = Grid2D(64, 8, 80.0, TWO_PI)
 P = SolitonParams(1.0, 40.0)
 V = random_low_mode_field(LONG, 1, max_mode=2, amplitude=0.01)
 PATH = TrajectoryPath(G, np.array([0.0, 0.5, 1.0]), [U, U, U])
+ST = random_bandlimited_spacetime(G, 1.0, 16, 0, max_mode=2, max_tmode=2)
+BOX = nonlinear_box(ST)
 
 # entry point -> (argument name, whether it is a count, the call with one
 # argument replaced by the value)
@@ -108,6 +115,18 @@ SITES = {
         "max_mode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_mode=v)),
     "random_bandlimited_spacetime max_tmode": (
         "max_tmode", True, lambda v: random_bandlimited_spacetime(G, 1.0, 32, 0, max_tmode=v)),
+    "random_bandlimited_spacetime t_box": (
+        "t_box", False, lambda v: random_bandlimited_spacetime(G, v, 32, 0)),
+    "random_bandlimited_spacetime nt": (
+        "nt", True, lambda v: random_bandlimited_spacetime(G, 1.0, v, 0)),
+    "spacetime_from_snapshots t_box": (
+        "t_box", False, lambda v: spacetime_from_snapshots(G, v, np.zeros((G.nx, G.ny, 16)))),
+    "xsb_norm s": ("s", False, lambda v: xsb_norm(ST, v, 0.5)),
+    "xsb_norm b": ("b", False, lambda v: xsb_norm(ST, 1.0, v)),
+    "xsb_norm_box t_box": ("t_box", False, lambda v: xsb_norm_box(BOX, G, v, 1.0, 0.5)),
+    "xsb_norm_box s": ("s", False, lambda v: xsb_norm_box(BOX, G, 1.0, v, 0.5)),
+    "xsb_norm_box b": ("b", False, lambda v: xsb_norm_box(BOX, G, 1.0, 1.0, v)),
+    "probe_nonlinear_estimate s": ("s", False, lambda v: probe_nonlinear_estimate(ST, s=v)),
     "bilinear_bound n1": ("n1", True, lambda v: bilinear_bound(v, 1, 4, 1)),
     "bilinear_bound l1": ("l1", True, lambda v: bilinear_bound(1, v, 4, 1)),
     "bilinear_bound n2": ("n2", True, lambda v: bilinear_bound(1, 1, v, 1)),
@@ -240,6 +259,9 @@ ONCE_ACCEPTED = {
     "TrajectoryPath.node_index t=True": lambda: PATH.node_index(True),
     "duhamel_term t=nan": lambda: duhamel_term(SEM, PATH, math.nan),
     "duhamel_term t='0.1'": lambda: duhamel_term(SEM, PATH, "0.1"),
+    # the exponent True was read as 1; a whole float nt failed in np.zeros
+    "xsb_norm s=True": lambda: xsb_norm(ST, True, 0.5),
+    "random_bandlimited_spacetime nt=34.0": lambda: random_bandlimited_spacetime(G, 1.0, 34.0, 0),
 }
 
 

@@ -80,10 +80,13 @@ def test_descriptor_parse_and_label():
         MixedNormDescriptor.from_string("x:2,y:7,T:2")
     with pytest.raises(ValueError):
         MixedNormDescriptor.from_string("x:2,z:2,T:2")
-    # a bool is no exponent, though float(True) is 1.0
-    for flag in (True, np.bool_(True)):
-        with pytest.raises(ValueError, match="^mixed-norm exponent True not in"):
-            MixedNormDescriptor((("x", flag), ("y", 2.0), ("T", 2.0)))
+    # a bool is no exponent, though float(True) is 1.0, and neither is a
+    # string, though float("2") is 2.0
+    for p, shown in ((True, "True"), (np.bool_(True), "True"), ("2", "'2'"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^mixed-norm exponent {shown} not in"):
+            MixedNormDescriptor((("x", p), ("y", 2), ("T", 2)))
+    assert MixedNormDescriptor((("x", np.float64(np.inf)), ("y", np.int64(2)))).entries == \
+        (("x", np.inf), ("y", 2.0))
 
 
 def test_mixed_norm_constant_closed_form():

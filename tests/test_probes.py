@@ -22,6 +22,7 @@ from semzk.dyadic import (
 from semzk import probes
 from semzk.probes import (
     BlockTrial,
+    CoefficientBox,
     bilinear_bound,
     fit_separated_exponent,
     nonlinear_box,
@@ -36,13 +37,17 @@ from semzk.probes import (
     xsb_norm,
     xsb_norm_box,
 )
-from semzk.dynamics import propagator_apply
+from semzk.dynamics import SEM, _Nonlinearity, propagator_apply
 from semzk.integrators import TrajectoryPath
 from semzk.norms import MixedNormDescriptor, mixed_norm, sobolev_norm
 from semzk.spectral import (
     Grid2D,
     SpectralField,
+    _from_half,
     _hermitian_defect,
+    _to_coeffs,
+    _to_half,
+    _to_values,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -435,6 +440,52 @@ class TestWeightedNorm:
             assert xsb_norm(f, 1.0, b) == pytest.approx(expect, rel=1e-12)
 
 
+def kernel_nonlinear_box(f, batch=16):
+    """nonlinear_box(f) evaluated by the solver kernel, frame by frame.
+
+    N(f) is pointwise in t, so each time frame's N is the 2-D SEM
+    nonlinearity of that frame.  For input modes |jx| <= Kx, |jy| <= Ky and
+    |jt| <= Kt (no Nyquist mode), the frames are sampled on a lattice with
+    n' > 6K per spatial axis, so the kernel's two-thirds mask (3|j| < n')
+    keeps the whole product band 2K, and nt' > 4Kt, so the product's time
+    band 2Kt does not wrap.  ``_Nonlinearity(..., SEM, batch=batch)`` then
+    runs over the frames, ``batch`` at a time, and the output box of the linear
+    convolution, from twice the input box's low corner, is read off the
+    padded lattice, which the test checks holds nothing else.
+    """
+    g = f.grid
+    freqs = [np.rint(np.fft.fftfreq(n) * n).astype(int) for n in f.coeffs.shape]
+    support = [j[i] for j, i in zip(freqs, np.nonzero(f.coeffs))]
+    low = [int(j.min()) for j in support]
+    high = [int(j.max()) for j in support]
+    k = [max(-a, b) for a, b in zip(low, high)]
+    assert all(2 * kk < n for kk, n in zip(k, f.coeffs.shape)), "a Nyquist mode"
+    fine = Grid2D(max(8, 6 * k[0] + 2), max(8, 6 * k[1] + 2), g.lx, g.ly)
+    lattice = (fine.nx, fine.ny, 4 * k[2] + 2)
+    keep = [np.flatnonzero(np.abs(j) <= kk) for j, kk in zip(freqs, k)]
+    c = np.zeros(lattice, dtype=complex)
+    c[np.ix_(*(j[i] % n for j, i, n in zip(freqs, keep, lattice)))] = \
+        f.coeffs[np.ix_(*keep)]
+    frames = np.moveaxis(_to_values(c, axes=(0, 1, 2)), 2, 0)
+    del c
+    kernel = _Nonlinearity(fine, SEM, batch=batch)
+    nhat = np.empty((lattice[2], fine.nx, fine.ny // 2 + 1), dtype=complex)
+    for j in range(0, lattice[2], batch):
+        kernel(_to_half(frames[j:j + batch]), nhat[j:j + batch])
+    del frames
+    out = _to_coeffs(np.moveaxis(_from_half(nhat), 0, 2), axes=(0, 1, 2))
+    rows = np.ix_(*(np.arange(2 * a, 2 * b + 1) % n for a, b, n in zip(low, high, lattice)))
+    values = out[rows].copy()
+    out[rows] = 0.0
+    return CoefficientBox(values, tuple(2 * a for a in low)), float(np.max(np.abs(out)))
+
+
+def fully_occupied(grid, nt, seed=0):
+    """A random real field on every mode of the lattice off its Nyquist planes."""
+    return random_bandlimited_spacetime(grid, TBOX, nt, seed, max_mode=grid.nx // 2 - 1,
+                                        max_tmode=nt // 2 - 1)
+
+
 class TestNonlinearBox:
     def test_single_free_mode(self):
         # For u = cos(theta), theta = x + 2y + 5t: u u_x = -sin(2 theta) / 2
@@ -457,6 +508,23 @@ class TestNonlinearBox:
         box = nonlinear_box(f)
         val = xsb_norm_box(box, G, TBOX, 1.0, -0.48)
         assert np.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("field", [
+        lambda: cosine_field([(1, 2, 5, 1.0)]),
+        lambda: cosine_field([(1, 2, 5, 1.0), (2, -1, 3, 0.5), (0, 1, 1, 0.2)]),
+        lambda: random_bandlimited_spacetime(Grid2D(16, 16, 2 * np.pi, 2 * np.pi), TBOX, 32, 5),
+        lambda: fully_occupied(Grid2D(16, 16, 2 * np.pi, 2 * np.pi), 64),
+    ], ids=["one-cosine", "three-cosines", "random-16x16x32", "full-16x16x64"])
+    def test_matches_the_solver_kernel(self, field):
+        # ROADMAP item 20: the convolution and the kernel are one
+        # nonlinearity, to round-off
+        f = field()
+        box = nonlinear_box(f)
+        ref, outside = kernel_nonlinear_box(f)
+        assert ref.start == box.start and ref.values.shape == box.values.shape
+        scale = np.max(np.abs(box.values))
+        assert np.max(np.abs(ref.values - box.values)) <= 1e-13 * scale
+        assert outside <= 1e-13 * scale
 
 
 class TestBilinearBound:
