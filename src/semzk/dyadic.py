@@ -33,7 +33,6 @@ from .spectral import (
     _integer,
     _real,
     _to_coeffs,
-    _trusted,
     _validate_values,
 )
 
@@ -252,23 +251,19 @@ def spacetime_from_snapshots(grid: Grid2D, t_box: float,
                              frames: np.ndarray) -> SpaceTimeField:
     """Transform real samples (nx, ny, nt) into series coefficients."""
     frames = _validate_values(frames, grid, np.float64, "frames", (grid.nx, grid.ny, None))
-    t_box = _real("t_box", t_box, positive=True)
-    _check_nt(frames.shape[2])
-    return _trusted(SpaceTimeField, grid=grid, t_box=t_box,
-                    coeffs=_to_coeffs(frames, axes=(0, 1, 2)))
+    return SpaceTimeField(grid, t_box, _to_coeffs(frames, axes=(0, 1, 2)))
 
 
 def project_frequency(field: SpaceTimeField, n: int) -> SpaceTimeField:
     """Restrict to the dyadic shell n in spatial frequency magnitude."""
     w = frequency_weight(field.grid, n)
-    return _trusted(SpaceTimeField, grid=field.grid, t_box=field.t_box,
-                    coeffs=field.coeffs * w[:, :, None])
+    return SpaceTimeField(field.grid, field.t_box, field.coeffs * w[:, :, None])
 
 
 def project_modulation(field: SpaceTimeField, l: int) -> SpaceTimeField:
     """Restrict to the dyadic shell l in the modulation variable."""
     w = modulation_weight(field.grid, field.t_box, field.nt, l)
-    return _trusted(SpaceTimeField, grid=field.grid, t_box=field.t_box, coeffs=field.coeffs * w)
+    return SpaceTimeField(field.grid, field.t_box, field.coeffs * w)
 
 
 @lru_cache(maxsize=64)
@@ -417,7 +412,7 @@ class SparseBlock:
         iy = self.modes[:, 1] % self.grid.ny
         it = self.modes[:, 2] % self.nt
         c[ix, iy, it] = self.values
-        return _trusted(SpaceTimeField, grid=self.grid, t_box=self.t_box, coeffs=c)
+        return SpaceTimeField(self.grid, self.t_box, c)
 
 
 def random_block_sparse(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,
@@ -436,7 +431,6 @@ def random_block_sparse(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,
     The result is normalized to unit space-time L^2 norm and is reproducible
     from the arguments alone.
     """
-    t_box, nt = _real("t_box", t_box, positive=True), _check_nt(nt)
     modes = block_modes(grid, t_box, nt, n, l)
     if modes.shape[0] == 0:
         raise ValueError(
@@ -446,9 +440,7 @@ def random_block_sparse(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,
     values = 0.5 * (mags + mags[_conjugate_partner(modes)])
     volume = grid.lx * grid.ly * t_box
     values *= 1.0 / np.sqrt(volume * np.sum(values ** 2))
-    # block_modes' modes are distinct, in key order and closed under
-    # negation, and the values are even by construction
-    return _trusted(SparseBlock, grid=grid, t_box=t_box, nt=nt, modes=modes, values=values)
+    return SparseBlock(grid, t_box, nt, modes, values)
 
 
 def random_block(grid: Grid2D, t_box: float, nt: int, n: int, l: int, *,

@@ -53,7 +53,6 @@ from .spectral import (
     _real,
     _to_half,
     _to_values,
-    _trusted,
     make_multiplier,
 )
 
@@ -473,12 +472,12 @@ def random_bandlimited_spacetime(grid: Grid2D, t_box: float, nt: int, seed, *,
     on the seed and the cutoffs, so the same seed on a finer lattice yields
     the identical trigonometric polynomial.
     """
-    t_box, nt = _real("t_box", t_box, positive=True), _check_nt(nt)
+    nt = _check_nt(nt)
     max_mode, max_tmode = _integer("max_mode", max_mode, 0), _integer("max_tmode", max_tmode, 0)
     if 2 * max_mode >= min(grid.nx, grid.ny) or 2 * max_tmode >= nt:
         raise ValueError("lattice too coarse for the requested mode range")
     c = _random_hermitian(seed, (grid.nx, grid.ny, nt), (max_mode, max_mode, max_tmode))
-    return _trusted(SpaceTimeField, grid=grid, t_box=t_box, coeffs=c)
+    return SpaceTimeField(grid, t_box, c)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +599,6 @@ def probe_nonlinear_estimate(f: SpaceTimeField, *,
     bracket, the input with ``B_PLUS``; both carry ``s`` powers of the
     frequency bracket.
     """
-    s = _real("s", s)
     box = nonlinear_box(f)
     out_norm = xsb_norm_box(box, f.grid, f.t_box, s, B_MINUS)
     in_norm = xsb_norm(f, s, B_PLUS)

@@ -121,18 +121,6 @@ def _integer(name: str, value, least: int, *, even: bool = False) -> int:
     return int(value)
 
 
-def _trusted(cls, **attrs):
-    """An instance of ``cls`` holding ``attrs`` as given, built without its
-    ``__init__`` or ``__post_init__``: the one constructor for values semzk
-    builds from inputs it has checked.  The caller hands in what the public
-    constructor would store (a float ``t_box``, a contiguous array of the
-    checked dtype and shape); a value that can overflow goes through the
-    public constructor."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(attrs)  # past a frozen dataclass's __setattr__ too
-    return obj
-
-
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform periodic grid on ``[0, lx) x [0, ly)``.
@@ -267,8 +255,10 @@ class RealField:
                  values: np.ndarray | None = None) -> "RealField":
         """The field whose half spectrum is ``half``, which it keeps (so the
         caller must not write into it), with its samples ``values`` when
-        they are already known.  Nothing is validated (see :func:`_trusted`)."""
-        return _trusted(cls, grid=grid, _values=values, _half=half)
+        they are already known.  Nothing is validated."""
+        f = cls.__new__(cls)
+        f.grid, f._values, f._half = grid, values, half
+        return f
 
     @property
     def values(self) -> np.ndarray:
@@ -648,8 +638,7 @@ def make_multiplier(grid: Grid2D, kind: str) -> MultiplierTable:
     """
     if kind not in MULTIPLIER_KINDS:
         raise ValueError(f"unknown multiplier kind {kind!r}; expected one of {MULTIPLIER_KINDS}")
-    # the cached table is read-only and zeroed on the Nyquist rows already
-    return _trusted(MultiplierTable, grid=grid, kind=kind, values=_symbols(grid)[kind])
+    return MultiplierTable(grid, kind, _symbols(grid)[kind])
 
 
 def apply_multiplier(F: SpectralField, table: MultiplierTable) -> SpectralField:
