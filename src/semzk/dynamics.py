@@ -42,6 +42,7 @@ import contextvars
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,10 @@ from semzk.spectral import (
     _require_same_grid,
     _symbols,
     _to_half,
+    _x_forward,
+    _x_inverse,
+    _y_forward,
+    _y_inverse,
 )
 
 __all__ = [
@@ -238,12 +243,15 @@ def _check_equation(grid: Grid2D, eq: EquationKind) -> None:
 _NODE_BATCH_BYTES = 256 * 1024
 
 #: Bytes of real samples of one field (a batch's whole node stack) from
-#: which a ``sem`` kernel runs its y lane on a second thread, beside the
-#: x lane on the caller's.  Starting and joining the thread costs about
-#: 50 us a call, and the split pays only while the second core is free:
-#: measured on a shared 2-core host, it gained from 512^2 up and lost
-#: 5-13% at every size while the second core was busy.  The timings are
-#: in CHANGES.md.
+#: which the kernel splits every pass of an evaluation by lines between the
+#: caller and a helper thread of its own (see :class:`_Nonlinearity`).  At
+#: 512^2 (2 MiB) on a shared 2-core host the split body took 4.7-6.2 ms a
+#: ``sem`` evaluation, against 8.1-10.9 ms on the caller alone and 6.0-6.8
+#: ms for a y lane on a thread started per call (p5 of 300 calls).  The
+#: value is the one that per-call thread needed; the split body also gained
+#: at 256^2 and 512x256 while the second core was free, but no benchmark
+#: workload runs a grid between 256x16 and 512^2 to show it end to end.
+#: The timings are in CHANGES.md.
 _SPLIT_FIELD_BYTES = 2 * 1024 * 1024
 
 
@@ -254,38 +262,71 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Beside:
-    """``call(*args)`` on a thread of its own, begun beside the caller's
-    work in a copy of the caller's context, so under its numpy error state.
-    ``result`` waits for the call and returns its value or raises its
-    error; if the thread has not begun the call by then, or could not be
-    started, the caller makes the call itself."""
+class _Helper:
+    """A thread that runs half of the caller's work beside it.
 
-    def __init__(self, call, *args):
-        self._call, self._args = call, args
-        self._value = self._error = None
-        self._claim = threading.Lock()
-        self._thread = threading.Thread(target=contextvars.copy_context().run,
-                                        args=(self._run,), name="semzk-y-flux")
+    ``run(work, (first, second))`` offers ``work(second)`` to the thread
+    and runs ``work(first)`` on the caller's; then the caller runs
+    ``work(second)`` too if the thread has not claimed it by then (as while
+    the second core is busy), or else waits for the thread.  It raises the
+    caller's error, else the thread's.  The thread runs its half in a copy
+    of the caller's context, so under the caller's numpy error state.
+    ``close`` ends the thread; a thread that cannot be started raises
+    ``RuntimeError`` from the constructor.
+    """
+
+    def __init__(self):
+        self._cv = threading.Condition()
+        self._offer = self._error = None
+        self._busy, self._open = False, True
+        self._thread = threading.Thread(target=self._serve, name="semzk-kernel", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        cv = self._cv
+        with cv:
+            while True:
+                while self._open and self._offer is None:
+                    cv.wait()
+                if not self._open:
+                    return
+                (work, part, context), self._offer = self._offer, None
+                self._busy = True
+                cv.release()
+                error = None
+                try:
+                    context.run(work, part)
+                except BaseException as caught:  # raised again by the caller
+                    error = caught
+                cv.acquire()
+                self._busy, self._error = False, error
+                cv.notify_all()
+
+    def run(self, work, parts) -> None:
+        first, second = parts
+        with self._cv:
+            self._offer = (work, second, contextvars.copy_context())
+            self._cv.notify()
         try:
-            self._thread.start()
-        except RuntimeError:  # no new thread, as when the host is out of them
-            pass
+            work(first)
+        finally:
+            with self._cv:
+                # withdraw the offer, and wait for a claimed half, which
+                # writes into the caller's buffers until it ends
+                unclaimed, self._offer = self._offer, None
+                while self._busy:
+                    self._cv.wait()
+                error, self._error = self._error, None
+        if unclaimed is not None:
+            work(second)
+        elif error is not None:
+            raise error
 
-    def _run(self) -> None:
-        if self._claim.acquire(blocking=False):
-            try:
-                self._value = self._call(*self._args)
-            except BaseException as error:
-                self._error = error
-
-    def result(self):
-        if self._claim.acquire(blocking=False):
-            return self._call(*self._args)
+    def close(self) -> None:
+        with self._cv:
+            self._open = False
+            self._cv.notify_all()
         self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
 
 
 class _Nonlinearity:
@@ -293,7 +334,8 @@ class _Nonlinearity:
     from half spectrum to half spectrum; the 1/2 of every flux rides on its
     transform's scale.
 
-    Built once per public call, it owns its work buffers and a fixed soliton
+    Built once per public call, which closes it when it ends (``close``, or
+    a ``with`` block), it owns its work buffers and a fixed soliton
     background, the profile at its time ``t``.  Its spectral side runs on
     the ``band`` leading half-spectrum columns that hold a retained mode: the
     rest of the input is dropped by the mask, and of the output is zero.  So
@@ -307,28 +349,35 @@ class _Nonlinearity:
     result into N, and the y lane into its band row, which is added last.
     Each lane of ``sem`` has a band row of its own for its product with
     ``ud``, a half spectrum for its flux's transform and, for
-    ``sem_on_soliton``, a field for its flux; the lanes share only what they
-    read.
+    ``sem_on_soliton``, a field for its flux.
 
-    The schedule groups the lanes into transform calls of ``per_call``
-    fields: as many as fit ``_NODE_BATCH_BYTES`` of samples, at least one.
-    With three, u and both G u share one inverse call and both fluxes one
-    forward; with two, u goes alone and the lanes together; with one, the
-    lanes run one after the other.  When a field's samples reach
-    ``_SPLIT_FIELD_BYTES`` (``split``), the y lane runs on a thread started
-    for the call, under the caller's numpy error state, while the x lane
-    runs on the caller's; the caller runs the y lane itself, after the x
-    lane, when the process may use one CPU only or the thread has not begun
-    it by then.  A stacked call gives each field the bits of its own call,
-    and a lane does the same operations on the same values wherever it
-    runs, so the result does not depend on the schedule, to the bit.
+    Below ``_SPLIT_FIELD_BYTES`` of samples a field, the schedule groups
+    the lanes into transform calls of ``per_call`` fields: as many as fit
+    ``_NODE_BATCH_BYTES`` of samples, at least one.  With three, u and both
+    G u share one inverse call and both fluxes one forward; with two, u goes
+    alone and the lanes together; with one, the lanes run one after the
+    other.  From ``_SPLIT_FIELD_BYTES`` (``split``) every kind runs one body
+    of four phases, each cut into two halves of lines: (A) rows: ``ud`` and
+    each lane's ``m ud``; (B) band columns: the x-pass of every inverse, in
+    place on the band rows; (C) rows: the y-pass of every inverse, the
+    fluxes and the y-pass of every forward; (D) band columns: the x-pass of
+    every forward, its scale, ``d`` times it, the lane sum and the mask.
+    The caller runs the first half of each phase and offers the second to
+    a helper thread that the kernel starts at its first such call
+    (:class:`_Helper`); the caller runs every half the helper has not
+    claimed: all of them when the process may use one CPU only (no helper
+    is started), when the helper could not be started or while it is
+    late.  Each line's
+    transform is independent, and the products are elementwise, so a stacked
+    call gives each field the bits of its own call, a half gives its lines
+    the bits of the whole pass, and the result does not depend on the
+    schedule, to the bit.
 
-    Beyond its buffers, an evaluation allocates only transients: the x-pass
-    intermediate of an inverse call, a band stack of that call's fields
-    (1.34 MiB at 512^2, within ``_NODE_BATCH_BYTES`` when fields are
-    stacked) and numpy's iteration buffers for a product on the band
-    (``np.getbufsize()`` elements an operand).  They come one at a time,
-    two when the lanes run side by side.
+    Beyond its buffers, an evaluation allocates only transients: numpy's
+    iteration buffers for a product on the band (``np.getbufsize()``
+    elements an operand) and, below the split, the x-pass intermediate of
+    an inverse call (a band stack of that call's fields, 1.33 MiB for one
+    512 x 510 field); from the split the x-passes run in place.
 
     With ``batch`` it evaluates a stack of up to ``batch`` states in one
     call, each transform running once over the stack; its buffers then
@@ -353,14 +402,15 @@ class _Nonlinearity:
         names = {"linear": (), "zk": ((None, "i_xi"),)}.get(eq.kind, (("m1", "i_xi"), ("m2", "i_mu")))
         self.lanes = tuple((None if m is None else tab[m][:, :w], tab[d][:, :w]) for m, d in names)
         n = len(self.lanes)
-        self.split = self.per_call == 1 and n == 2 and field_bytes >= _SPLIT_FIELD_BYTES
+        self.split = n > 0 and field_bytes >= _SPLIT_FIELD_BYTES
         # ``fields`` holds u, then lane i's G u in row g + i (u's own row
         # for zk) and its flux in row f + i: zk's flux takes u's row, sem's
         # its G u's, and sem_on_soliton's have rows of their own.
         # ``spectral`` holds ``ud``, the half spectrum of u kept zero outside
         # the mask, then lane i's band row, for its product m ud, in row
         # g + i; ``spectrum`` holds the lanes' half spectra, so no buffer
-        # serves both directions and ``ud`` is never zeroed again.
+        # serves both directions.  Below the split ``ud`` is never zeroed
+        # again; from it the x-passes overwrite the band rows.
         self._g, self._f = {"zk": (0, 0), "sem": (1, 1), "sem_on_soliton": (1, 3)}.get(eq.kind, (0, 0))
         self.fields = np.empty((self._f + n,) + lead + self.shape)
         self.spectral = np.zeros((self._g + n,) + lead + (grid.nx, w), dtype=complex)
@@ -368,6 +418,19 @@ class _Nonlinearity:
         if eq.kind == "sem_on_soliton":
             p = eq.soliton
             self.phi = soliton_shape(p.omega, _wrapped_offset(grid, p, t))[:, None]
+        self._helper = None
+
+    def __enter__(self) -> "_Nonlinearity":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """End the helper thread, if the kernel started one."""
+        if self._helper is not None:
+            self._close_helper()
+            self._helper = None
 
     @property
     def omega(self) -> np.ndarray:
@@ -397,6 +460,9 @@ class _Nonlinearity:
             m = uhat.shape[0]
             band, spec, fields = band[:, :m], spec[:, :m], fields[:, :m]
         nhat = out[..., :w]
+        if self.split:
+            self._split(uhat, nhat, band, spec, fields)
+            return out
         buffers = (nhat, band, spec, fields)
         np.copyto(band[0], uhat[..., :w], where=self.mask)
         if self.per_call >= self._g + n:  # u and every G u in one call
@@ -405,13 +471,6 @@ class _Nonlinearity:
             _from_half(band[0], self.shape, out=fields[0])
             if self.per_call >= n:
                 self._lanes(0, n, *buffers)
-            elif self.split and _usable_cpus() > 1:
-                beside = _Beside(self._lanes, 1, 2, *buffers)
-                try:
-                    self._lanes(0, 1, *buffers)
-                finally:
-                    # the y lane writes into the kernel's buffers until it ends
-                    beside.result()
             else:
                 for i in range(n):
                     self._lanes(i, i + 1, *buffers)
@@ -433,19 +492,81 @@ class _Nonlinearity:
                 np.multiply(band[0], m, out=band[g + i])
         first = 0 if u_too else g + a
         _from_half(band[first:g + b], self.shape, out=fields[first:g + b])
-        u = fields[0]
         for i in range(a, b):
-            gu = fields[g + i]
-            flux = np.multiply(u, gu, out=fields[f + i])
-            if self.eq.kind == "sem_on_soliton":
-                # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
-                if i == 0:
-                    gu += u
-                gu *= self.phi
-                flux += gu
+            self._flux(i, fields, slice(None))
         _to_half(fields[f + a:f + b], 0.5, out=spectrum[a:b])
         for i in range(a, b):
             np.multiply(self.lanes[i][1], spectrum[i, ..., :self.band], out=band[g + i] if i else nhat)
+
+    def _flux(self, i: int, fields: np.ndarray, rows: slice) -> None:
+        """Lane ``i``'s flux on the ``rows`` of ``fields``, from u and its
+        G u there."""
+        u, gu = fields[0, ..., rows, :], fields[self._g + i, ..., rows, :]
+        flux = np.multiply(u, gu, out=fields[self._f + i, ..., rows, :])
+        if self.eq.kind == "sem_on_soliton":
+            # flux_x = u g1 + phi (u + g1), flux_y = u g2 + phi g2
+            if i == 0:
+                gu += u
+            gu *= self.phi[rows]
+            flux += gu
+
+    def _split(self, uhat, nhat, band, spectrum, fields) -> None:
+        """The four phases of a split evaluation (see the class docstring),
+        each on two halves, of the rows or of the band columns, that the
+        caller shares with the helper thread."""
+        g, f, n, w = self._g, self._f, len(self.lanes), self.band
+        nx, ny = self.shape
+        rows = (slice(0, nx // 2), slice(nx // 2, nx))
+        cols = (slice(0, w // 2), slice(w // 2, w))
+        factor = 0.5 / (nx * ny)  # _to_half's scale
+
+        def ud_and_products(r):  # (A)
+            ud = band[0, ..., r, :]
+            np.copyto(ud, uhat[..., r, :w])
+            np.copyto(ud, 0.0, where=self.outside[r])
+            for i, (m, _) in enumerate(self.lanes):
+                if m is not None:
+                    np.multiply(ud, m[r], out=band[g + i, ..., r, :])
+
+        def inverse_x(c):  # (B)
+            _x_inverse(band[:g + n, ..., c])
+
+        def fluxes(r):  # (C)
+            _y_inverse(band[:g + n, ..., r, :], ny, out=fields[:g + n, ..., r, :])
+            for i in range(n):
+                self._flux(i, fields, r)
+            _y_forward(fields[f:f + n, ..., r, :], out=spectrum[:, ..., r, :])
+
+        def forward_x(c):  # (D)
+            half = spectrum[:, ..., c]
+            _x_forward(half, factor)
+            for i, (_, d) in enumerate(self.lanes):
+                # i xi is a column, i mu a row
+                np.multiply(d if d.shape[-1] == 1 else d[:, c], half[i],
+                            out=band[g + i, ..., c] if i else nhat[..., c])
+            if n == 2:
+                nhat[..., c] += band[2, ..., c]
+            np.copyto(nhat[..., c], 0.0, where=self.outside[:, c])
+
+        helper = self._start_helper()
+        for phase, parts in ((ud_and_products, rows), (inverse_x, cols), (fluxes, rows), (forward_x, cols)):
+            if helper is None:
+                for part in parts:
+                    phase(part)
+            else:
+                helper.run(phase, parts)
+
+    def _start_helper(self) -> "_Helper | None":
+        """The kernel's helper thread, started at the first split call when
+        the process may use more than one CPU; None while it cannot be."""
+        if self._helper is None and _usable_cpus() > 1:
+            try:
+                self._helper = _Helper()
+            except RuntimeError:  # no new thread, as when the host is out of them
+                return None
+            # and ended at the latest with the kernel
+            self._close_helper = weakref.finalize(self, self._helper.close)
+        return self._helper
 
 
 def background_terms(u: RealField, p: SolitonParams, t: float) -> RealField:
@@ -468,9 +589,9 @@ def nonlinear_rhs(u: RealField, eq: EquationKind, t: float = 0.0) -> RealField:
     """
     g = u.grid
     _check_equation(g, eq)
-    kernel = _Nonlinearity(g, eq, t=_real("t", t))
     uhat = _to_half(u.values)
-    return RealField(g, _from_half(kernel(uhat, np.empty_like(uhat))))
+    with _Nonlinearity(g, eq, t=_real("t", t)) as kernel:
+        return RealField(g, _from_half(kernel(uhat, np.empty_like(uhat))))
 
 
 def solve_potential(u: RealField) -> RealField:

@@ -205,11 +205,11 @@ def duhamel_term(eq: EquationKind, path: TrajectoryPath, t: float) -> RealField:
     _check_equation(grid, eq)
     i = path.node_index(t)
     times = path.times[:i + 1]
-    kernel = _node_kernel(grid, eq, times.size)
-    uhats = kernel.to_lab(_to_half(np.stack([f.values for f in path.fields[:i + 1]])), -times)
-    phases = _phase(kernel.omega, times)
-    integ = _duhamel_hat(uhats, times, phases, kernel, np.empty_like(uhats))
-    return RealField(grid, _from_half(kernel.to_lab(phases[-1] * integ[-1], times[-1])))
+    with _node_kernel(grid, eq, times.size) as kernel:
+        uhats = kernel.to_lab(_to_half(np.stack([f.values for f in path.fields[:i + 1]])), -times)
+        phases = _phase(kernel.omega, times)
+        integ = _duhamel_hat(uhats, times, phases, kernel, np.empty_like(uhats))
+        return RealField(grid, _from_half(kernel.to_lab(phases[-1] * integ[-1], times[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -242,51 +242,51 @@ def picard_solve(u0: RealField, eq: EquationKind, T: float, *,
     _check_equation(grid, eq)
     times = np.linspace(0.0, T, nodes)
     u0hat = _half_of(u0)  # the kernel's frame is the lab frame at time 0
-    kernel = _node_kernel(grid, eq, nodes)
-    phases = _phase(kernel.omega, times)
-    # the H^s weight of each float of a half spectrum's real view
-    w2 = np.repeat(_half_sobolev_weight(grid, s).ravel(), 2)
-    area = grid.lx * grid.ly
+    with _node_kernel(grid, eq, nodes) as kernel:
+        phases = _phase(kernel.omega, times)
+        # the H^s weight of each float of a half spectrum's real view
+        w2 = np.repeat(_half_sobolev_weight(grid, s).ravel(), 2)
+        area = grid.lx * grid.ly
 
-    # Two node stacks swap roles every sweep: the iterate, and the buffer
-    # that takes the integrand, then the next iterate in place, while the
-    # iterate's buffer takes the difference for the distance.
-    current = phases * u0hat[None, :, :]
-    spare = np.empty_like(current)
-    report = PicardReport(iterations=0, tol=tol, sobolev_index=s)
-    for _ in range(max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = _duhamel_hat(current, times, phases, kernel, spare)
-            np.subtract(u0hat, new, out=new)
-            np.multiply(new, phases, out=new)
-            np.subtract(new, current, out=current)
-            # the difference is discarded, so its real and imaginary parts
-            # are squared and weighted in place (``np.abs`` would build a
-            # real stack, and its ``** 2`` undo a square root)
-            terms = current.view(np.float64).reshape(nodes, -1)
-            np.multiply(terms, terms, out=terms)
-            terms *= w2
-            node_dist = np.sqrt(area * np.sum(terms, axis=1))
-            # a non-finite iterate node gives a non-finite distance, and an
-            # overflow can give one on a finite node
-            bad = ~np.isfinite(node_dist)
-            if bad.any():
-                j = int(np.argmax(bad))
-                last = f"{report.distances[-1]:.3e}" if report.distances else "none"
-                raise RuntimeError(
-                    f"picard iteration diverged at sweep {report.iterations + 1}: first "
-                    f"non-finite node {j} of {nodes} (t = {times[j]:.6g}); last distance {last}")
-            dist = float(np.max(node_dist))
-        report.iterations += 1
-        report.distances.append(dist)
-        if len(report.distances) > 1 and report.distances[-2] > 0:
-            report.ratios.append(dist / report.distances[-2])
-        current, spare = new, current
-        if dist <= tol:
-            report.converged = True
-            break
-    fields = [RealField._of_half(grid, node) for node in kernel.to_lab(current, times)]
-    return TrajectoryPath(grid, times, fields), report
+        # Two node stacks swap roles every sweep: the iterate, and the buffer
+        # that takes the integrand, then the next iterate in place, while the
+        # iterate's buffer takes the difference for the distance.
+        current = phases * u0hat[None, :, :]
+        spare = np.empty_like(current)
+        report = PicardReport(iterations=0, tol=tol, sobolev_index=s)
+        for _ in range(max_iter):
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = _duhamel_hat(current, times, phases, kernel, spare)
+                np.subtract(u0hat, new, out=new)
+                np.multiply(new, phases, out=new)
+                np.subtract(new, current, out=current)
+                # the difference is discarded, so its real and imaginary parts
+                # are squared and weighted in place (``np.abs`` would build a
+                # real stack, and its ``** 2`` undo a square root)
+                terms = current.view(np.float64).reshape(nodes, -1)
+                np.multiply(terms, terms, out=terms)
+                terms *= w2
+                node_dist = np.sqrt(area * np.sum(terms, axis=1))
+                # a non-finite iterate node gives a non-finite distance, and an
+                # overflow can give one on a finite node
+                bad = ~np.isfinite(node_dist)
+                if bad.any():
+                    j = int(np.argmax(bad))
+                    last = f"{report.distances[-1]:.3e}" if report.distances else "none"
+                    raise RuntimeError(
+                        f"picard iteration diverged at sweep {report.iterations + 1}: first "
+                        f"non-finite node {j} of {nodes} (t = {times[j]:.6g}); last distance {last}")
+                dist = float(np.max(node_dist))
+            report.iterations += 1
+            report.distances.append(dist)
+            if len(report.distances) > 1 and report.distances[-2] > 0:
+                report.ratios.append(dist / report.distances[-2])
+            current, spare = new, current
+            if dist <= tol:
+                report.converged = True
+                break
+        fields = [RealField._of_half(grid, node) for node in kernel.to_lab(current, times)]
+        return TrajectoryPath(grid, times, fields), report
 
 
 # ---------------------------------------------------------------------------
@@ -346,46 +346,46 @@ def _ifrk4_march(u0: RealField, eq: EquationKind, t0: float, dt: float,
     in the kernel's frame, turned in at ``-t0`` and out at each field's time.
     """
     grid = u0.grid
-    kernel = _Nonlinearity(grid, eq)
-    w = kernel.band
-    E = _phase(kernel.omega, 0.5 * dt)
-    E2 = E * E
-    turn = E2[:, w:].copy()
-    phases = E[:, :w].copy(), E2[:, :w].copy()
-    del E, E2
-    spectrum = _half_of(u0)
-    held = kernel.to_lab(spectrum, -t0)
-    # two band buffers, alternated, the step's two work buffers, and the rest
-    band, tail = np.array(held[:, :w]), np.array(held[:, w:])
-    new, acc, k = (np.empty_like(band) for _ in range(3))
-    shape = (grid.nx, _half_ncols(grid))
+    with _Nonlinearity(grid, eq) as kernel:
+        w = kernel.band
+        E = _phase(kernel.omega, 0.5 * dt)
+        E2 = E * E
+        turn = E2[:, w:].copy()
+        phases = E[:, :w].copy(), E2[:, :w].copy()
+        del E, E2
+        spectrum = _half_of(u0)
+        held = kernel.to_lab(spectrum, -t0)
+        # two band buffers, alternated, the step's two work buffers, and the rest
+        band, tail = np.array(held[:, :w]), np.array(held[:, w:])
+        new, acc, k = (np.empty_like(band) for _ in range(3))
+        shape = (grid.nx, _half_ncols(grid))
 
-    def state() -> np.ndarray:
-        full = np.empty(shape, dtype=complex)
-        full[:, :w], full[:, w:] = band, tail
-        return full
+        def state() -> np.ndarray:
+            full = np.empty(shape, dtype=complex)
+            full[:, :w], full[:, w:] = band, tail
+            return full
 
-    first = u0 if u0._half is not None else RealField._of_half(grid, spectrum, u0.values)
-    for cb in callbacks:
-        cb(0, t0, first)
-    # the march keeps none of the input's spectra past step 0
-    del spectrum, held, first
-    for i in range(n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _ifrk4_hat(band, kernel, dt, phases, new, acc, k)
-        if not np.all(np.isfinite(new.view(np.float64))):
-            l2 = math.sqrt(conserved_I2(RealField._of_half(grid, state())))
-            raise RuntimeError(
-                f"step diverged at step {i + 1} of {n_steps} (t = {t0 + i * dt:.6g}); "
-                f"last finite L2 norm {l2:.3e}; reduce dt")
-        np.multiply(turn, tail, out=tail)
-        band, new = new, band
-        step = i + 1
-        if step == n_steps or (callbacks and step % callback_stride == 0):
-            last = RealField._of_half(grid, kernel.to_lab(state(), t0 + step * dt))
-            for cb in callbacks:
-                cb(step, t0 + step * dt, last)
-    return last
+        first = u0 if u0._half is not None else RealField._of_half(grid, spectrum, u0.values)
+        for cb in callbacks:
+            cb(0, t0, first)
+        # the march keeps none of the input's spectra past step 0
+        del spectrum, held, first
+        for i in range(n_steps):
+            with np.errstate(over="ignore", invalid="ignore"):
+                _ifrk4_hat(band, kernel, dt, phases, new, acc, k)
+            if not np.all(np.isfinite(new.view(np.float64))):
+                l2 = math.sqrt(conserved_I2(RealField._of_half(grid, state())))
+                raise RuntimeError(
+                    f"step diverged at step {i + 1} of {n_steps} (t = {t0 + i * dt:.6g}); "
+                    f"last finite L2 norm {l2:.3e}; reduce dt")
+            np.multiply(turn, tail, out=tail)
+            band, new = new, band
+            step = i + 1
+            if step == n_steps or (callbacks and step % callback_stride == 0):
+                last = RealField._of_half(grid, kernel.to_lab(state(), t0 + step * dt))
+                for cb in callbacks:
+                    cb(step, t0 + step * dt, last)
+        return last
 
 
 def ifrk4_step(u: RealField, eq: EquationKind, t: float, dt: float) -> RealField:

@@ -52,7 +52,7 @@ from .probes import (
     random_low_mode_field,
 )
 from .snapshots import read_snapshot, write_snapshot
-from .spectral import Grid2D, RealField
+from .spectral import Grid2D, RealField, _half_of
 
 __all__ = [
     "DiagnosticsCollector",
@@ -185,14 +185,16 @@ class _SnapshotWriter:
 
 
 def _march(cfg: RunConfig, u0: RealField, equation: EquationKind, *,
-           t_start: float = 0.0):
+           t_start: float = 0.0, observers=()):
     """Evolve ``u0`` from the global time ``t_start`` over the configured
     schedule into a fresh run directory.
 
     The diagnostics collector and the interior-snapshot writer run as
     callbacks every ``diagnostic_stride`` steps; the initial and final
     snapshots, ``diagnostics.csv`` and the heatmaps follow.  Every recorded
-    time is the march's own, which starts at ``t_start``.  Returns the
+    time is the march's own, which starts at ``t_start``.  The
+    ``observers`` are callbacks that run beside the collector, on the same
+    steps, and write nothing.  Returns the
     :class:`_RunDir`, the endpoint trajectory, the diagnostics records and
     the final global time.  An equation the grid cannot carry (a soliton
     box too short) raises before the run directory is made.
@@ -203,7 +205,7 @@ def _march(cfg: RunConfig, u0: RealField, equation: EquationKind, *,
     snapper = _SnapshotWriter(run.path / "snapshots", cfg.snapshot_stride,
                               equation.kind)
     path = evolve(u0, equation, cfg.T, cfg.dt, t0=t_start,
-                  callbacks=[collector, snapper],
+                  callbacks=[collector, snapper, *observers],
                   callback_stride=cfg.diagnostic_stride)
     t_final = float(path.times[-1])
     run.trajectory(u0, t_start, path.fields[-1], t_final, collector)
@@ -402,6 +404,12 @@ class InstabilityReport:
     summary: dict
 
 
+#: Largest relative defect of the background invariant J (see
+#: :func:`run_instability`) that a row inside the fit window may carry
+#: before the run is flagged.
+_BACKGROUND_DEFECT_FLAG = 5e-2
+
+
 def run_instability(cfg: RunConfig) -> InstabilityReport:
     """Grow a transverse perturbation on the soliton and fit its rate.
 
@@ -410,9 +418,20 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
     squares slope of the log of the perturbation norm over the window where
     that norm lies between ``window_low`` times its initial value and
     ``window_high`` times the norm of the background profile — after the
-    transient, before saturation.  The run always marches
-    ``sem_on_soliton``, and the resolved config and summary say so, so a
-    snapshot of the run resumes under its own resolved config.
+    transient, before saturation.
+
+    The full state ``Phi + u`` conserves ``I2``, and the travelling profile
+    ``Phi`` keeps its norm, so ``J(t) = 2 <Phi(t), u(t)> + ||u(t)||^2`` is
+    constant along the exact flow.  Its defect ``|J(t) - J(0)| / ||u(t)||^2``
+    at each diagnostics row measures how far the march has strayed from
+    that flow: the summary records the largest and its time, and a defect
+    above ``_BACKGROUND_DEFECT_FLAG`` inside the fit window flags the fit,
+    whose rate then reads the march's error rather than the instability
+    (as it does when the step is too long for the grid).
+
+    The run always marches ``sem_on_soliton``, and the resolved config and
+    summary say so, so a snapshot of the run resumes under its own resolved
+    config.
     """
     cfg = cfg.replace(equation="sem_on_soliton")
     grid = cfg.grid()
@@ -421,9 +440,20 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
     v0 = perturbation_field(grid, cfg)
     phi_norm = math.sqrt(conserved_I2(soliton_profile(grid, params)))
     v0_norm = math.sqrt(conserved_I2(v0))
-    run, _, records, _ = _march(cfg, v0, equation)
+    # <Phi(t), u(t)> at each diagnostics row.  Phi does not vary in y, so
+    # it reads u's y-mean column alone; Phi's column, transformed once at
+    # time 0, moves with the crest by the phase exp(-i xi omega t).
+    conj_phi = np.conj(_half_of(soliton_profile(grid, params))[:, 0])
+    pairings: list[float] = []
+
+    def pair(step: int, time: float, u: RealField) -> None:
+        terms = conj_phi * np.exp(1j * params.omega * time * grid.xi) * _half_of(u)[:, 0]
+        pairings.append(grid.lx * grid.ly * float(np.sum(terms.real)))
+
+    run, _, records, _ = _march(cfg, v0, equation, observers=[pair])
     t_arr = np.array([rec.time for rec in records])
-    n_arr = np.array([math.sqrt(rec.i2) for rec in records])
+    i2 = np.array([rec.i2 for rec in records])
+    n_arr = np.sqrt(i2)
     flags: list[str] = []
     low = cfg.window_low * v0_norm
     high = cfg.window_high * phi_norm
@@ -448,13 +478,25 @@ def run_instability(cfg: RunConfig) -> InstabilityReport:
                 flags.append("growth window not reached; extend T")
             else:
                 flags.append("too few samples inside the fit window")
+    worst = worst_time = None
+    if v0_norm > 0.0:
+        invariant = 2.0 * np.array(pairings) + i2
+        defect = np.abs(invariant - invariant[0]) / i2
+        j = int(np.argmax(defect))
+        worst, worst_time = float(defect[j]), float(t_arr[j])
+        inside = np.where(in_window, defect, 0.0)
+        j = int(np.argmax(inside))
+        if inside[j] > _BACKGROUND_DEFECT_FLAG:
+            flags.append(f"background invariant defect {inside[j]:.3g} at t = {t_arr[j]:.6g} "
+                         "inside the fit window; reduce dt")
     run.csv("growth.csv", ["time", "norm"],
             list(zip(t_arr.tolist(), n_arr.tolist())))
     k_y = 2.0 * np.pi * cfg.perturbation_wavenumber / grid.ly
     summary = run.summary(
         k_y=k_y, sigma=sigma, v0_norm=v0_norm, phi_norm=phi_norm,
         window_low=low, window_high=high,
-        window_samples=int(in_window.sum()), flags=flags)
+        window_samples=int(in_window.sum()), background_defect=worst,
+        background_defect_time=worst_time, flags=flags)
     return InstabilityReport(run.path, k_y, sigma, t_arr, n_arr, (low, high),
                              flags, summary)
 

@@ -13,7 +13,9 @@ Conventions used throughout the package:
   through one of two private pairs below: ``_to_coeffs``/``_to_values`` for
   full complex spectra (the public API and the space-time fields), and
   ``_to_half``/``_from_half`` for the real half spectra of shape
-  ``(..., nx, ny//2 + 1)`` that the solvers evolve.  The one other
+  ``(..., nx, ny//2 + 1)`` that the solvers evolve, whose two passes are
+  also there one axis at a time (``_y_forward`` and ``_x_forward``,
+  ``_x_inverse`` and ``_y_inverse``).  The one other
   transform user, the linear convolution of the dense probes, is
   ``_linear_convolve`` beside them.  Every symbol table comes from the
   per-grid cache ``_symbols``, or its half-width counterpart
@@ -416,6 +418,40 @@ def _from_half(coeffs: np.ndarray, shape: tuple[int, int] | None = None,
     ``norm="forward"`` leaves the inverse unscaled, which is the series
     convention."""
     return np.fft.irfftn(coeffs, s=shape, axes=(-2, -1), norm="forward", out=out)
+
+
+# The two passes of each of _to_half and _from_half, one axis at a time, so
+# a caller can run a pass on some of its lines: each line's transform is
+# independent, so any split of the lines gives the bits of the whole call.
+
+
+def _y_forward(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The first pass of :func:`_to_half`: the real transform of each row
+    of ``values`` (the last axis), unscaled, into ``out``."""
+    return np.fft.rfftn(values, axes=(-1,), out=out)
+
+
+def _x_forward(coeffs: np.ndarray, factor: float) -> None:
+    """The second pass of :func:`_to_half`, in place on ``coeffs``, which
+    may hold any of the half spectrum's columns: the transform of each
+    column (the second-last axis), times ``factor``, which is ``_to_half``'s
+    ``scale / (nx * ny)``."""
+    np.fft.fftn(coeffs, axes=(-2,), out=coeffs)
+    coeffs *= factor
+
+
+def _x_inverse(coeffs: np.ndarray) -> None:
+    """The first pass of :func:`_from_half`, in place on ``coeffs``, which
+    may hold any of the half spectrum's columns: the inverse transform of
+    each column, unscaled."""
+    np.fft.ifftn(coeffs, axes=(-2,), norm="forward", out=coeffs)
+
+
+def _y_inverse(coeffs: np.ndarray, ny: int, out: np.ndarray) -> np.ndarray:
+    """The second pass of :func:`_from_half`: ``ny`` real samples of each
+    row of ``coeffs``, the leading columns of an x-passed half spectrum, the
+    rest being zero, into ``out``."""
+    return np.fft.irfftn(coeffs, s=(ny,), axes=(-1,), norm="forward", out=out)
 
 
 def _half_of(u: RealField) -> np.ndarray:

@@ -267,6 +267,9 @@ def test_criterion_12_transverse_instability(tmp_path):
         if rep.sigma is None:
             _report(12, "transverse instability", False,
                     f"no growth window at eps={eps}: {rep.flags}")
+        # the march keeps the background invariant inside the fit window
+        if rep.flags:
+            _report(12, "transverse instability", False, f"flagged at eps={eps}: {rep.flags}")
         sigmas[eps] = rep.sigma
     elapsed = time.time() - start
     s_full, s_half = sigmas[1e-4], sigmas[5e-5]

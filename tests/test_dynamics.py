@@ -36,7 +36,7 @@ from semzk.dynamics import (
     soliton_shape_dx,
     solve_potential,
 )
-from semzk.integrators import _node_kernel, evolve, ifrk4_step
+from semzk.integrators import _node_kernel, evolve, ifrk4_step, picard_solve
 from semzk.norms import conserved_I1, conserved_I2
 from semzk.probes import random_low_mode_field
 from semzk.spectral import (
@@ -435,17 +435,18 @@ def test_kernel_evaluates_the_profile_once(monkeypatch):
 @pytest.mark.parametrize("grid, batch, calls", [
     (Grid2D(256, 16, 80.0, 2 * np.pi), None, [("inverse", 3), ("forward", 2)]),
     (Grid2D(128, 128, 80.0, 2 * np.pi), None, [("inverse", 1), ("inverse", 2), ("forward", 2)]),
-    (Grid2D(512, 512, 80.0, 2 * np.pi), None, [("inverse", 1)] * 3 + [("forward", 1)] * 2),
+    (Grid2D(512, 510, 80.0, 2 * np.pi), None, [("inverse", 1)] * 3 + [("forward", 1)] * 2),
     (Grid2D(64, 64, 2 * np.pi, 2 * np.pi), 8, [("inverse", 1)] * 3 + [("forward", 1)] * 2),
-], ids=["256x16", "128^2", "512^2", "64^2x8"])
+], ids=["256x16", "128^2", "512x510", "64^2x8"])
 def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
-    # One transform call spans at most _NODE_BATCH_BYTES of real samples
-    # and at least one field: the three inverses and two forwards of sem at
-    # 256x16 (32 KiB a field) go through one call each way, two fields at
-    # 128^2 (128 KiB) share a call, while a field at 512^2 (2 MiB) and a
-    # full Picard batch at 64^2 (8 nodes, 256 KiB) each get a call of their
-    # own.  One field to a call, the x and y lanes' calls interleave, so
-    # the calls are compared as a multiset.
+    # Below the split, one transform call spans at most _NODE_BATCH_BYTES
+    # of real samples and at least one field: the three inverses and two
+    # forwards of sem at 256x16 (32 KiB a field) go through one call each
+    # way, two fields at 128^2 (128 KiB) share a call, while a field just
+    # below the split (512x510) and a full Picard batch at 64^2 (8 nodes,
+    # 256 KiB) each get a call of their own.  One field to a call, the x
+    # and y lanes' calls interleave, so the calls are compared as a
+    # multiset.
     seen = []
 
     def spy(direction, transform):
@@ -461,6 +462,7 @@ def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
     uhat = _to_half(0.1 * np.random.default_rng(3).standard_normal(lead + (grid.nx, grid.ny)))
     kernel = _Nonlinearity(grid, SEM, batch=batch)
     assert kernel.per_call == max(1, _NODE_BATCH_BYTES // (8 * (batch or 1) * grid.nx * grid.ny))
+    assert not kernel.split
     kernel(uhat, np.empty_like(uhat))
     assert Counter(seen) == Counter(calls)
 
@@ -472,15 +474,16 @@ def test_fields_per_transform_call(monkeypatch, grid, batch, calls):
 def test_kernel_allocations(grid, eq):
     # The kernel holds its work buffers: u, G1u and G2u, and for
     # sem_on_soliton a field per flux; the band rows, ``ud`` and one per
-    # lane; a half spectrum per lane.  An evaluation adds only transients:
-    # an inverse call's x-pass intermediate, a band stack of the call's
-    # fields, or numpy's iteration buffers for the band products.  With one
-    # field per call that is the x-pass of one field, 1.34 MiB at 512^2, or
-    # of each of the two lanes when they run side by side; stacked
-    # (256x16), it stays within the byte budget of one call.
+    # lane; a half spectrum per lane.  An evaluation adds only transients.
+    # Stacked (256x16), they stay within the byte budget of one call.  From
+    # the split (512^2), whose x-passes run in place, they are numpy's
+    # iteration buffers for a product on the band, np.getbufsize() elements
+    # for each of its three operands, on each thread that runs halves (two
+    # when the helper runs beside the caller), plus small objects.
     uhat = _to_half(0.1 * np.random.default_rng(4).standard_normal((grid.nx, grid.ny)))
     out = np.empty_like(uhat)
-    _Nonlinearity(grid, eq)(uhat, out)  # cached tables
+    with _Nonlinearity(grid, eq) as kernel:
+        kernel(uhat, out)  # cached tables
     tracemalloc.start()
     try:
         kernel = _Nonlinearity(grid, eq)
@@ -491,23 +494,28 @@ def test_kernel_allocations(grid, eq):
         transient = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    k, w, split = kernel.per_call, kernel.band, kernel.split
-    assert split == (8 * grid.nx * grid.ny >= _SPLIT_FIELD_BYTES)
+        threads = 1 + (kernel._helper is not None)
+        kernel.close()
+    assert kernel.split == (8 * grid.nx * grid.ny >= _SPLIT_FIELD_BYTES)
     soliton = eq.kind == "sem_on_soliton"
     field = 8 * grid.nx * grid.ny
-    band_row = 16 * grid.nx * w
+    band_row = 16 * grid.nx * kernel.band
     buffers = ((3 + 2 * soliton) * field + 3 * band_row + 2 * 16 * uhat.size
-               + grid.nx * w  # the boolean complement of the mask
+               + grid.nx * kernel.band  # the boolean complement of the mask
                + soliton * 8 * grid.nx)  # the background's column
     assert held <= buffers + 4096, held - buffers
-    if k == 1:
-        assert transient <= (1 + split) * (band_row + 8192), transient - band_row
+    if kernel.split:
+        product = 3 * 16 * np.getbufsize()
+        assert transient <= threads * product + 32768, transient - threads * product
     else:
         assert transient <= _NODE_BATCH_BYTES
 
 
+TRANSFORMS = ("rfftn", "irfftn", "fftn", "ifftn")
+
+
 def transform_threads(monkeypatch):
-    """Record the thread of every 2-D transform, by name."""
+    """Record the thread of every n-D transform call, 2-D or 1-axis."""
     threads = []
 
     def spy(name):
@@ -519,25 +527,29 @@ def transform_threads(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, call)
 
-    for name in ("rfftn", "irfftn"):
+    for name in TRANSFORMS:
         spy(name)
     return threads
 
 
-def hold_x_lane_until_the_y_lane_begins(monkeypatch, kernel):
-    """Start the kernel's x lane only once its y lane has begun, so that a
-    y lane handed to a thread always runs there."""
-    begun = threading.Event()
-    lanes = kernel._lanes
+def hold_each_phase_until_the_helper_claims(monkeypatch):
+    """Start the caller's half of each phase only once the helper has
+    claimed the other, so that every phase runs on both threads."""
+    run = dynamics._Helper.run
 
-    def held(a, b, *args, **kwargs):
-        if a == 1:
-            begun.set()
-        else:
-            assert begun.wait(timeout=60)
-        return lanes(a, b, *args, **kwargs)
+    def held(self, work, parts):
+        caller, claimed = threading.current_thread(), threading.Event()
 
-    monkeypatch.setattr(kernel, "_lanes", held)
+        def half(part):
+            if threading.current_thread() is caller:
+                assert claimed.wait(timeout=60)
+            else:
+                claimed.set()
+            return work(part)
+
+        return run(self, half, parts)
+
+    monkeypatch.setattr(dynamics._Helper, "run", held)
 
 
 SPLIT_CASES = [(Grid2D(512, 512, 80.0, 2 * np.pi), None),
@@ -546,12 +558,14 @@ SPLIT_CASES = [(Grid2D(512, 512, 80.0, 2 * np.pi), None),
 
 
 @pytest.mark.parametrize("grid, batch", SPLIT_CASES, ids=["512^2", "1024x256", "512^2-node"])
-@pytest.mark.parametrize("eq", KERNEL_KINDS[2:], ids=["sem", "sem_on_soliton"])
+@pytest.mark.parametrize("eq", KERNEL_KINDS[1:], ids=["zk", "sem", "sem_on_soliton"])
 def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
     # From _SPLIT_FIELD_BYTES of samples a field (512^2 and 1024x256 are at
-    # it; a Picard kernel at 512^2 is a batch of one node) the y lane
-    # runs on a thread of its own, whatever the host's CPUs; with one CPU
-    # it runs inline.  Both give the one-call-per-field reference to the bit.
+    # it; a Picard kernel at 512^2 is a batch of one node) every kind runs
+    # the split body: each of its four passes in two calls of half the
+    # lines, shared with the kernel's helper thread when the process may
+    # use two CPUs, all on the caller with one.  Both give the
+    # one-call-per-field reference to the bit.
     assert 8 * grid.nx * grid.ny == _SPLIT_FIELD_BYTES
     rng = np.random.default_rng(31)
     lead = () if batch is None else (batch,)
@@ -560,15 +574,15 @@ def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
     got = {}
     for cpus in (2, 1):
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
-        kernel = _node_kernel(grid, eq, 33) if batch else _Nonlinearity(grid, eq)
-        assert kernel.split and kernel.batch == batch
         if cpus == 2:
-            hold_x_lane_until_the_y_lane_begins(monkeypatch, kernel)
+            hold_each_phase_until_the_helper_claims(monkeypatch)
         threads = transform_threads(monkeypatch)
-        got[cpus] = kernel(uhat, np.full_like(uhat, np.nan))
-        workers = {t.name for t in threads if t is not threading.main_thread()}
-        assert len(threads) == 5
-        assert len(workers) == (cpus == 2), workers
+        with _node_kernel(grid, eq, 33) if batch else _Nonlinearity(grid, eq) as kernel:
+            assert kernel.split and kernel.batch == batch
+            got[cpus] = kernel(uhat, np.full_like(uhat, np.nan))
+        helpers = {t for t in threads if t is not threading.main_thread()}
+        assert len(threads) == 2 * len(TRANSFORMS)
+        assert len(helpers) == (cpus == 2), helpers
         monkeypatch.undo()
     assert np.array_equal(got[2], got[1])
     assert np.array_equal(got[2], expected)
@@ -580,7 +594,7 @@ def test_split_kernel_matches_the_inline_kernel(monkeypatch, grid, batch, eq):
 def test_kernel_below_the_split_runs_on_the_caller(monkeypatch, grid, batch):
     # just below _SPLIT_FIELD_BYTES, and a full Picard batch at 64^2 (one
     # field to a transform call, but 256 KiB of samples), the lanes run
-    # one after the other on the caller's thread
+    # one after the other on the caller's thread, and no helper starts
     assert 8 * (batch or 1) * grid.nx * grid.ny < _SPLIT_FIELD_BYTES
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     lead = () if batch is None else (batch,)
@@ -591,49 +605,54 @@ def test_kernel_below_the_split_runs_on_the_caller(monkeypatch, grid, batch):
     kernel(uhat, np.empty_like(uhat))
     assert len(threads) == 5
     assert all(t is threading.main_thread() for t in threads)
+    assert kernel._helper is None
 
 
-@pytest.mark.parametrize("thread", ["late", "unstartable"])
-def test_caller_runs_the_y_lane_its_thread_has_not_begun(monkeypatch, thread):
-    # A thread that has not begun the y lane when the x lane ends
-    # (as when the second core is busy), or that could not be started,
-    # leaves it to the caller, which gives the same bits; the late thread
-    # then finds the call taken and makes none.
+@pytest.mark.parametrize("helper", ["late", "unstartable"])
+@pytest.mark.parametrize("grid, batch", SPLIT_CASES, ids=["512^2", "1024x256", "512^2-node"])
+@pytest.mark.parametrize("eq", KERNEL_KINDS[1:], ids=["zk", "sem", "sem_on_soliton"])
+def test_caller_runs_the_halves_its_helper_has_not_claimed(monkeypatch, grid, batch, eq, helper):
+    # A helper that has not claimed a half when the caller is done with its
+    # own (as when the second core is busy), or that could not be started,
+    # leaves every half to the caller, which gives the same bits; the late
+    # helper then finds every phase taken and runs none.
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
-    g = Grid2D(512, 512, 80.0, 2 * np.pi)
-    uhat = _to_half(0.1 * np.random.default_rng(36).standard_normal((g.nx, g.ny)))
-    expected = per_field_reference(g, SEM, uhat)
+    lead = () if batch is None else (batch,)
+    uhat = _to_half(0.1 * np.random.default_rng(36).standard_normal(lead + (grid.nx, grid.ny)))
+    expected = per_field_reference(grid, eq, uhat.reshape(grid.nx, -1)).reshape(uhat.shape)
     released, late = threading.Event(), []
-    if thread == "late":
-        run = dynamics._Beside._run
+    if helper == "late":
+        serve = dynamics._Helper._serve
 
-        def held_run(self):
+        def held_serve(self):
             late.append(threading.current_thread())
             released.wait(timeout=60)
-            run(self)
+            serve(self)
 
-        monkeypatch.setattr(dynamics._Beside, "_run", held_run)
+        monkeypatch.setattr(dynamics._Helper, "_serve", held_serve)
     else:
         def start(self):
             raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(dynamics.threading.Thread, "start", start)
-    kernel = _Nonlinearity(g, SEM)
+    kernel = _node_kernel(grid, eq, 33) if batch else _Nonlinearity(grid, eq)
     threads = transform_threads(monkeypatch)
     got = kernel(uhat, np.empty_like(uhat))
     released.set()
+    kernel.close()
+    assert len(late) == (helper == "late")
     for t in late:
-        t.join(timeout=60)
         assert not t.is_alive()
-    assert len(threads) == 5
+    assert len(threads) == 2 * len(TRANSFORMS)
     assert all(t is threading.main_thread() for t in threads)
     assert np.array_equal(got, expected)
 
 
-def test_worker_runs_under_the_callers_error_state(monkeypatch):
+def test_helper_runs_under_the_callers_error_state(monkeypatch):
     # evolve ignores overflow inside a step and reports a non-finite state
-    # itself; the y lane, on its thread, must ignore it as well
+    # itself; the helper's halves must ignore it as well
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    hold_each_phase_until_the_helper_claims(monkeypatch)
     g = Grid2D(512, 512, 80.0, 2 * np.pi)
     u0 = random_low_mode_field(g, 0, amplitude=1e3)
     with warnings.catch_warnings(record=True) as caught:
@@ -643,49 +662,52 @@ def test_worker_runs_under_the_callers_error_state(monkeypatch):
     assert [str(w.message) for w in caught] == []
 
 
-def test_worker_error_propagates_from_the_kernel_call(monkeypatch):
+def test_helper_error_propagates_from_the_kernel_call(monkeypatch):
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    hold_each_phase_until_the_helper_claims(monkeypatch)
     g = Grid2D(512, 512, 80.0, 2 * np.pi)
     uhat = _to_half(0.1 * np.random.default_rng(33).standard_normal((g.nx, g.ny)))
-    kernel = _Nonlinearity(g, SEM)
-    expected = kernel(uhat, np.empty_like(uhat)).copy()
-    hold_x_lane_until_the_y_lane_begins(monkeypatch, kernel)
-    raised_on = []
+    raised_on, failing = [], [True]
+    y_forward = dynamics._y_forward
 
-    class Failing:
-        # ``i mu``, whose product only the y lane forms
-        def __array_ufunc__(self, *args, **kwargs):
+    def forward(values, out):
+        # the forward y-pass of the helper's half of the rows
+        if failing[0] and threading.current_thread() is not threading.main_thread():
             raised_on.append(threading.current_thread())
-            raise ArithmeticError("y lane failed")
+            raise ArithmeticError("helper's half failed")
+        return y_forward(values, out)
 
-    lanes = kernel.lanes
-    kernel.lanes = (lanes[0], (lanes[1][0], Failing()))
-    with pytest.raises(ArithmeticError, match="y lane failed"):
-        kernel(uhat, np.empty_like(uhat))
-    assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
-    # the next call starts a thread of its own
-    kernel.lanes = lanes
-    assert np.array_equal(kernel(uhat, np.empty_like(uhat)), expected)
+    monkeypatch.setattr(dynamics, "_y_forward", forward)
+    with _Nonlinearity(g, SEM) as kernel:
+        with pytest.raises(ArithmeticError, match="helper's half failed"):
+            kernel(uhat, np.empty_like(uhat))
+        assert len(raised_on) == 1
+        # the same helper serves the next call
+        failing[0] = False
+        threads = transform_threads(monkeypatch)
+        got = kernel(uhat, np.empty_like(uhat))
+    assert {t for t in threads if t is not threading.main_thread()} == set(raised_on)
+    assert np.array_equal(got, per_field_reference(g, SEM, uhat))
 
 
 def test_kernels_on_several_threads_keep_their_bits(monkeypatch):
     # Four caller threads on two CPUs, each with its own split kernel and
-    # state, under a short switch interval: each call's thread races its
-    # caller for the y lane, and each result is its own state's
+    # state, under a short switch interval: each call's helper races its
+    # caller for the halves, and each result is its own state's
     # reference, to the bit.
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     g = Grid2D(512, 512, 80.0, 2 * np.pi)
     rng = np.random.default_rng(34)
     cases = [(eq, _to_half(0.1 * rng.standard_normal((g.nx, g.ny))))
-             for eq in KERNEL_KINDS[2:] * 2]
+             for eq in KERNEL_KINDS[1:] + KERNEL_KINDS[2:]]
     expected = [per_field_reference(g, eq, uhat) for eq, uhat in cases]
     got = [[] for _ in cases]
 
     def evaluate(i):
         eq, uhat = cases[i]
-        kernel = _Nonlinearity(g, eq)
-        for _ in range(3):
-            got[i].append(kernel(uhat, np.empty_like(uhat)).copy())
+        with _Nonlinearity(g, eq) as kernel:
+            for _ in range(3):
+                got[i].append(kernel(uhat, np.empty_like(uhat)).copy())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -701,6 +723,35 @@ def test_kernels_on_several_threads_keep_their_bits(monkeypatch):
     for results, reference in zip(got, expected):
         assert len(results) == 3
         assert all(np.array_equal(r, reference) for r in results)
+
+
+def test_no_helper_outlives_the_public_call_that_built_it(monkeypatch):
+    # Each public call that builds a split kernel ends its helper before it
+    # returns, and before it raises.
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    started = []
+    init = dynamics._Helper.__init__
+
+    def counted(self):
+        init(self)
+        started.append(self)
+
+    monkeypatch.setattr(dynamics._Helper, "__init__", counted)
+    g = Grid2D(512, 512, 80.0, 2 * np.pi)
+    u0, diverging = random_low_mode_field(g, 7), random_low_mode_field(g, 0, amplitude=1e3)
+
+    def diverges():
+        with pytest.raises(RuntimeError, match="step diverged"):
+            evolve(diverging, SEM, 0.2, 0.01)
+
+    # picard_solve's kernel at 512^2 takes a batch of one node
+    for call in (lambda: evolve(u0, SEM, 0.02, 0.01),
+                 lambda: picard_solve(u0, SEM, 0.01, nodes=2, max_iter=2),
+                 lambda: nonlinear_rhs(u0, ZK), diverges):
+        before, count = threading.active_count(), len(started)
+        call()
+        assert len(started) == count + 1
+        assert threading.active_count() == before
 
 
 def test_split_march_ends_while_the_interpreter_shuts_down(tmp_path):

@@ -259,6 +259,35 @@ class TestInstability:
             tmp_path / "full" / "snapshots" / "final.snap").field().values
         assert np.max(np.abs(resumed - continuous)) < 1e-12
 
+    def test_spoiled_step_is_flagged(self, tmp_path):
+        # dt = 0.1 is too long for nx = 256: the march exits normally, but
+        # its growth rate reads about 0.036, 3.4x the converged 0.0106 of
+        # criterion 12, which marches at dt = 0.05.  The background
+        # invariant J = 2 <Phi, u> + ||u||^2, which the exact flow keeps,
+        # drifts by far more than ||u||^2 inside the fit window.
+        cfg = RunConfig(equation="sem_on_soliton", nx=256, ny=16, lx=80.0, ly=36.0,
+                        T=180.0, dt=0.1, perturbation_amplitude=1e-4,
+                        out_dir=str(tmp_path / "run"))
+        rep = run_instability(cfg)
+        assert rep.sigma == pytest.approx(0.035648, abs=1e-6)
+        flagged = [f for f in rep.flags if f.startswith("background invariant defect")]
+        assert len(flagged) == 1 and "inside the fit window" in flagged[0]
+        payload = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert payload["background_defect"] > 0.05
+        assert payload["flags"] == rep.flags
+
+    def test_background_defect_is_recorded(self, tmp_path):
+        # a short run far from the window records its defect and time, and
+        # a zero perturbation, whose defect has no scale, records none
+        cfg = sim_config(tmp_path / "run", equation="sem_on_soliton",
+                         perturbation_amplitude=1e-4, T=0.1, dt=0.01)
+        payload = run_instability(cfg).summary
+        assert 0.0 <= payload["background_defect"] < 0.05
+        assert 0.0 <= payload["background_defect_time"] <= 0.1
+        cfg = cfg.replace(perturbation_amplitude=0.0, out_dir=str(tmp_path / "zero"))
+        payload = run_instability(cfg).summary
+        assert payload["background_defect"] is None and payload["background_defect_time"] is None
+
     def test_summary_records_wavenumber(self, tmp_path):
         cfg = sim_config(tmp_path / "run", equation="sem_on_soliton",
                          perturbation_amplitude=1e-4, T=0.02, dt=0.01,
